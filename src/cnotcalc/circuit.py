@@ -260,7 +260,8 @@ class Circuit:
         for i, e in enumerate(wires):
             rows.append((e & (one - 1)) | (1 << (n + i)) | (rhs if e & one else 0))
         rel = AffineRelation(n, m, rows)
-        assert rel.is_partial_iso(), "circuit semantics must be a partial isomorphism"
+        if not rel.is_partial_iso():
+            raise RuntimeError("circuit semantics must be a partial isomorphism")
         return rel
 
 

@@ -32,11 +32,15 @@ def _logical_lines(text: str):
             yield i, body
 
 
-def _int(token: str, line: int, column: int) -> int:
+def _int(token: str, line: int, body: str, index: int) -> int:
+    """``int(token)``, where ``token`` is token ``index`` of ``body``.  Its
+    column is worked out only for the error."""
     try:
-        return int(token, 10)
+        return int(token)
     except ValueError:
-        raise FormatError(f"expected an integer, got {token!r}", line, column) from None
+        raise FormatError(
+            f"expected an integer, got {token!r}", line, _column_of(body, index)
+        ) from None
 
 
 def _column_of(body: str, token_index: int) -> int:
@@ -85,27 +89,34 @@ def parse_circuit(text: str) -> tuple[str, Circuit]:
             "expected header 'circuit <name> : <n_in> -> <n_out>'", lineno
         )
     name = tokens[1]
-    n_in = _int(tokens[3], lineno, _column_of(header, 3))
-    n_out = _int(tokens[5], lineno, _column_of(header, 5))
+    n_in = _int(tokens[3], lineno, header, 3)
+    n_out = _int(tokens[5], lineno, header, 5)
     gates: list[Gate] = []
+    # Each distinct gate line is parsed once: n wires allow only about
+    # 2 n^2 distinct lines, so long circuits repeat many of them.  Gate is
+    # frozen, so repeated lines share their Gate objects.
+    parsed: dict[str, tuple[Gate, ...]] = {}
     terminated = False
     for lineno, body in lines[1:]:
         if body == "end":
             terminated = True
             break
-        tokens = body.split()
-        kind = tokens[0]
-        if kind not in _GATE_BUILDERS:
-            raise FormatError(f"unknown gate {kind!r}", lineno)
-        if len(tokens) != 1 + _GATE_ARITY[kind]:
-            raise FormatError(
-                f"gate {kind} takes {_GATE_ARITY[kind]} argument(s)", lineno
-            )
-        args = [
-            _int(t, lineno, _column_of(body, i + 1)) for i, t in enumerate(tokens[1:])
-        ]
-        built = _GATE_BUILDERS[kind](*args)
-        gates.extend(built if isinstance(built, tuple) else (built,))
+        built = parsed.get(body)
+        if built is None:
+            tokens = body.split()
+            kind = tokens[0]
+            if kind not in _GATE_BUILDERS:
+                raise FormatError(f"unknown gate {kind!r}", lineno)
+            if len(tokens) != 1 + _GATE_ARITY[kind]:
+                raise FormatError(
+                    f"gate {kind} takes {_GATE_ARITY[kind]} argument(s)", lineno
+                )
+            args = [_int(t, lineno, body, i) for i, t in enumerate(tokens[1:], 1)]
+            built = _GATE_BUILDERS[kind](*args)
+            if not isinstance(built, tuple):
+                built = (built,)
+            parsed[body] = built
+        gates.extend(built)
     if not terminated:
         raise FormatError("missing 'end' terminator", lines[-1][0])
     c = Circuit(n_in, gates)
@@ -140,24 +151,29 @@ def _parse_parity_terms(tokens, n, m, lineno, body):
     eq = tokens.index("=")
     if eq != len(tokens) - 2:
         raise FormatError("expected a single bit after '='", lineno)
-    rhs = _int(tokens[-1], lineno, _column_of(body, len(tokens) - 1))
+    rhs = _int(tokens[-1], lineno, body, len(tokens) - 1)
     if rhs not in (0, 1):
         raise FormatError("right-hand side must be 0 or 1", lineno)
     mask = rhs << (n + m)
-    for i, t in enumerate(tokens[:eq]):
-        col = _column_of(body, i + 1)
+    for i, t in enumerate(tokens[:eq], 1):
         if t.startswith("x"):
-            j = _int(t[1:], lineno, col)
+            j = _int(t[1:], lineno, body, i)
             if not 0 <= j < n:
-                raise FormatError(f"input variable {t} out of range", lineno, col)
+                raise FormatError(
+                    f"input variable {t} out of range", lineno, _column_of(body, i)
+                )
             mask |= 1 << j
         elif t.startswith("y"):
-            j = _int(t[1:], lineno, col)
+            j = _int(t[1:], lineno, body, i)
             if m == 0 or not 0 <= j < m:
-                raise FormatError(f"output variable {t} out of range", lineno, col)
+                raise FormatError(
+                    f"output variable {t} out of range", lineno, _column_of(body, i)
+                )
             mask |= 1 << (n + j)
         else:
-            raise FormatError(f"expected x<i> or y<j>, got {t!r}", lineno, col)
+            raise FormatError(
+                f"expected x<i> or y<j>, got {t!r}", lineno, _column_of(body, i)
+            )
     return mask
 
 
@@ -169,8 +185,8 @@ def parse_relation(text: str) -> AffineRelation:
     tokens = header.split()
     if len(tokens) != 3 or tokens[0] != "graph":
         raise FormatError("expected header 'graph <n_in> <n_out>'", lineno)
-    n = _int(tokens[1], lineno, _column_of(header, 1))
-    m = _int(tokens[2], lineno, _column_of(header, 2))
+    n = _int(tokens[1], lineno, header, 1)
+    m = _int(tokens[2], lineno, header, 2)
     rows = []
     for lineno, body in lines[1:]:
         if body == "end":
@@ -201,7 +217,7 @@ def parse_system(text: str) -> ClausalForm:
     tokens = header.split()
     if len(tokens) != 2 or tokens[0] != "system":
         raise FormatError("expected header 'system <n>'", lineno)
-    n = _int(tokens[1], lineno, _column_of(header, 1))
+    n = _int(tokens[1], lineno, header, 1)
     clauses = []
     for lineno, body in lines[1:]:
         if body == "end":
@@ -214,10 +230,10 @@ def parse_system(text: str) -> ClausalForm:
         eq = tokens.index("=")
         if eq != len(tokens) - 2:
             raise FormatError("expected a single bit after '='", lineno)
-        rhs = _int(tokens[-1], lineno, _column_of(body, len(tokens) - 1))
+        rhs = _int(tokens[-1], lineno, body, len(tokens) - 1)
         support = set()
-        for i, t in enumerate(tokens[1:eq]):
-            j = _int(t, lineno, _column_of(body, i + 1))
+        for i, t in enumerate(tokens[1:eq], 1):
+            j = _int(t, lineno, body, i)
             if not 0 <= j < n:
                 raise FormatError(f"wire {j} out of range", lineno)
             support.add(j)
@@ -253,8 +269,8 @@ def parse_synth_input(text: str) -> AffineRelation:
             "expected 'graph <n> <m>', 'system <n>', or 'affine <n> <m>' header",
             lineno,
         )
-    n = _int(tokens[1], lineno, _column_of(header, 1))
-    m = _int(tokens[2], lineno, _column_of(header, 2))
+    n = _int(tokens[1], lineno, header, 1)
+    m = _int(tokens[2], lineno, header, 2)
     rows: list[list[int]] = []
     shift = None
     dom_rows: list[int] = []
@@ -263,16 +279,12 @@ def parse_synth_input(text: str) -> AffineRelation:
             break
         tokens = body.split()
         if tokens[0] == "row":
-            bits = [
-                _int(t, lineno, _column_of(body, i + 1)) for i, t in enumerate(tokens[1:])
-            ]
+            bits = [_int(t, lineno, body, i) for i, t in enumerate(tokens[1:], 1)]
             if len(bits) != n or any(b not in (0, 1) for b in bits):
                 raise FormatError(f"expected {n} bits after 'row'", lineno)
             rows.append(bits)
         elif tokens[0] == "shift":
-            bits = [
-                _int(t, lineno, _column_of(body, i + 1)) for i, t in enumerate(tokens[1:])
-            ]
+            bits = [_int(t, lineno, body, i) for i, t in enumerate(tokens[1:], 1)]
             if len(bits) != m or any(b not in (0, 1) for b in bits):
                 raise FormatError(f"expected {m} bits after 'shift'", lineno)
             shift = bits
@@ -280,10 +292,14 @@ def parse_synth_input(text: str) -> AffineRelation:
             if "=" not in tokens:
                 raise FormatError("parity line needs '= <bit>'", lineno)
             eq = tokens.index("=")
-            rhs = _int(tokens[-1], lineno, _column_of(body, len(tokens) - 1))
+            if eq != len(tokens) - 2:
+                raise FormatError("expected a single bit after '='", lineno)
+            rhs = _int(tokens[-1], lineno, body, len(tokens) - 1)
+            if rhs not in (0, 1):
+                raise FormatError("right-hand side must be 0 or 1", lineno)
             mask = rhs << n
-            for i, t in enumerate(tokens[1:eq]):
-                j = _int(t, lineno, _column_of(body, i + 1))
+            for i, t in enumerate(tokens[1:eq], 1):
+                j = _int(t, lineno, body, i)
                 if not 0 <= j < n:
                     raise FormatError(f"input wire {j} out of range", lineno)
                 mask |= 1 << j
@@ -316,7 +332,7 @@ def parse_derivation(text: str) -> list[tuple[str, int, str]]:
         tokens = body.split()
         if len(tokens) != 3:
             raise FormatError("expected '<rule> <offset> <lr|rl>'", lineno)
-        offset = _int(tokens[1], lineno, _column_of(body, 1))
+        offset = _int(tokens[1], lineno, body, 1)
         if tokens[2] not in ("lr", "rl"):
             raise FormatError(
                 f"direction must be 'lr' or 'rl', got {tokens[2]!r}",

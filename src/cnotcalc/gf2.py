@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 
 
 def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
+    return x.bit_count() & 1
 
 
 class BitVec:
@@ -165,27 +165,37 @@ class GF2Matrix:
 def rref_masks(masks: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form on raw row bitmasks.
 
-    Returns (rows, pivot_columns) with zero rows dropped.  Pivot selection
-    always takes the lowest available column, so the result is the unique
-    RREF of the row space.
+    Precondition: every set bit of every mask is below ``ncols``.
+
+    Returns (rows, pivot_columns) with zero rows dropped and rows in
+    increasing pivot order.  Each row's pivot is its lowest set bit, so the
+    result is the unique RREF of the row space.
+
+    Rows are inserted one at a time into a basis that is kept fully reduced
+    and indexed by pivot bit: an incoming row is XORed with the basis row of
+    every pivot it touches, and whatever remains is a new basis row whose
+    pivot bit is then cleared from the older rows.  A dependent row costs one
+    XOR per pivot it touches, not a pass over every row.
     """
-    work = list(masks)
-    pivots: list[int] = []
-    out: list[int] = []
-    r = 0
-    for col in range(ncols):
-        bit = 1 << col
-        src = next((i for i in range(r, len(work)) if work[i] & bit), None)
-        if src is None:
+    full = (1 << ncols) - 1
+    basis: dict[int, int] = {}  # pivot bit -> reduced row
+    pivmask = 0
+    for r in masks:
+        hit = r & pivmask
+        while hit:
+            low = hit & -hit
+            r ^= basis[low]
+            hit ^= low
+        if not r & full:
             continue
-        work[r], work[src] = work[src], work[r]
-        for i in range(len(work)):
-            if i != r and work[i] & bit:
-                work[i] ^= work[r]
-        pivots.append(col)
-        r += 1
-    out = work[:r]
-    return out, pivots
+        low = r & -r
+        for p, row in basis.items():
+            if row & low:
+                basis[p] = row ^ r
+        basis[low] = r
+        pivmask |= low
+    order = sorted(basis)
+    return [basis[p] for p in order], [p.bit_length() - 1 for p in order]
 
 
 def rref(m: GF2Matrix) -> tuple[GF2Matrix, list[int], int]:

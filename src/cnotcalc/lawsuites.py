@@ -117,7 +117,8 @@ def _para_table(n: int) -> dict[tuple[int, int, int], int]:
                 for block in (a, b, c):
                     bits.extend((block >> i) & 1 for i in range(n))
                 out = adder.eval_state(bits)
-                assert out is not None, "parity accumulator must be total"
+                if out is None:
+                    raise RuntimeError("parity accumulator must be total")
                 third = 0
                 for i in range(n):
                     third |= out[2 * n + i] << i

@@ -233,7 +233,7 @@ class AffineRelation:
         xmask = x.mask
         rows = []
         for r in self._rows:
-            const = ((r >> (n + m)) & 1) ^ (bin(r & xmask).count("1") & 1)
+            const = ((r >> (n + m)) & 1) ^ ((r & xmask).bit_count() & 1)
             rows.append((r >> n) & ((1 << m) - 1) | (const << m))
         reduced, pivots = rref_masks(rows, m + 1)
         if m in pivots:
@@ -254,7 +254,7 @@ class AffineRelation:
         points = set()
         for v in range(1 << (n + m)):
             if all(
-                (bin(r & v).count("1") & 1) == ((r >> rhs_bit) & 1)
+                ((r & v).bit_count() & 1) == ((r >> rhs_bit) & 1)
                 for r in self._rows
             ):
                 points.add(
@@ -269,7 +269,7 @@ class AffineRelation:
         out = set()
         for v in range(1 << self.n_in):
             if all(
-                (bin(r & v).count("1") & 1) == ((r >> self.n_in) & 1) for r in rows
+                ((r & v).bit_count() & 1) == ((r >> self.n_in) & 1) for r in rows
             ):
                 out.add(BitVec.from_mask(self.n_in, v))
         return out

@@ -95,7 +95,8 @@ def _solve_linear_rows(basis: list[int], images: list[int], n: int, m: int) -> l
             b | (((img >> o) & 1) << n) for b, img in zip(basis, images)
         ]
         reduced, pivots = rref_masks(aug, n + 1)
-        assert n not in pivots, "extension system must be consistent"
+        if n in pivots:
+            raise RuntimeError("extension system must be consistent")
         t = 0
         for mask, col in zip(reduced, pivots):
             if (mask >> n) & 1:

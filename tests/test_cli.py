@@ -110,6 +110,19 @@ class TestNormalizeSynth:
         code, _, err = run_cli("synth", str(p))
         assert code == 2 and "partial isomorphism" in err
 
+    @pytest.mark.parametrize(
+        "parity, message",
+        [
+            ("parity 0 = 2", "right-hand side must be 0 or 1"),
+            ("parity 0 = 1 1", "expected a single bit after '='"),
+        ],
+    )
+    def test_synth_rejects_bad_affine_parity(self, run_cli, tmp_path, parity, message):
+        p = tmp_path / "map.affine"
+        p.write_text(f"affine 1 1\nrow 1\nshift 0\n{parity}\nend\n")
+        code, _, err = run_cli("synth", str(p))
+        assert code == 2 and message in err
+
 
 class TestVerifyReplayConstruct:
     def test_verify_passes(self, run_cli):

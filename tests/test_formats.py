@@ -2,7 +2,7 @@
 
 import pytest
 
-from cnotcalc.circuit import circuit, cnot, init0, notg
+from cnotcalc.circuit import circuit, cnot, init0, notg, post0, swap
 from cnotcalc.normalize import Clause, ClausalForm
 from cnotcalc.relation import AffineRelation
 from cnotcalc.formats import (
@@ -57,6 +57,23 @@ end
     def test_missing_end(self):
         with pytest.raises(FormatError, match="end"):
             parse_circuit("circuit x : 1 -> 1\nnot 0\n")
+
+    def test_repeated_lines_parse_like_distinct_ones(self):
+        lines = ["cnot 0 1", "swap 1 2", "cnot 0 1", "not 2", "  cnot 0 1  # again"]
+        lines += ["init0 0", "post0 0", "not 2", "swap 1 2", "cnot 2 0"]
+        text = "circuit r : 3 -> 3\n" + "\n".join(lines) + "\nend\n"
+        _, c = parse_circuit(text)
+        expected = circuit(
+            3, cnot(0, 1), swap(1, 2), cnot(0, 1), notg(2), cnot(0, 1),
+            init0(0), post0(0), notg(2), swap(1, 2), cnot(2, 0),
+        )
+        assert c.gates == expected.gates
+
+    def test_bad_integer_on_repeated_line_reports_first_occurrence(self):
+        text = "circuit x : 2 -> 2\ncnot 0 1\ncnot 0  z1\ncnot 0  z1\nend\n"
+        with pytest.raises(FormatError) as info:
+            parse_circuit(text)
+        assert str(info.value) == "line 3, column 9: expected an integer, got 'z1'"
 
 
 class TestRelationFormat:

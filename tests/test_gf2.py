@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from cnotcalc.gf2 import BitVec, GF2Matrix, project_out, rref, solve_affine
+from cnotcalc.gf2 import BitVec, GF2Matrix, project_out, rref, rref_masks, solve_affine
 
 
 def enumerate_row_space(m: GF2Matrix) -> set:
@@ -81,6 +81,65 @@ class TestRref:
         for k, col in enumerate(pivots):
             column = [r[i, col] for i in range(r.rows)]
             assert column == [1 if i == k else 0 for i in range(r.rows)]
+
+
+def rref_masks_column_scan(masks, ncols):
+    """Reference RREF: for each column in turn, find a row with that bit,
+    swap it up and clear the bit from every other row."""
+    work = list(masks)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        bit = 1 << col
+        src = next((i for i in range(r, len(work)) if work[i] & bit), None)
+        if src is None:
+            continue
+        work[r], work[src] = work[src], work[r]
+        for i in range(len(work)):
+            if i != r and work[i] & bit:
+                work[i] ^= work[r]
+        pivots.append(col)
+        r += 1
+    return work[:r], pivots
+
+
+# Wide masks, some with few distinct rows so dependent rows are common.
+wide_systems = st.integers(1, 80).flatmap(
+    lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(
+            st.one_of(
+                st.integers(0, (1 << ncols) - 1),
+                st.integers(0, 7).map(lambda k: ((1 << ncols) - 1) // (k + 1)),
+            ),
+            max_size=120,
+        ),
+    )
+)
+
+
+class TestRrefMasksAgainstColumnScan:
+    @given(wide_systems)
+    def test_identical_rows_and_pivots(self, system):
+        ncols, masks = system
+        assert rref_masks(masks, ncols) == rref_masks_column_scan(masks, ncols)
+
+    @given(wide_systems, st.randoms(use_true_random=False))
+    def test_invariant_under_shuffle_and_dependent_rows(self, system, rng):
+        ncols, masks = system
+        want = rref_masks_column_scan(masks, ncols)
+        shuffled = list(masks)
+        rng.shuffle(shuffled)
+        assert rref_masks(shuffled, ncols) == want
+        sums = []
+        for _ in range(rng.randrange(20)):
+            acc = 0
+            for m in masks:
+                if rng.randrange(2):
+                    acc ^= m
+            sums.append(acc)
+        assert rref_masks(masks + sums, ncols) == want
+        assert rref_masks(sums + masks, ncols) == want
 
 
 class TestSolveAffine:
