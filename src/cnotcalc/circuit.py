@@ -302,19 +302,13 @@ def permutation_circuit(perm: Sequence[int]) -> Circuit:
 def fanout(n: int) -> Circuit:
     """Copy map n -> 2n with outputs ordered (copy1 wires, copy2 wires).
 
-    Built inductively from the single-wire copy (a |0> ancilla written by a
-    cnot), with explicit swaps restoring the block output order.
+    The copy map of the paper in closed form: n |0> ancillae inserted below
+    the inputs, then one cnot from input i onto ancilla i; 5n primitive
+    gates.  ``fanout(1)`` is the single-wire copy ``init0 0; cnot 1 0``.
     """
     if n < 0:
         raise ArityError("negative arity")
-    if n == 0:
-        return Circuit(0)
-    if n == 1:
-        return circuit(1, init0(0), cnot(1, 0))
-    prev = fanout(n - 1).tensor(fanout(1))
-    # outputs (A1, A2, b1, b2); rotate b1 down to position n-1
-    fix = [swap(j - 1, j) for j in range(2 * n - 2, n - 1, -1)]
-    return Circuit(n, prev.gates + tuple(fix))
+    return circuit(n, [init0(0)] * n, [cnot(n + i, i) for i in range(n)])
 
 
 def fanin(n: int) -> Circuit:
@@ -339,27 +333,12 @@ def omega_nm(n: int, m: int) -> Circuit:
 def plus_map(n: int) -> Circuit:
     """The total 3n -> 3n map whose third block becomes a xor b xor c.
 
-    Inductive: the first n-1 wires of each block feed the smaller instance
-    and the last wires feed the one-wire instance, with swap networks
-    regrouping the blocks on the way in and out.
+    In closed form: for each i, cnots from b_i and then a_i onto c_i;
+    2n gates.  ``plus_map(1)`` is ``cnot 1 2; cnot 0 2``.
     """
     if n < 0:
         raise ArityError("negative arity")
-    if n == 0:
-        return Circuit(0)
-    if n == 1:
-        return circuit(3, cnot(1, 2), cnot(0, 2))
-    k = n - 1
-    # (a', a_n, b', b_n, c', c_n) -> (a', b', c', a_n, b_n, c_n)
-    gather = (
-        list(range(k))
-        + list(range(n, n + k))
-        + list(range(2 * n, 2 * n + k))
-        + [k, n + k, 2 * n + k]
-    )
-    into = permutation_circuit(gather)
-    core = plus_map(k).tensor(plus_map(1))
-    return into.compose(core).compose(into.dagger())
+    return circuit(3 * n, [(cnot(n + i, 2 * n + i), cnot(i, 2 * n + i)) for i in range(n)])
 
 
 def hat(bits: BitVec | Sequence[int]) -> Circuit:

@@ -23,7 +23,7 @@ from .circuit import (
     plus_map,
 )
 from .gf2 import BitVec
-from .normalize import NotIdempotentError, gaussian_eliminate, idempotent_to_clausal, clausal_to_circuit
+from .normalize import NotIdempotentError, idempotent_to_clausal, clausal_to_circuit
 from .relation import ArityError
 from .rewrite import Derivation, replay, verify_all
 from .fuzzing import fuzz
@@ -99,7 +99,7 @@ def _cmd_equal(args) -> int:
 def _cmd_normalize(args) -> int:
     _, c = _load_circuit(args.file)
     try:
-        cf = gaussian_eliminate(idempotent_to_clausal(c.semantics()))
+        cf = idempotent_to_clausal(c.semantics())
     except NotIdempotentError as e:
         raise CliInputError(f"not a restriction idempotent: {e}") from None
     text = formats.format_circuit(clausal_to_circuit(cf), name="clausal").rstrip("\n")

@@ -151,7 +151,8 @@ def _parse_parity_terms(tokens, n, m, lineno, body):
     eq = tokens.index("=")
     if eq != len(tokens) - 2:
         raise FormatError("expected a single bit after '='", lineno)
-    rhs = _int(tokens[-1], lineno, body, len(tokens) - 1)
+    # tokens follow the leading 'parity', so token i is token i + 1 of body
+    rhs = _int(tokens[-1], lineno, body, len(tokens))
     if rhs not in (0, 1):
         raise FormatError("right-hand side must be 0 or 1", lineno)
     mask = rhs << (n + m)
@@ -256,12 +257,7 @@ def parse_synth_input(text: str) -> AffineRelation:
         return parse_relation(text)
     if head == "system":
         cf = parse_system(text)
-        n = cf.n
-        rows = [(1 << j) | (1 << (n + j)) for j in range(n)]
-        for c in cf.clauses:
-            mask = c.mask(n)
-            rows.append((mask & ((1 << n) - 1)) | (((mask >> n) & 1) << (2 * n)))
-        return AffineRelation(n, n, rows)
+        return AffineRelation.restriction_on(cf.n, cf.masks())
     lineno, header = lines[0]
     tokens = header.split()
     if len(tokens) != 3 or tokens[0] != "affine":

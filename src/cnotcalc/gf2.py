@@ -222,20 +222,29 @@ def solve_affine(a: GF2Matrix, b: BitVec) -> Optional[tuple[BitVec, list[BitVec]
     reduced, pivots = rref_masks(aug, n + 1)
     if n in pivots:
         return None
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
     # Particular solution: free variables zero, pivot variables from the rhs.
     x = 0
     for mask, col in zip(reduced, pivots):
         x |= ((mask >> n) & 1) << col
-    basis = []
-    for f in free:
+    basis = [BitVec.from_mask(n, v) for v in null_basis(reduced, pivots, n)]
+    return BitVec.from_mask(n, x), basis
+
+
+def null_basis(reduced: list[int], pivots: list[int], ncols: int) -> list[int]:
+    """Basis of the solutions of the homogeneous system whose RREF is
+    ``(reduced, pivots)``, as ``rref_masks`` returns it: one vector per free
+    column f below ``ncols``, with x_f = 1 and the other free variables 0."""
+    pivot_set = set(pivots)
+    out = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         v = 1 << f
         for mask, col in zip(reduced, pivots):
             if (mask >> f) & 1:
                 v |= 1 << col
-        basis.append(BitVec.from_mask(n, v))
-    return BitVec.from_mask(n, x), basis
+        out.append(v)
+    return out
 
 
 def project_masks(masks: Iterable[int], nvars: int, cols: Iterable[int]) -> list[int]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .gf2 import rref_masks
-from .circuit import Circuit, clause_circuit, identity_circuit
+from .circuit import Circuit, clause_circuit
 from .relation import AffineRelation
 
 
@@ -83,10 +83,15 @@ def gaussian_eliminate(cf: ClausalForm) -> ClausalForm:
 
     Every elementary step is one of the clause-level moves that preserve the
     solution set: swapping two clauses or replacing {c, c'} by {c, c+c'};
-    ``gaussian_eliminate_steps`` exposes the recorded sequence.
+    ``gaussian_eliminate_steps`` records the sequence.  The reduced clauses
+    are the unique RREF, computed here by ``rref_masks``; a pivot in the rhs
+    column is the clause 0 = 1.
     """
-    form, _ = gaussian_eliminate_steps(cf)
-    return form
+    n = cf.n
+    rows, pivots = rref_masks(cf.masks(), n + 1)
+    if n in pivots:
+        return ClausalForm(n, (UNSAT,))
+    return ClausalForm(n, _clauses_from_masks(rows, n))
 
 
 def gaussian_eliminate_steps(cf: ClausalForm) -> tuple[ClausalForm, list[tuple]]:
@@ -121,27 +126,30 @@ def gaussian_eliminate_steps(cf: ClausalForm) -> tuple[ClausalForm, list[tuple]]
 
 
 def idempotent_to_clausal(r: AffineRelation) -> ClausalForm:
-    """Extract the canonical equation system of a restriction idempotent."""
+    """Extract the canonical equation system of a restriction idempotent.
+
+    The domain rows are already in RREF, so they are the clauses as they
+    stand.
+    """
     if r.n_in != r.n_out:
         raise NotIdempotentError(
             f"arity mismatch: {r.n_in} -> {r.n_out} is not an endo-relation"
         )
-    if r != r.restriction():
-        raise NotIdempotentError("relation differs from its restriction")
     n = r.n_in
     rows = r.domain_masks()
+    if r != AffineRelation.restriction_on(n, rows):
+        raise NotIdempotentError("relation differs from its restriction")
     if rows == (1 << n,):
         return ClausalForm(n, (UNSAT,))
-    reduced, _ = rref_masks(rows, n + 1)
-    return ClausalForm(n, _clauses_from_masks(reduced, n))
+    return ClausalForm.from_masks(n, rows)
 
 
 def clausal_to_circuit(cf: ClausalForm) -> Circuit:
     """Emit the clause circuits in order; no clauses gives the identity."""
-    out = identity_circuit(cf.n)
+    gates: list = []
     for c in cf.clauses:
-        out = out.compose(clause_circuit(sorted(c.support), c.rhs, cf.n))
-    return out
+        gates.extend(clause_circuit(sorted(c.support), c.rhs, cf.n).gates)
+    return Circuit(cf.n, gates)
 
 
 def normalize_idempotent(c: Circuit) -> Circuit:
@@ -150,4 +158,4 @@ def normalize_idempotent(c: Circuit) -> Circuit:
     Raises :class:`NotIdempotentError` (naming the failed condition) when the
     semantics of ``c`` is not a restriction idempotent.
     """
-    return clausal_to_circuit(gaussian_eliminate(idempotent_to_clausal(c.semantics())))
+    return clausal_to_circuit(idempotent_to_clausal(c.semantics()))

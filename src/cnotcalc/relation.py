@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .gf2 import BitVec, GF2Matrix, rref_masks, project_masks
+from .gf2 import BitVec, GF2Matrix, null_basis, project_masks, rref_masks
 
 ENUMERATION_LIMIT = 20
 
@@ -83,6 +83,14 @@ class AffineRelation:
         return cls(n, n, [(1 << perm[i]) | (1 << (n + i)) for i in range(n)])
 
     @classmethod
+    def restriction_on(cls, n: int, domain_rows: Iterable[int]) -> "AffineRelation":
+        """The identity on n wires restricted to the solutions of
+        ``domain_rows`` (input coefficients, rhs at bit n)."""
+        rows = [_remap(r, n, list(range(n)), 2 * n) for r in domain_rows]
+        rows += [(1 << j) | (1 << (n + j)) for j in range(n)]
+        return cls(n, n, rows)
+
+    @classmethod
     def from_graph_points(
         cls, n_in: int, n_out: int, points: Iterable[tuple[BitVec, BitVec]]
     ) -> "AffineRelation":
@@ -103,18 +111,7 @@ class AffineRelation:
         # A row (c | r) is valid iff c.p = r for every point p: solve the
         # transposed system by row-reducing the point matrix augmented with 1.
         aug = [p | (1 << nv) for p in pts]
-        reduced, pivots = rref_masks(aug, nv + 1)
-        pivot_set = set(pivots)
-        rows = []
-        for f in range(nv + 1):
-            if f in pivot_set:
-                continue
-            row = 1 << f
-            for mask, col in zip(reduced, pivots):
-                if (mask >> f) & 1:
-                    row |= 1 << col
-            rows.append(row)
-        return cls(n_in, n_out, rows)
+        return cls(n_in, n_out, null_basis(*rref_masks(aug, nv + 1), nv + 1))
 
     # -- structure ---------------------------------------------------------
 
@@ -193,10 +190,7 @@ class AffineRelation:
 
     def restriction(self) -> "AffineRelation":
         """The restriction idempotent: identity on the domain of definition."""
-        n = self.n_in
-        rows = [_remap(r, n, list(range(n)), 2 * n) for r in self.domain_masks()]
-        rows += [(1 << j) | (1 << (n + j)) for j in range(n)]
-        return AffineRelation(n, n, rows)
+        return AffineRelation.restriction_on(self.n_in, self.domain_masks())
 
     def meet(self, other: "AffineRelation") -> "AffineRelation":
         """Intersection of graphs."""
@@ -279,16 +273,8 @@ class AffineRelation:
 
 
 def _nontrivial_kernel(rows: list[int], ncols: int) -> Optional[int]:
-    reduced, pivots = rref_masks(rows, ncols)
-    if len(pivots) == ncols:
-        return None
-    pivot_set = set(pivots)
-    f = next(j for j in range(ncols) if j not in pivot_set)
-    v = 1 << f
-    for mask, col in zip(reduced, pivots):
-        if (mask >> f) & 1:
-            v |= 1 << col
-    return v
+    basis = null_basis(*rref_masks(rows, ncols), ncols)
+    return basis[0] if basis else None
 
 
 def all_bitvecs(n: int) -> list[BitVec]:

@@ -8,13 +8,18 @@ then erase the inputs with a total extension of the partial inverse and
 project them onto |0>.  Both stages pick deterministic extensions, so
 synthesis is a canonical representative chooser: re-synthesizing the
 semantics of a synthesized circuit reproduces it gate for gate.
+
+Synthesis runs a fixed number of GF(2) eliminations, whatever the arity:
+the least point, the domain directions, their images and both extensions
+each come from one ``rref_masks`` call (or a single insertion pass), not
+from one elimination per variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitVec, GF2Matrix, rref_masks
+from .gf2 import BitVec, GF2Matrix, null_basis, rref_masks
 from .relation import AffineRelation
 from .circuit import Circuit, circuit, cnot, init0, init1, notg, omega_nm, post0
 from .normalize import ClausalForm, clausal_to_circuit
@@ -58,6 +63,14 @@ class AffineMapSpec:
         return AffineRelation.total_affine(full, pad)
 
 
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def synth_total_graph(f: AffineMapSpec) -> Circuit:
     """Circuit n -> n+m computing (x, f(x)): ancillae prepared to the shift,
     then one cnot per set matrix entry, input j onto output i."""
@@ -65,57 +78,86 @@ def synth_total_graph(f: AffineMapSpec) -> Circuit:
     gates: list = []
     for i in range(m):
         gates.append(init1(n + i) if f.shift[i] else init0(n + i))
-    for i in range(m):
-        for j in range(n):
-            if f.linear[i, j]:
-                gates.append(cnot(j, n + i))
+    for i, row in enumerate(f.linear.row_masks):
+        gates.extend(cnot(j, n + i) for j in _bits(row))
     return circuit(n, *gates)
 
 
 def _lex_least_solution(rows: tuple[int, ...], nvars: int) -> int:
-    """Lexicographically least solution (variable 0 most significant)."""
-    work = list(rows)
-    fixed = 0
-    for j in range(nvars):
-        trial = work + [1 << j]  # pin variable j to 0
-        _, pivots = rref_masks(trial, nvars + 1)
-        if nvars in pivots:
-            fixed |= 1 << j
-            work.append((1 << j) | (1 << nvars))
-        else:
-            work = trial
-    return fixed
+    """Lexicographically least solution (variable 0 most significant) of a
+    consistent system; bit ``nvars`` of a row is its right-hand side.
+
+    With the solution directions in RREF (each pivot its lowest set bit),
+    clearing every pivot bit of a particular solution gives the least point:
+    any other point of the coset differs from it first at a pivot, where it
+    has a 1.
+    """
+    reduced, pivots = rref_masks(rows, nvars + 1)
+    point = 0
+    for mask, col in zip(reduced, pivots):
+        point |= ((mask >> nvars) & 1) << col
+    directions, _ = rref_masks(null_basis(reduced, pivots, nvars), nvars)
+    for d in directions:
+        if point & d & -d:
+            point ^= d
+    return point
 
 
 def _solve_linear_rows(basis: list[int], images: list[int], n: int, m: int) -> list[int]:
-    """Row masks t_o (o < m) with parity(t_o & basis[i]) == bit o of images[i]."""
-    out = []
-    for o in range(m):
-        aug = [
-            b | (((img >> o) & 1) << n) for b, img in zip(basis, images)
-        ]
-        reduced, pivots = rref_masks(aug, n + 1)
-        if n in pivots:
-            raise RuntimeError("extension system must be consistent")
-        t = 0
-        for mask, col in zip(reduced, pivots):
-            if (mask >> n) & 1:
-                t |= 1 << col
-        out.append(t)
+    """Row masks t_o (o < m) with parity(t_o & basis[i]) == bit o of images[i],
+    free variables 0.
+
+    One elimination of the rows ``basis[i] | images[i] << n`` solves all m
+    systems at once: bit ``n + o`` of the row with pivot c is bit c of t_o.
+    """
+    reduced, pivots = rref_masks(
+        [b | (img << n) for b, img in zip(basis, images)], n + m
+    )
+    if pivots and pivots[-1] >= n:
+        raise RuntimeError("extension system must be consistent")
+    out = [0] * m
+    for mask, col in zip(reduced, pivots):
+        for o in _bits(mask >> n):
+            out[o] |= 1 << col
     return out
 
 
 def _complete_basis(vectors: list[int], n: int) -> list[int]:
-    """Greedily extend an independent set to a basis with standard vectors."""
-    added = []
-    span = list(vectors)
-    for j in range(n):
-        trial = span + [1 << j]
-        _, pivots = rref_masks(trial, n)
-        if len(pivots) == len(span) + 1:
-            span = trial
-            added.append(1 << j)
-    return added
+    """Extend an independent set to a basis with standard vectors: e_j for
+    every j that is not the highest set bit of some vector in the span.
+
+    This is the greedy choice (try e_0, e_1, ... in turn and keep each one
+    that is independent of what is kept so far): e_j is dependent exactly
+    when some vector of the span has its highest set bit at j, since e_0 ..
+    e_{j-1} are in the span by then.
+    """
+    leads: dict[int, int] = {}  # highest set bit -> vector
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in leads:
+                leads[top] = v
+                break
+            v ^= leads[top]
+    return [1 << j for j in range(n) if j not in leads]
+
+
+def _map_rows(r: AffineRelation) -> list[int]:
+    """Rows a_i (i < n_out) with w_i = parity(a_i & v) for every homogeneous
+    solution (v, w) of the partial isomorphism ``r``: the image of a domain
+    direction v is the vector of those parities.
+
+    One elimination of the homogeneous system with the output columns
+    first: each output column is a pivot (``r`` is a partial isomorphism),
+    and the row reduced to it holds y_i and input terms only.
+    """
+    n, m = r.n_in, r.n_out
+    swapped = [
+        ((row >> n) & ((1 << m) - 1)) | ((row & ((1 << n) - 1)) << m)
+        for row in r.constraint_masks
+    ]
+    reduced, _ = rref_masks(swapped, n + m)
+    return [row >> m for row in reduced[:m]]
 
 
 def synth(r: AffineRelation) -> Circuit:
@@ -141,21 +183,12 @@ def synth(r: AffineRelation) -> Circuit:
 
     dom_rows = r.domain_masks()
     coef = [row & ((1 << n) - 1) for row in dom_rows]
-    reduced, dom_pivots = rref_masks(coef, n)
-    pivot_set = set(dom_pivots)
-    v_basis: list[int] = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for mask, col in zip(reduced, dom_pivots):
-            if (mask >> f) & 1:
-                v |= 1 << col
-        v_basis.append(v)
-    w_basis = []
-    for v in v_basis:
-        image = r.apply(x0 ^ BitVec.from_mask(n, v))
-        w_basis.append((image ^ y0).mask)
+    v_basis = null_basis(*rref_masks(coef, n), n)
+    a_rows = _map_rows(r)
+    w_basis = [
+        sum(((a & v).bit_count() & 1) << i for i, a in enumerate(a_rows))
+        for v in v_basis
+    ]
 
     # Total extension F of the map: domain directions to their images,
     # completion directions to zero.
@@ -176,12 +209,9 @@ def synth(r: AffineRelation) -> Circuit:
     domain_stage = clausal_to_circuit(ClausalForm.from_masks(n, dom_rows))
     graph_stage = synth_total_graph(forward)
     erase: list = []
-    for j in range(n):
-        for i in range(m):
-            if u_matrix[j, i]:
-                erase.append(cnot(n + i, j))
+    for j, row in enumerate(u_rows):
+        erase.extend(cnot(n + i, j) for i in _bits(row))
         if g_shift[j]:
             erase.append(notg(j))
     erase += [post0(0) for _ in range(n)]
-    uncompute_stage = circuit(n + m, *erase)
-    return domain_stage.compose(graph_stage).compose(uncompute_stage)
+    return circuit(n, domain_stage.gates, graph_stage.gates, erase)

@@ -158,6 +158,21 @@ class TestVerifyReplayConstruct:
         assert code == 0
         assert out.splitlines()[0] == "circuit clause : 3 -> 3"
 
+    @pytest.mark.parametrize(
+        "name,header,gates",
+        [
+            ("fanout", "1200 -> 2400", 5 * 1200),
+            ("fanin", "2400 -> 1200", 5 * 1200),
+            ("plus", "3600 -> 3600", 2 * 1200),
+        ],
+    )
+    def test_construct_large_without_recursion(self, run_cli, name, header, gates):
+        code, out, err = run_cli("construct", name, "1200")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == f"circuit {name} : {header}"
+        assert len(lines) == gates + 2 and lines[-1] == "end"
+
 
 class TestJsonMirrors:
     def test_every_command_emits_valid_json(self, run_cli, tmp_path):

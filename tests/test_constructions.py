@@ -13,13 +13,16 @@ from cnotcalc.circuit import (
     fanout,
     hat,
     identity_circuit,
+    init0,
     is_latchable,
     literal,
     notg,
     omega,
     omega_nm,
+    permutation_circuit,
     plus_map,
     post1,
+    swap,
     swap_block,
 )
 from cnotcalc.fuzzing import random_circuit, trial_rng
@@ -35,6 +38,54 @@ def delta_graph(n):
             for x in all_bitvecs(n)
         ],
     )
+
+
+def inductive_fanout(n):
+    """The paper's inductive copy map: fanout(n-1) beside the single-wire
+    copy, with swaps restoring the block output order."""
+    if n <= 1:
+        return fanout(n)
+    prev = inductive_fanout(n - 1).tensor(fanout(1))
+    fix = [swap(j - 1, j) for j in range(2 * n - 2, n - 1, -1)]
+    return circuit(n, prev.gates, fix)
+
+
+def inductive_plus_map(n):
+    """The paper's inductive parity accumulator: plus_map(n-1) beside the
+    one-wire instance, with swap networks regrouping the blocks."""
+    if n <= 1:
+        return plus_map(n)
+    k = n - 1
+    gather = (
+        list(range(k))
+        + list(range(n, n + k))
+        + list(range(2 * n, 2 * n + k))
+        + [k, n + k, 2 * n + k]
+    )
+    into = permutation_circuit(gather)
+    core = inductive_plus_map(k).tensor(plus_map(1))
+    return into.compose(core).compose(into.dagger())
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("n", range(11))
+    def test_fanout_matches_inductive_form(self, n):
+        assert fanout(n).semantics() == inductive_fanout(n).semantics()
+        assert len(fanout(n)) == 5 * n
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_plus_map_matches_inductive_form(self, n):
+        assert plus_map(n).semantics() == inductive_plus_map(n).semantics()
+        assert len(plus_map(n)) == 2 * n
+
+    def test_one_wire_gate_lists_unchanged(self):
+        assert fanout(1) == circuit(1, init0(0), cnot(1, 0))
+        assert plus_map(1) == circuit(3, cnot(1, 2), cnot(0, 2))
+
+    def test_negative_arity(self):
+        for build in (fanout, plus_map):
+            with pytest.raises(ArityError):
+                build(-1)
 
 
 class TestFanout:

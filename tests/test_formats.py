@@ -100,6 +100,11 @@ class TestRelationFormat:
         with pytest.raises(FormatError, match="out of range"):
             parse_relation("graph 1 1\nparity y3 = 0\n")
 
+    def test_bad_rhs_reports_its_own_column(self):
+        with pytest.raises(FormatError) as info:
+            parse_relation("graph 1 1\nparity x0 y0 = z\n")
+        assert str(info.value) == "line 2, column 16: expected an integer, got 'z'"
+
 
 class TestSystemFormat:
     def test_roundtrip(self):

@@ -1,6 +1,7 @@
 """Clausal normal form: extraction, elimination, canonicality."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cnotcalc.relation import AffineRelation
 from cnotcalc.circuit import (
@@ -157,6 +158,22 @@ class TestGaussianEliminate:
             )
             cf = ClausalForm(n, clauses)
             assert solutions(gaussian_eliminate(cf)) == solutions(cf)
+
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.sets(st.integers(0, n - 1)) if n else st.just(set()), st.integers(0, 1)),
+                    max_size=n + 3,
+                ),
+            )
+        )
+    )
+    def test_same_form_as_recorded_moves(self, case):
+        n, pairs = case
+        cf = ClausalForm(n, tuple(Clause(frozenset(s), rhs) for s, rhs in pairs))
+        assert gaussian_eliminate(cf) == gaussian_eliminate_steps(cf)[0]
 
 
 class TestNormalizeIdempotent:
