@@ -19,10 +19,10 @@ post-selection contributes one domain constraint.  Canonical relations make
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .gf2 import BitVec
+from .record import Record
 from .relation import AffineRelation, ArityError
 
 CNOT = "cnot"
@@ -35,32 +35,115 @@ class CircuitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    args: tuple[int, ...]
+# ``Gate.need`` of a gate that is legal at no width.
+NEVER = 1 << 62
+
+_WIDTH_DELTA = {CNOT: 0, SWAP: 0, INIT1: 1, POST1: -1}
+
+
+class _GateFields:
+    """The storage of a :class:`Gate`, writable while the gate is built."""
+
+    __slots__ = ("kind", "args", "need", "delta", "_line")
+
+
+class Gate(_GateFields):
+    """One gate: its kind and wire arguments, compared and hashed as the
+    pair (kind, args).
+
+    ``need`` is the least register width at which the gate is legal
+    (``NEVER`` for a malformed gate) and ``delta`` its change in width, so a
+    gate list validates with one comparison and one addition per gate.  The
+    builders ``cnot``, ``swap``, ``init1`` and ``post1`` set both directly;
+    ``Gate(kind, args)`` works them out.  ``line``, the gate's line in the
+    circuit file format, is built on first use and kept.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, args: tuple[int, ...]) -> "Gate":
+        return _gate(kind, args, _need(kind, args), _WIDTH_DELTA.get(kind, 0))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.args == other.args
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.args))
 
     def __repr__(self) -> str:
         return f"{self.kind}({', '.join(map(str, self.args))})"
+
+    def __reduce__(self):
+        return Gate, (self.kind, self.args)
+
+    @property
+    def line(self) -> str:
+        text = self._line
+        if text is None:
+            text = f"{self.kind} {' '.join(map(str, self.args))}"
+            object.__setattr__(self, "_line", text)
+        return text
 
     def shifted(self, offset: int) -> "Gate":
         return Gate(self.kind, tuple(a + offset for a in self.args))
 
 
+_new = object.__new__
+
+
+def _gate(kind: str, args: tuple, need: int, delta: int) -> Gate:
+    # Fill a plain _GateFields, then make it a Gate: two to three times
+    # cheaper than object.__setattr__ per field.
+    g = _new(_GateFields)
+    g.kind = kind
+    g.args = args
+    g.need = need
+    g.delta = delta
+    g._line = None
+    g.__class__ = Gate
+    return g
+
+
+def _need(kind: str, args) -> int:
+    """``Gate.need`` of any (kind, args): NEVER unless args is a tuple of as
+    many ints as the kind takes, legal at some width."""
+    if type(args) is tuple:
+        if kind == CNOT or kind == SWAP:
+            if len(args) == 2 and type(args[0]) is int and type(args[1]) is int:
+                return _need2(*args)
+        elif kind == INIT1 or kind == POST1:
+            if len(args) == 1 and type(args[0]) is int and args[0] >= 0:
+                return args[0] + 1 if kind == POST1 else args[0]
+    return NEVER
+
+
+def _need2(a: int, b: int) -> int:
+    """Least width holding two distinct wires a and b."""
+    return (a if a > b else b) + 1 if a != b and a >= 0 and b >= 0 else NEVER
+
+
 def cnot(control: int, target: int) -> Gate:
-    return Gate(CNOT, (control, target))
+    return _gate(CNOT, (control, target), _need2(control, target), 0)
 
 
 def swap(a: int, b: int) -> Gate:
-    return Gate(SWAP, (a, b))
+    return _gate(SWAP, (a, b), _need2(a, b), 0)
 
 
 def init1(pos: int) -> Gate:
-    return Gate(INIT1, (pos,))
+    return _gate(INIT1, (pos,), pos if pos >= 0 else NEVER, 1)
 
 
 def post1(pos: int) -> Gate:
-    return Gate(POST1, (pos,))
+    return _gate(POST1, (pos,), pos + 1 if pos >= 0 else NEVER, -1)
 
 
 def init0(pos: int) -> tuple[Gate, ...]:
@@ -88,19 +171,28 @@ def _flatten(items: Iterable) -> list[Gate]:
     return out
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    n_out: Optional[int]
-    bad_index: Optional[int] = None
-    message: Optional[str] = None
+class ValidationResult(Record):
+    __slots__ = ("ok", "n_out", "bad_index", "message")
+
+    def __init__(
+        self,
+        ok: bool,
+        n_out: Optional[int],
+        bad_index: Optional[int] = None,
+        message: Optional[str] = None,
+    ):
+        self._init(ok, n_out, bad_index, message)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
 def _gate_width(gate: Gate, width: int) -> Optional[str]:
-    """None when the gate is legal at the given width, else a reason."""
+    """None when the gate is legal at the given width, else a reason.
+
+    The rule ``Gate.need`` encodes; ``Circuit`` asks it only to word the
+    error for a gate whose ``need`` exceeds the width.
+    """
     k, a = gate.kind, gate.args
     if k == CNOT:
         c, t = a
@@ -125,9 +217,6 @@ def _gate_width(gate: Gate, width: int) -> Optional[str]:
     return None
 
 
-_WIDTH_DELTA = {CNOT: 0, SWAP: 0, INIT1: 1, POST1: -1}
-
-
 class Circuit:
     """An immutable gate list with fixed input arity."""
 
@@ -137,15 +226,19 @@ class Circuit:
         if n_in < 0:
             raise CircuitError("negative input arity")
         object.__setattr__(self, "n_in", n_in)
-        object.__setattr__(self, "gates", tuple(gates))
+        gates = tuple(gates)
+        object.__setattr__(self, "gates", gates)
         width = n_in
         problem = None
-        for i, g in enumerate(self.gates):
-            reason = _gate_width(g, width)
-            if reason is not None:
-                problem = ValidationResult(False, None, i, f"gate {i} {g}: {reason}")
-                break
-            width += _WIDTH_DELTA[g.kind]
+        for i, g in enumerate(gates):
+            if g.need > width:
+                # need is exact for well-formed gates; _gate_width has the
+                # last word on the rest (and may raise, as it always has)
+                reason = _gate_width(g, width)
+                if reason is not None:
+                    problem = ValidationResult(False, None, i, f"gate {i} {g}: {reason}")
+                    break
+            width += g.delta
         if problem is None:
             problem = ValidationResult(True, width)
         object.__setattr__(self, "_validation", problem)

@@ -1,14 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 for success or a true answer, 1 for a false answer or a failed
-check, 2 for input errors.  ``--json`` prints a stable JSON mirror of the
-report instead of plain text.
+check, 2 for input errors, 3 for an internal error (a bug: one line on
+stderr, no traceback).  ``--json`` prints a stable JSON mirror of the report
+instead of plain text.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import formats
@@ -30,7 +30,7 @@ from .fuzzing import fuzz
 from .synth import NotPartialIsoError, synth
 from . import lawsuites
 
-OK, FAIL, USAGE = 0, 1, 2
+OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 class CliInputError(Exception):
@@ -57,6 +57,8 @@ def _parse_bits(text: str) -> BitVec:
 
 def _emit(report: dict, as_json: bool, text: str) -> None:
     if as_json:
+        import json  # only --json needs it; spare every other process the import
+
         print(json.dumps(report, sort_keys=True))
     elif text:
         print(text)
@@ -279,6 +281,10 @@ def run(argv) -> int:
     except (CliInputError, formats.FormatError, ArityError, CircuitError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
+    except Exception as e:
+        message = " ".join(str(e).splitlines())
+        print(f"error: internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        return INTERNAL
 
 
 def main() -> None:

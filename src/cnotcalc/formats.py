@@ -67,8 +67,7 @@ _GATE_BUILDERS = {
 
 def format_circuit(c: Circuit, name: str = "main") -> str:
     lines = [f"circuit {name} : {c.n_in} -> {c.n_out}"]
-    for g in c.gates:
-        lines.append(f"{g.kind} {' '.join(map(str, g.args))}")
+    lines += [g._line or g.line for g in c.gates]  # each gate formats itself once
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -10,11 +10,11 @@ circuit for every semantic class of idempotents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .gf2 import rref_masks
 from .circuit import Circuit, clause_circuit
+from .record import Record
 from .relation import AffineRelation
 
 
@@ -22,19 +22,18 @@ class NotIdempotentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Record):
     """One parity constraint: sum(x_i for i in support) = rhs."""
 
-    support: frozenset[int]
-    rhs: int
+    __slots__ = ("support", "rhs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", frozenset(self.support))
-        if self.rhs not in (0, 1):
+    def __init__(self, support: Iterable[int], rhs: int):
+        support = frozenset(support)
+        if rhs not in (0, 1):
             raise ValueError("rhs must be a bit")
-        if any(i < 0 for i in self.support):
+        if any(i < 0 for i in support):
             raise ValueError("negative wire index")
+        self._init(support, rhs)
 
     def mask(self, n: int) -> int:
         out = self.rhs << n
@@ -45,15 +44,13 @@ class Clause:
         return out
 
 
-@dataclass(frozen=True)
-class ClausalForm:
+class ClausalForm(Record):
     """An ordered list of clauses over n wires."""
 
-    n: int
-    clauses: tuple[Clause, ...]
+    __slots__ = ("n", "clauses")
 
-    def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(self.clauses))
+    def __init__(self, n: int, clauses: Iterable[Clause]):
+        self._init(n, tuple(clauses))
 
     @classmethod
     def from_masks(cls, n: int, rows) -> "ClausalForm":

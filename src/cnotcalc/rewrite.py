@@ -15,8 +15,7 @@ claims no normal forms - ``equal_circ`` is the decision procedure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .circuit import (
     Circuit,
@@ -41,25 +40,25 @@ from .circuit import (
     omega,
     omega_nm,
 )
+from .record import Record
 from .relation import all_bitvecs
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    name: str
-    lhs: Circuit
-    rhs: Circuit
+class RewriteRule(Record):
+    __slots__ = ("name", "lhs", "rhs")
+
+    def __init__(self, name: str, lhs: Circuit, rhs: Circuit):
+        self._init(name, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
     """A replayable proof: rule applications from a starting circuit."""
 
-    start: Circuit
-    steps: tuple[tuple[str, int, str], ...]  # (rule name, gate offset, "lr"|"rl")
+    __slots__ = ("start", "steps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(tuple(s) for s in self.steps))
+    def __init__(self, start: Circuit, steps: Iterable[tuple[str, int, str]]):
+        """steps: (rule name, gate offset, "lr"|"rl") each, stored as tuples."""
+        self._init(start, tuple(tuple(s) for s in steps))
 
 
 class RuleLoadError(ValueError):
@@ -200,12 +199,29 @@ def _lemma_circuits() -> dict[str, tuple[Circuit, Circuit]]:
     return fixtures
 
 
+# The rule tables, each built on first use, and the checked rules.
+_AXIOMS: Optional[dict[str, tuple[Circuit, Circuit]]] = None
+_LEMMAS: Optional[dict[str, tuple[Circuit, Circuit]]] = None
 _RULE_CACHE: dict[str, RewriteRule] = {}
+
+
+def _axiom_table() -> dict[str, tuple[Circuit, Circuit]]:
+    global _AXIOMS
+    if _AXIOMS is None:
+        _AXIOMS = _axiom_circuits()
+    return _AXIOMS
+
+
+def _lemma_table() -> dict[str, tuple[Circuit, Circuit]]:
+    global _LEMMAS
+    if _LEMMAS is None:
+        _LEMMAS = _lemma_circuits()
+    return _LEMMAS
 
 
 def axiom(name: str) -> RewriteRule:
     """One of the eleven defining identities (CNT4/CNT7 come in two forms)."""
-    table = _axiom_circuits()
+    table = _axiom_table()
     if name not in table:
         raise RuleLoadError(f"unknown axiom {name!r}; valid: {sorted(table)}")
     if name not in _RULE_CACHE:
@@ -215,7 +231,7 @@ def axiom(name: str) -> RewriteRule:
 
 def lemma_fixture(name: str) -> RewriteRule:
     """A derived identity from the fixture corpus."""
-    table = _lemma_circuits()
+    table = _lemma_table()
     if name not in table:
         raise RuleLoadError(f"unknown lemma fixture {name!r}; valid: {sorted(table)}")
     key = "lemma:" + name
@@ -225,11 +241,11 @@ def lemma_fixture(name: str) -> RewriteRule:
 
 
 def axiom_names() -> list[str]:
-    return sorted(_axiom_circuits())
+    return sorted(_axiom_table())
 
 
 def lemma_names() -> list[str]:
-    return sorted(_lemma_circuits())
+    return sorted(_lemma_table())
 
 
 def all_rules() -> list[RewriteRule]:
@@ -237,7 +253,7 @@ def all_rules() -> list[RewriteRule]:
 
 
 def find_rule(name: str) -> RewriteRule:
-    if name in _axiom_circuits():
+    if name in _axiom_table():
         return axiom(name)
     return lemma_fixture(name)
 
@@ -327,7 +343,8 @@ def apply_at(
 
     # Pass-through rule inputs never occur in the matched events; pin them to
     # untouched circuit wires so the emitted side can reference them.
-    spare = [w for w in range(w0) if w not in touched and w not in set(phi.values())]
+    bound = set(phi.values())
+    spare = [w for w in range(w0) if w not in touched and w not in bound]
     for rid in range(src.n_in):
         if rid not in phi:
             if not spare:
@@ -354,7 +371,7 @@ def apply_at(
         else:
             i = layout.index(phi_dst[ev[1]])
             j = layout.index(phi_dst[ev[2]])
-            emitted.append(Gate(kind, (i, j)))
+            emitted.append(cnot(i, j) if kind == CNOT else swap(i, j))
             if kind == SWAP:
                 layout[i], layout[j] = layout[j], layout[i]
 
@@ -393,11 +410,11 @@ def replay(d: Derivation) -> list[Circuit]:
 # -- verification --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RuleReport:
-    name: str
-    semantic_ok: bool
-    state_map_ok: bool
+class RuleReport(Record):
+    __slots__ = ("name", "semantic_ok", "state_map_ok")
+
+    def __init__(self, name: str, semantic_ok: bool, state_map_ok: bool):
+        self._init(name, semantic_ok, state_map_ok)
 
     @property
     def ok(self) -> bool:

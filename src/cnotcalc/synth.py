@@ -17,30 +17,28 @@ from one elimination per variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gf2 import BitVec, GF2Matrix, null_basis, rref_masks
 from .relation import AffineRelation
 from .circuit import Circuit, circuit, cnot, init0, init1, notg, omega_nm, post0
 from .normalize import ClausalForm, clausal_to_circuit
+from .record import Record
 
 
 class NotPartialIsoError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AffineMapSpec:
+class AffineMapSpec(Record):
     """A total affine map x -> linear*x + shift."""
 
-    linear: GF2Matrix
-    shift: BitVec
+    __slots__ = ("linear", "shift")
 
-    def __post_init__(self):
-        if self.linear.rows != len(self.shift):
+    def __init__(self, linear: GF2Matrix, shift: BitVec):
+        if linear.rows != len(shift):
             raise ValueError(
-                f"linear has {self.linear.rows} rows but shift has length {len(self.shift)}"
+                f"linear has {linear.rows} rows but shift has length {len(shift)}"
             )
+        self._init(linear, shift)
 
     @property
     def n_in(self) -> int:

@@ -1,11 +1,14 @@
 """Circuit IR: validation, structure, evaluation, and the semantics functor."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cnotcalc.gf2 import BitVec
 from cnotcalc.relation import AffineRelation, ArityError, all_bitvecs
 from cnotcalc.circuit import (
+    Circuit,
     CircuitError,
+    Gate,
     circuit,
     cnot,
     equal_circ,
@@ -259,3 +262,122 @@ class TestBasisClosureAndDegeneracy:
             assert c.tensor(d).semantics().is_empty()
             e = random_circuit(rng, c.n_out, 10)
             assert c.compose(e).semantics().is_empty()
+
+
+# -- gate validation against the per-gate rule it replaced ---------------------
+
+
+def _old_gate_width(gate, width):
+    """The per-gate rule ``Circuit`` applied to every gate before gates
+    carried their least legal width; kept here as the oracle."""
+    k, a = gate.kind, gate.args
+    if k == "cnot":
+        c, t = a
+        if c == t:
+            return "control equals target"
+        if not (0 <= c < width and 0 <= t < width):
+            return f"wire out of range at width {width}"
+    elif k == "swap":
+        x, y = a
+        if x == y:
+            return "swap of a wire with itself"
+        if not (0 <= x < width and 0 <= y < width):
+            return f"wire out of range at width {width}"
+    elif k == "init1":
+        if not 0 <= a[0] <= width:
+            return f"insertion index out of range at width {width}"
+    elif k == "post1":
+        if not 0 <= a[0] < width:
+            return f"wire out of range at width {width}"
+    else:
+        return f"unknown gate kind {k!r}"
+    return None
+
+
+_OLD_DELTA = {"cnot": 0, "swap": 0, "init1": 1, "post1": -1}
+
+
+def _old_validate(n_in, gates):
+    """(ok, n_out, bad_index, message), or the exception type raised."""
+    width = n_in
+    try:
+        for i, g in enumerate(gates):
+            reason = _old_gate_width(g, width)
+            if reason is not None:
+                return (False, None, i, f"gate {i} {g}: {reason}")
+            width += _OLD_DELTA[g.kind]
+    except Exception as e:
+        return type(e)
+    return (True, width, None, None)
+
+
+def _validate(n_in, gates):
+    try:
+        v = Circuit(n_in, gates).validate()
+    except Exception as e:
+        return type(e)
+    return (v.ok, v.n_out, v.bad_index, v.message)
+
+
+_wire = st.integers(-2, 7)
+_built = st.one_of(
+    st.builds(cnot, _wire, _wire),
+    st.builds(swap, _wire, _wire),
+    st.builds(init1, _wire),
+    st.builds(post1, _wire),
+)
+# kinds, argument counts and argument types the builders never produce
+_malformed = st.builds(
+    Gate,
+    st.sampled_from(["cnot", "swap", "init1", "post1", "toffoli", "CNOT"]),
+    st.lists(st.one_of(_wire, st.booleans(), st.sampled_from([0.5, 1.0, 2.5])), max_size=3).map(tuple),
+)
+
+# well-formed gates built by the constructor rather than the builders
+_direct = _built.map(lambda g: Gate(g.kind, g.args))
+
+
+@given(st.integers(0, 6), st.lists(st.one_of(_built, _direct, _malformed), max_size=12))
+def test_validation_matches_the_per_gate_rule(n_in, gates):
+    assert _validate(n_in, gates) == _old_validate(n_in, gates)
+
+
+@given(st.integers(0, 6), st.lists(_built, max_size=12))
+def test_validation_matches_the_per_gate_rule_on_builder_gates(n_in, gates):
+    # mostly valid lists, so the width bookkeeping is exercised far along
+    assert _validate(n_in, gates) == _old_validate(n_in, gates)
+
+
+@given(st.one_of(_built, _direct, _malformed))
+def test_need_is_the_least_legal_width(g):
+    legal = [w for w in range(12) if _old_validate(w, [g]) == (True, w + g.delta, None, None)]
+    if g.need < 12:
+        assert legal == list(range(g.need, 12))
+    else:  # malformed, or legal only where the per-gate rule has the last word
+        assert Gate(g.kind, g.args).need == g.need
+
+
+def test_gates_left_to_the_per_gate_rule():
+    # legal by the old rule although malformed: extra args are ignored, and
+    # the width still moves by the kind's delta
+    odd = [Gate("init1", (0, 5)), Gate("cnot", (True, 0)), Gate("post1", (1.0,)), init1(1)]
+    assert _validate(1, odd) == _old_validate(1, odd) == (True, 2, None, None)
+    for bad in ([Gate("init1", ())], [Gate("cnot", (0, 1, 2))], [Gate("cnot", ("a", 0))]):
+        assert _validate(2, bad) == _old_validate(2, bad) != (True, 2, None, None)
+
+
+@given(st.one_of(_built, _malformed))
+def test_gate_line_is_the_old_format_line(g):
+    want = f"{g.kind} {' '.join(map(str, g.args))}"
+    assert g.line == want
+    assert g.line is g.line  # built once
+
+
+def test_format_circuit_uses_the_gate_lines():
+    from cnotcalc.formats import format_circuit
+
+    c = circuit(2, cnot(0, 1), swap(1, 0), init0(2), notg(0), post1(1))
+    old = [f"circuit main : 2 -> {c.n_out}"]
+    old += [f"{g.kind} {' '.join(map(str, g.args))}" for g in c.gates]
+    assert format_circuit(c) == "\n".join(old + ["end"]) + "\n"
+    assert format_circuit(c) == format_circuit(c)

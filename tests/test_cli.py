@@ -225,3 +225,24 @@ class TestFuzzCommand:
         code, out, _ = run_cli("fuzz", "--trials", "1")
         assert code == 1
         assert "synthetic failure" in out and "circuit counterexample0" in out
+
+
+class TestInternalError:
+    @pytest.mark.parametrize(
+        "error", [RuntimeError("bad state\nsecond line"), RecursionError("maximum recursion depth exceeded")]
+    )
+    def test_crash_exits_3_with_one_line(self, run_cli, monkeypatch, error):
+        import cnotcalc.cli as cli_mod
+
+        def crash(args):
+            raise error
+
+        monkeypatch.setattr(cli_mod, "_cmd_construct", crash)
+        code, out, err = run_cli("construct", "fanout", "2")
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"error: internal error: {type(error).__name__}: ")
+
+    def test_input_errors_still_exit_2(self, run_cli):
+        code, _, err = run_cli("construct", "fanout", "x")
+        assert code == 2 and err.startswith("error: expected an integer")

@@ -1,0 +1,28 @@
+"""Every CLI command is a fresh process, so what ``import cnotcalc.cli``
+pulls in is paid on every command: keep ``dataclasses`` (and through it
+``inspect``) and ``json`` (needed only by ``--json``) off that path."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import cnotcalc
+
+SRC = Path(cnotcalc.__file__).parent.parent
+
+PROBE = """
+import sys
+before = set(sys.modules)
+import cnotcalc.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_adds_neither_dataclasses_nor_json():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "cnotcalc.cli" in out
+    assert [m for m in ("dataclasses", "inspect", "json") if m in out] == []

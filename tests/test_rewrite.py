@@ -86,6 +86,34 @@ class TestCorpus:
         } <= names
 
 
+class TestRuleTables:
+    def test_each_table_is_built_once_on_first_use(self, monkeypatch):
+        import cnotcalc.rewrite as rw
+
+        builds = {"axioms": 0, "lemmas": 0}
+
+        def counted(key, build):
+            def wrapper():
+                builds[key] += 1
+                return build()
+
+            return wrapper
+
+        monkeypatch.setattr(rw, "_AXIOMS", None)
+        monkeypatch.setattr(rw, "_LEMMAS", None)
+        monkeypatch.setattr(rw, "_RULE_CACHE", {})
+        monkeypatch.setattr(rw, "_axiom_circuits", counted("axioms", rw._axiom_circuits))
+        monkeypatch.setattr(rw, "_lemma_circuits", counted("lemmas", rw._lemma_circuits))
+
+        first = rw.find_rule("CNT2")
+        assert builds == {"axioms": 1, "lemmas": 0}  # axioms only, not at import
+        assert all(rw.find_rule("CNT2") is first for _ in range(3))
+        lemma = rw.find_rule("zero-cancel")
+        assert rw.find_rule("zero-cancel") is lemma
+        assert axiom_names() and lemma_names() and all_rules()
+        assert builds == {"axioms": 1, "lemmas": 1}
+
+
 class TestVerify:
     def test_full_corpus_passes(self):
         reports = verify_all()
