@@ -266,6 +266,10 @@ class Circuit:
     def __hash__(self) -> int:
         return hash((self.n_in, self.gates))
 
+    def __reduce__(self):
+        # rebuild through __init__: the slots refuse assignment
+        return Circuit, (self.n_in, self.gates)
+
     def __repr__(self) -> str:
         return f"Circuit({self.n_in}->{self._validation.n_out}, {list(self.gates)})"
 

@@ -45,8 +45,8 @@ def _read(path: str) -> str:
         raise CliInputError(f"cannot read {path}: {e}") from None
 
 
-def _load_circuit(path: str):
-    return formats.parse_circuit(_read(path))
+def _load_circuit(path: str, memo=None):
+    return formats.parse_circuit(_read(path), memo)
 
 
 def _parse_bits(text: str) -> BitVec:
@@ -87,8 +87,9 @@ def _cmd_semantics(args) -> int:
 
 
 def _cmd_equal(args) -> int:
-    _, c = _load_circuit(args.file1)
-    _, d = _load_circuit(args.file2)
+    memo: dict = {}  # the second file is usually an edit of the first
+    _, c = _load_circuit(args.file1, memo)
+    _, d = _load_circuit(args.file2, memo)
     if (c.n_in, c.n_out) != (d.n_in, d.n_out):
         raise CliInputError(
             f"arity mismatch: {c.n_in}->{c.n_out} vs {d.n_in}->{d.n_out}"
@@ -151,6 +152,10 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    for option in ("trials", "wires", "depth"):
+        value = getattr(args, option)
+        if value < 0:
+            raise CliInputError(f"--{option} must be nonnegative, got {value}")
     ran, failure = fuzz(args.wires, args.depth, args.seed, args.trials)
     if failure is None:
         text = f"{ran} trials passed (wires<={args.wires} depth={args.depth} seed={args.seed})"
@@ -209,7 +214,7 @@ def _build_construct(name: str, params: list[str]):
         if len(params) < 2:
             raise CliInputError("construct clause takes: <n> <rhs> [wire ...]")
         n, rhs = num(0), num(1)
-        wires = [int(p, 10) for p in params[2:]]
+        wires = [num(i) for i in range(2, len(params))]
         return clause_circuit(wires, rhs, n)
     raise CliInputError(f"unknown construction {name!r}")
 

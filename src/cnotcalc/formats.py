@@ -9,6 +9,8 @@ Circuits print with primitive gates only; the parser additionally accepts the
 from __future__ import annotations
 
 import re
+from itertools import chain
+from typing import Optional
 
 from .gf2 import BitVec, GF2Matrix
 from .circuit import Circuit, Gate, cnot, init0, init1, notg, post0, post1, swap
@@ -52,16 +54,15 @@ def _column_of(body: str, token_index: int) -> int:
 
 # -- circuits -----------------------------------------------------------------
 
-_GATE_ARITY = {"cnot": 2, "swap": 2, "init1": 1, "post1": 1, "init0": 1, "post0": 1, "not": 1}
-
-_GATE_BUILDERS = {
-    "cnot": cnot,
-    "swap": swap,
-    "init1": init1,
-    "post1": post1,
-    "init0": init0,
-    "post0": post0,
-    "not": notg,
+# kind -> (builder, number of arguments)
+_GATES = {
+    "cnot": (cnot, 2),
+    "swap": (swap, 2),
+    "init1": (init1, 1),
+    "post1": (post1, 1),
+    "init0": (init0, 1),
+    "post0": (post0, 1),
+    "not": (notg, 1),
 }
 
 
@@ -72,11 +73,24 @@ def format_circuit(c: Circuit, name: str = "main") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_circuit(text: str) -> tuple[str, Circuit]:
-    lines = list(_logical_lines(text))
-    if not lines:
+def parse_circuit(
+    text: str, memo: Optional[dict[str, tuple[Gate, ...]]] = None
+) -> tuple[str, Circuit]:
+    """(name, circuit) of a circuit file.
+
+    ``memo`` maps gate-line bodies to their gates.  Calls that parse several
+    files of one command pass the same dict, so a line met in an earlier
+    file is not parsed again.  It holds only lines that parsed, and the
+    empty body of blank and comment-only lines, which maps to no gates.
+    """
+    if memo is None:
+        memo = {}
+    memo[""] = ()
+    bodies = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    start = next((i for i, body in enumerate(bodies) if body), None)
+    if start is None:
         raise FormatError("empty circuit file", 1)
-    lineno, header = lines[0]
+    header, lineno = bodies[start], start + 1
     tokens = header.split()
     if (
         len(tokens) != 6
@@ -90,42 +104,45 @@ def parse_circuit(text: str) -> tuple[str, Circuit]:
     name = tokens[1]
     n_in = _int(tokens[3], lineno, header, 3)
     n_out = _int(tokens[5], lineno, header, 5)
-    gates: list[Gate] = []
-    # Each distinct gate line is parsed once: n wires allow only about
-    # 2 n^2 distinct lines, so long circuits repeat many of them.  Gate is
-    # frozen, so repeated lines share their Gate objects.
-    parsed: dict[str, tuple[Gate, ...]] = {}
-    terminated = False
-    for lineno, body in lines[1:]:
-        if body == "end":
-            terminated = True
-            break
-        built = parsed.get(body)
-        if built is None:
-            tokens = body.split()
-            kind = tokens[0]
-            if kind not in _GATE_BUILDERS:
+    try:
+        stop = bodies.index("end", start + 1)
+    except ValueError:
+        stop = None
+    gate_bodies = bodies[start + 1 : stop]
+    # Only the distinct bodies not yet in the memo are tokenized and built:
+    # n wires allow only about 2 n^2 distinct lines, so long circuits repeat
+    # many of them.  Gates are immutable, so repeated lines share them.  In
+    # first-occurrence order, the first bad body is the first bad line.
+    for body in dict.fromkeys(gate_bodies):
+        if body in memo:
+            continue
+        tokens = body.split()
+        kind = tokens[0]
+        builder, arity = _GATES.get(kind, (None, None))
+        if builder is None or len(tokens) != 1 + arity:
+            lineno = bodies.index(body, start + 1) + 1
+            if builder is None:
                 raise FormatError(f"unknown gate {kind!r}", lineno)
-            if len(tokens) != 1 + _GATE_ARITY[kind]:
-                raise FormatError(
-                    f"gate {kind} takes {_GATE_ARITY[kind]} argument(s)", lineno
-                )
+            raise FormatError(f"gate {kind} takes {arity} argument(s)", lineno)
+        try:
+            args = list(map(int, tokens[1:]))
+        except ValueError:
+            lineno = bodies.index(body, start + 1) + 1
             args = [_int(t, lineno, body, i) for i, t in enumerate(tokens[1:], 1)]
-            built = _GATE_BUILDERS[kind](*args)
-            if not isinstance(built, tuple):
-                built = (built,)
-            parsed[body] = built
-        gates.extend(built)
-    if not terminated:
-        raise FormatError("missing 'end' terminator", lines[-1][0])
+        built = builder(*args)
+        memo[body] = built if type(built) is tuple else (built,)
+    if stop is None:
+        last = max(i for i, body in enumerate(bodies) if body)
+        raise FormatError("missing 'end' terminator", last + 1)
+    gates = list(chain.from_iterable(map(memo.__getitem__, gate_bodies)))
     c = Circuit(n_in, gates)
     v = c.validate()
     if not v.ok:
-        raise FormatError(v.message, lines[0][0])
+        raise FormatError(v.message, start + 1)
     if c.n_out != n_out:
         raise FormatError(
             f"header declares {n_in} -> {n_out} but gates yield {c.n_out} outputs",
-            lines[0][0],
+            start + 1,
         )
     return name, c
 

@@ -8,9 +8,10 @@ ordered by trial index either way.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Optional
 
-from .circuit import Circuit, circuit, cnot, init0, init1, notg, post0, post1, swap
+from .circuit import Circuit, cnot, init0, init1, notg, post0, post1, swap
 from .relation import all_bitvecs
 from .synth import synth
 
@@ -29,48 +30,54 @@ def random_circuit(
     """A valid random circuit; width stays within [0, max_width]."""
     if max_width is None:
         max_width = n_in + 4
+    choice, randrange = rng.choice, rng.randrange
     gates: list = []
     width = n_in
     for _ in range(depth):
-        menu = []
-        if width >= 2:
-            menu += ["cnot"] * 4 + ["swap"]
-        if width < max_width:
-            menu += ["init1", "init0"]
-        if width >= 1:
-            menu += ["not"]
-            if allow_post:
-                menu += ["post1", "post0"]
-        if not menu:
-            menu = ["init1"]
-        kind = rng.choice(menu)
+        kind = choice(_menu(width, max_width, allow_post))
         if kind == "cnot":
-            c = rng.randrange(width)
-            t = rng.randrange(width - 1)
+            c = randrange(width)
+            t = randrange(width - 1)
             if t >= c:
                 t += 1
             gates.append(cnot(c, t))
         elif kind == "swap":
-            a = rng.randrange(width)
-            b = rng.randrange(width - 1)
+            a = randrange(width)
+            b = randrange(width - 1)
             if b >= a:
                 b += 1
             gates.append(swap(a, b))
         elif kind == "init1":
-            gates.append(init1(rng.randrange(width + 1)))
+            gates.append(init1(randrange(width + 1)))
             width += 1
         elif kind == "init0":
-            gates.append(init0(rng.randrange(width + 1)))
+            gates.extend(init0(randrange(width + 1)))
             width += 1
         elif kind == "post1":
-            gates.append(post1(rng.randrange(width)))
+            gates.append(post1(randrange(width)))
             width -= 1
         elif kind == "post0":
-            gates.append(post0(rng.randrange(width)))
+            gates.extend(post0(randrange(width)))
             width -= 1
         else:
-            gates.append(notg(rng.randrange(width)))
-    return circuit(n_in, *gates)
+            gates.extend(notg(randrange(width)))
+    return Circuit(n_in, gates)
+
+
+@lru_cache(maxsize=256)
+def _menu(width: int, max_width: int, allow_post: bool) -> tuple[str, ...]:
+    """The gate kinds ``random_circuit`` draws from at one width; their
+    order and multiplicity fix what each ``rng.choice`` returns."""
+    menu: list[str] = []
+    if width >= 2:
+        menu += ["cnot"] * 4 + ["swap"]
+    if width < max_width:
+        menu += ["init1", "init0"]
+    if width >= 1:
+        menu += ["not"]
+        if allow_post:
+            menu += ["post1", "post0"]
+    return tuple(menu) or ("init1",)
 
 
 def oracle_trial(c: Circuit) -> Optional[str]:

@@ -143,10 +143,12 @@ def torsor_laws(n: int) -> bool:
     for a in space:
         for b in space:
             for c in space:
+                abc = p[(a, b, c)]
                 for d in space:
+                    dcb = p[(d, c, b)]
                     for e in space:
-                        first = p[(p[(a, b, c)], d, e)]
-                        if first != p[(a, p[(d, c, b)], e)]:
+                        first = p[(abc, d, e)]
+                        if first != p[(a, dcb, e)]:
                             return False
                         if first != p[(a, b, p[(c, d, e)])]:
                             return False
@@ -184,12 +186,12 @@ def inverse_laws(seed: int = 0, trials: int = 500, wires: int = 5, depth: int = 
         n = rng.randrange(wires + 1)
         r = random_circuit(rng, n, depth).semantics()
         rd = r.dagger()
-        if r.compose(rd).compose(r) != r:
+        rbar = r.compose(rd)
+        if rbar.compose(r) != r:
             return False
         if rd.compose(r).compose(rd) != rd:
             return False
         s = random_circuit(rng, n, depth).semantics()
-        rbar = r.compose(rd)
         sbar = s.compose(s.dagger())
         if rbar.compose(sbar) != sbar.compose(rbar):
             return False

@@ -31,16 +31,6 @@ def _canonical(masks: Iterable[int], nvars: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _remap(mask: int, nvars: int, where: list[int], rhs_to: int) -> int:
-    out = 0
-    for j in range(nvars):
-        if (mask >> j) & 1:
-            out |= 1 << where[j]
-    if (mask >> nvars) & 1:
-        out |= 1 << rhs_to
-    return out
-
-
 class AffineRelation:
     """Canonical affine partial isomorphism from GF(2)^n_in to GF(2)^n_out."""
 
@@ -86,7 +76,8 @@ class AffineRelation:
     def restriction_on(cls, n: int, domain_rows: Iterable[int]) -> "AffineRelation":
         """The identity on n wires restricted to the solutions of
         ``domain_rows`` (input coefficients, rhs at bit n)."""
-        rows = [_remap(r, n, list(range(n)), 2 * n) for r in domain_rows]
+        low = (1 << n) - 1
+        rows = [(r & low) | ((r >> n) & 1) << (2 * n) for r in domain_rows]
         rows += [(1 << j) | (1 << (n + j)) for j in range(n)]
         return cls(n, n, rows)
 
@@ -142,6 +133,10 @@ class AffineRelation:
         return f"AffineRelation({self.n_in}->{self.n_out}, {len(self._rows)} constraints)"
 
     # -- category operations -----------------------------------------------
+    #
+    # Each operation moves whole blocks of a row's bits (input, output,
+    # rhs) with masks and shifts.  Rows of a relation have no bit above
+    # their rhs, and projected columns come back clear.
 
     def compose(self, other: "AffineRelation") -> "AffineRelation":
         """Relational composite: {(x,z) : exists y. (x,y) in self, (y,z) in other}."""
@@ -151,42 +146,45 @@ class AffineRelation:
             )
         n, m, p = self.n_in, self.n_out, other.n_out
         nv = n + m + p
-        # Variable layout: x at 0.., y at n.., z at n+m..
-        rows = [
-            _remap(r, n + m, list(range(n + m)), nv) for r in self._rows
-        ]
-        rows += [
-            _remap(r, m + p, list(range(n, n + m + p)), nv) for r in other._rows
-        ]
+        # Variable layout: x at 0.., y at n.., z at n+m.., rhs at nv.
+        xy, yz = (1 << (n + m)) - 1, (1 << (m + p)) - 1
+        rows = [(r & xy) | (r >> (n + m)) << nv for r in self._rows]
+        rows += [(r & yz) << n | (r >> (m + p)) << nv for r in other._rows]
         rows = project_masks(rows, nv, range(n, n + m))
-        # Surviving variables are x and z; compact them.
-        where = list(range(n)) + [0] * m + list(range(n, n + p))
-        rows = [_remap(r, nv, where, n + p) for r in rows]
+        # y is clear; move z and the rhs down next to x.
+        x = (1 << n) - 1
+        rows = [(r & x) | (r >> (n + m)) << n for r in rows]
         return AffineRelation(n, p, rows)
 
     def tensor(self, other: "AffineRelation") -> "AffineRelation":
         """Parallel composite on the disjoint union of wires."""
         n1, m1, n2, m2 = self.n_in, self.n_out, other.n_in, other.n_out
         rhs = n1 + n2 + m1 + m2
-        where1 = list(range(n1)) + list(range(n1 + n2, n1 + n2 + m1))
-        where2 = list(range(n1, n1 + n2)) + list(range(n1 + n2 + m1, rhs))
-        rows = [_remap(r, n1 + m1, where1, rhs) for r in self._rows]
-        rows += [_remap(r, n2 + m2, where2, rhs) for r in other._rows]
+        # Variable layout: x1, x2, y1, y2, rhs.
+        x1, y1, x2 = (1 << n1) - 1, (1 << m1) - 1, (1 << n2) - 1
+        rows = [
+            (r & x1) | ((r >> n1) & y1) << (n1 + n2) | (r >> (n1 + m1)) << rhs
+            for r in self._rows
+        ]
+        rows += [(r & x2) << n1 | (r >> n2) << (n1 + n2 + m1) for r in other._rows]
         return AffineRelation(n1 + n2, m1 + m2, rows)
 
     def dagger(self) -> "AffineRelation":
         """Graph converse: swap input and output roles."""
         n, m = self.n_in, self.n_out
-        where = list(range(m, m + n)) + list(range(m))
-        rows = [_remap(r, n + m, where, n + m) for r in self._rows]
+        x, y = (1 << n) - 1, (1 << m) - 1
+        rows = [
+            (r & x) << m | (r >> n) & y | (r >> (n + m)) << (n + m)
+            for r in self._rows
+        ]
         return AffineRelation(m, n, rows)
 
     def domain_masks(self) -> tuple[int, ...]:
         """Constraint system of the domain, over the n_in input variables."""
         n, m = self.n_in, self.n_out
         rows = project_masks(self._rows, n + m, range(n, n + m))
-        where = list(range(n)) + [0] * m
-        return _canonical([_remap(r, n + m, where, n) for r in rows], n)
+        x = (1 << n) - 1
+        return _canonical([(r & x) | (r >> (n + m)) << n for r in rows], n)
 
     def restriction(self) -> "AffineRelation":
         """The restriction idempotent: identity on the domain of definition."""

@@ -81,6 +81,20 @@ class TestEqual:
         code, out, _ = run_cli("equal", str(a), str(b))
         assert code == 1 and out.strip() == "unequal"
 
+    def test_error_in_second_file_names_its_own_line(self, run_cli, tmp_path):
+        # the second file repeats the first file's lines at other line numbers
+        a = tmp_path / "a.cnot"
+        b = tmp_path / "b.cnot"
+        a.write_text("circuit a : 3 -> 3\ncnot 0 1\nswap 1 2\nend\n")
+        b.write_text("circuit b : 3 -> 3\n\nswap 1 2\ncnot 0 1\ncnot 2  q\nend\n")
+        code, out, err = run_cli("equal", str(a), str(b))
+        assert code == 2 and out == ""
+        assert err == "error: line 5, column 9: expected an integer, got 'q'\n"
+        b.write_text("circuit b : 3 -> 3\nswap 1 2\ncnot 0 1\npost1 7\nend\n")
+        code, _, err = run_cli("equal", str(a), str(b))
+        assert code == 2
+        assert err == "error: line 1, column 1: gate 2 post1(7): wire out of range at width 3\n"
+
 
 class TestNormalizeSynth:
     def test_normalize_identity(self, run_cli, tmp_path):
@@ -158,6 +172,11 @@ class TestVerifyReplayConstruct:
         assert code == 0
         assert out.splitlines()[0] == "circuit clause : 3 -> 3"
 
+    def test_construct_clause_bad_wire(self, run_cli):
+        code, out, err = run_cli("construct", "clause", "4", "1", "x")
+        assert code == 2 and out == ""
+        assert err == "error: expected an integer, got 'x'\n"
+
     @pytest.mark.parametrize(
         "name,header,gates",
         [
@@ -213,6 +232,16 @@ class TestFuzzCommand:
         code, out, _ = run_cli("fuzz", "--trials", "5", "--json")
         data = json.loads(out)
         assert code == 0 and data["ok"] is True and data["trials"] == 5
+
+    @pytest.mark.parametrize("option, value", [("--trials", "-5"), ("--wires", "-1"), ("--depth", "-1")])
+    def test_negative_counts_rejected(self, run_cli, option, value):
+        code, out, err = run_cli("fuzz", option, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {option} must be nonnegative, got {value}\n"
+
+    def test_zero_trials_allowed(self, run_cli):
+        code, out, _ = run_cli("fuzz", "--trials", "0", "--wires", "0", "--depth", "0")
+        assert code == 0 and out.startswith("0 trials passed")
 
     def test_counterexample_printed(self, run_cli, monkeypatch):
         import cnotcalc.cli as cli_mod

@@ -1,12 +1,16 @@
 """Text formats: round trips and error reporting."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cnotcalc.circuit import circuit, cnot, init0, notg, post0, swap
+from cnotcalc.circuit import (
+    Circuit, circuit, cnot, init0, init1, notg, post0, post1, swap,
+)
 from cnotcalc.normalize import Clause, ClausalForm
 from cnotcalc.relation import AffineRelation
 from cnotcalc.formats import (
     FormatError,
+    _int,
     format_circuit,
     format_relation,
     format_system,
@@ -164,3 +168,170 @@ class TestDerivationFormat:
     def test_bad_direction(self):
         with pytest.raises(FormatError, match="direction"):
             parse_derivation("CNT2 0 up\n")
+
+
+# -- the bulk circuit parser versus the line-by-line one it replaced ----------
+
+_OLD_ARITY = {"cnot": 2, "swap": 2, "init1": 1, "post1": 1, "init0": 1, "post0": 1, "not": 1}
+_OLD_BUILDERS = {
+    "cnot": cnot, "swap": swap, "init1": init1, "post1": post1,
+    "init0": init0, "post0": post0, "not": notg,
+}
+
+
+def old_parse_circuit(text):
+    """The parser as it was: one logical line at a time, in file order."""
+    lines = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            lines.append((i, body))
+    if not lines:
+        raise FormatError("empty circuit file", 1)
+    lineno, header = lines[0]
+    tokens = header.split()
+    if len(tokens) != 6 or tokens[0] != "circuit" or tokens[2] != ":" or tokens[4] != "->":
+        raise FormatError("expected header 'circuit <name> : <n_in> -> <n_out>'", lineno)
+    name = tokens[1]
+    n_in = _int(tokens[3], lineno, header, 3)
+    n_out = _int(tokens[5], lineno, header, 5)
+    gates = []
+    terminated = False
+    for lineno, body in lines[1:]:
+        if body == "end":
+            terminated = True
+            break
+        tokens = body.split()
+        kind = tokens[0]
+        if kind not in _OLD_BUILDERS:
+            raise FormatError(f"unknown gate {kind!r}", lineno)
+        if len(tokens) != 1 + _OLD_ARITY[kind]:
+            raise FormatError(f"gate {kind} takes {_OLD_ARITY[kind]} argument(s)", lineno)
+        args = [_int(t, lineno, body, i) for i, t in enumerate(tokens[1:], 1)]
+        built = _OLD_BUILDERS[kind](*args)
+        gates.extend(built if isinstance(built, tuple) else (built,))
+    if not terminated:
+        raise FormatError("missing 'end' terminator", lines[-1][0])
+    c = Circuit(n_in, gates)
+    v = c.validate()
+    if not v.ok:
+        raise FormatError(v.message, lines[0][0])
+    if c.n_out != n_out:
+        raise FormatError(
+            f"header declares {n_in} -> {n_out} but gates yield {c.n_out} outputs",
+            lines[0][0],
+        )
+    return name, c
+
+
+def outcome(parse, text, *memo):
+    """What a parse gives: the circuit, or the exception's type and text."""
+    try:
+        name, c = parse(text, *memo)
+    except Exception as e:
+        return type(e), str(e)
+    return name, c.n_in, c.gates, c.validate()
+
+
+_WIDTH_CHANGE = {"cnot": 0, "swap": 0, "not": 0, "init1": 1, "init0": 1, "post1": -1, "post0": -1}
+_BAD_LINES = [
+    "foo 1", "CNOT 0 1", "circuit x : 1 -> 1", "cnot 0", "not", "swap 0 1 2",
+    "cnot 0 x", "init1 -", "post0 1.0", "cnot\t1\t1_0x", "init0 ++1", "end now",
+]
+_BAD_HEADERS = [
+    "circuit x : 2 > 2", "circuit x 2 -> 2", "circuit x : a -> 1", "circuit x : 1 -> b",
+    "graph 1 1", "end", "circuit x : -1 -> 0", "circuit : 1 -> 1",
+]
+
+
+PERCENT = st.sampled_from(range(100))  # uniform; st.integers favours 0
+
+
+@st.composite
+def circuit_files(draw, pool=()):
+    """(text, body lines) of a circuit file: mostly gates legal at the
+    running width, in varied spacing, with comments, blank lines, macros,
+    repeats (of this file's lines and of ``pool``), sometimes a gate out of
+    range, a malformed line, a bad header, a wrong n_out, a missing 'end'
+    or text after it; mixed line endings."""
+    n_in = draw(st.integers(0, 4))
+    width = n_in
+    bodies = []
+    for _ in range(draw(st.integers(0, 24))):
+        roll = draw(PERCENT)
+        if roll < 12 and (bodies or pool):
+            line = draw(st.sampled_from(bodies + list(pool)))
+        elif roll < 22:
+            line = draw(st.sampled_from(["", "   ", "# note", "\t# x = 1", "#"]))
+        elif roll < 25:
+            line = draw(st.sampled_from(_BAD_LINES))
+        else:
+            kinds = [k for k, d in _WIDTH_CHANGE.items() if width + d >= 0]
+            kinds = [k for k in kinds if k not in ("cnot", "swap") or width >= 2]
+            kinds = [k for k in kinds if k != "not" or width >= 1]
+            kind = draw(st.sampled_from(kinds))
+            top = width + 1 if kind.startswith("init") else width
+            if roll < 28:
+                top += 2  # may leave the register: a validation error
+            args = draw(st.lists(st.integers(0, max(top - 1, 0)), min_size=_OLD_ARITY[kind],
+                                 max_size=_OLD_ARITY[kind], unique=True))
+            if len(args) < _OLD_ARITY[kind]:
+                continue
+            width += _WIDTH_CHANGE[kind]
+            sep = draw(st.sampled_from([" ", " ", "  ", "\t"]))
+            line = sep.join([kind, *map(str, args)])
+            line = draw(st.sampled_from(["", " ", "\t"])) + line
+            line += draw(st.sampled_from(["", "", " ", "  # c", "#x"]))
+        bodies.append(line)
+    header = f"circuit f{len(bodies)} : {n_in} -> {width}"
+    roll = draw(PERCENT)
+    if roll >= 92:
+        header = draw(st.sampled_from(_BAD_HEADERS))
+    elif roll >= 84:
+        header = f"circuit f : {n_in} -> {width + 1}"
+    lines = [draw(st.sampled_from(["", "# file", "  "])) for _ in range(draw(st.integers(0, 2)))]
+    lines += [header, *bodies]
+    if draw(PERCENT) < 90:
+        lines.append(draw(st.sampled_from(["end", "  end", "end # done"])))
+        lines += draw(st.lists(st.sampled_from(["cnot 0 0", "junk", "", "end"]), max_size=3))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()) and text.endswith("\n"):
+        text = text[:-1]  # no newline at the end of the file
+    return text, bodies
+
+
+class TestBulkParserMatchesOld:
+    @settings(max_examples=200, deadline=None)
+    @given(circuit_files())
+    @example(("", []))
+    @example(("# only a comment\n\n", []))
+    @example(("circuit x : 1 -> 1\n", []))
+    @example(("circuit x : 1 -> 1\nnot 0\n\n# tail\n  \n", []))
+    @example(("circuit x : 1 -> 1\r\nnot 0\r\nend\r\n", []))
+    @example(("circuit x : 2 -> 2\ncnot 0 1\ncnot 0 q\ncnot 0 q\nfoo\n", []))
+    def test_one_file(self, file):
+        text, _ = file
+        assert outcome(parse_circuit, text) == outcome(old_parse_circuit, text)
+        assert outcome(parse_circuit, text, {}) == outcome(old_parse_circuit, text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_second_file_with_shared_memo(self, data):
+        a, a_lines = data.draw(circuit_files())
+        b, _ = data.draw(circuit_files(pool=a_lines))
+        memo = {}
+        assert outcome(parse_circuit, a, memo) == outcome(old_parse_circuit, a)
+        assert outcome(parse_circuit, b, memo) == outcome(old_parse_circuit, b)
+        assert outcome(parse_circuit, a, memo) == outcome(old_parse_circuit, a)
+
+    def test_error_in_second_file_after_shared_lines(self):
+        a = "circuit a : 2 -> 2\ncnot 0 1\nswap 0 1\nend\n"
+        b = "circuit b : 2 -> 2\n\nswap 0 1\ncnot 0 1\ncnot 1 z\nend\n"
+        memo = {}
+        parse_circuit(a, memo)
+        with pytest.raises(FormatError) as info:
+            parse_circuit(b, memo)
+        assert str(info.value) == "line 5, column 8: expected an integer, got 'z'"
+        assert outcome(parse_circuit, b, memo) == outcome(old_parse_circuit, b)

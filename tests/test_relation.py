@@ -1,9 +1,9 @@
 """The semantic domain: graph-level oracles versus the constraint algebra."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cnotcalc.gf2 import BitVec
+from cnotcalc.gf2 import BitVec, project_masks
 from cnotcalc.relation import AffineRelation, ArityError, all_bitvecs
 from cnotcalc.fuzzing import random_circuit, trial_rng
 
@@ -318,3 +318,103 @@ class TestCanonicality:
         r = AffineRelation(1, 1, [0b1 | (1 << 2), 0b10 | (1 << 2), 0b11 | (1 << 2)])
         assert r == AffineRelation.empty(1, 1)
         assert r.constraint_masks == (1 << 2,)
+
+
+# -- block-shift operations versus the per-bit remap they replaced -------------
+
+
+def _remap(mask, nvars, where, rhs_to):
+    """Old per-bit form: bit j < nvars moves to where[j], bit nvars to rhs_to."""
+    out = 0
+    for j in range(nvars):
+        if (mask >> j) & 1:
+            out |= 1 << where[j]
+    if (mask >> nvars) & 1:
+        out |= 1 << rhs_to
+    return out
+
+
+def old_compose(a, b):
+    n, m, p = a.n_in, a.n_out, b.n_out
+    nv = n + m + p
+    rows = [_remap(r, n + m, list(range(n + m)), nv) for r in a.constraint_masks]
+    rows += [_remap(r, m + p, list(range(n, nv)), nv) for r in b.constraint_masks]
+    rows = project_masks(rows, nv, range(n, n + m))
+    where = list(range(n)) + [0] * m + list(range(n, n + p))
+    return AffineRelation(n, p, [_remap(r, nv, where, n + p) for r in rows])
+
+
+def old_tensor(a, b):
+    n1, m1, n2, m2 = a.n_in, a.n_out, b.n_in, b.n_out
+    rhs = n1 + n2 + m1 + m2
+    where1 = list(range(n1)) + list(range(n1 + n2, n1 + n2 + m1))
+    where2 = list(range(n1, n1 + n2)) + list(range(n1 + n2 + m1, rhs))
+    rows = [_remap(r, n1 + m1, where1, rhs) for r in a.constraint_masks]
+    rows += [_remap(r, n2 + m2, where2, rhs) for r in b.constraint_masks]
+    return AffineRelation(n1 + n2, m1 + m2, rows)
+
+
+def old_dagger(a):
+    n, m = a.n_in, a.n_out
+    where = list(range(m, m + n)) + list(range(m))
+    return AffineRelation(m, n, [_remap(r, n + m, where, n + m) for r in a.constraint_masks])
+
+
+def old_domain_masks(a):
+    n, m = a.n_in, a.n_out
+    rows = project_masks(a.constraint_masks, n + m, range(n, n + m))
+    where = list(range(n)) + [0] * m
+    return AffineRelation(n, 0, [_remap(r, n + m, where, n) for r in rows]).constraint_masks
+
+
+def old_restriction_on(n, domain_rows):
+    rows = [_remap(r, n, list(range(n)), 2 * n) for r in domain_rows]
+    rows += [(1 << j) | (1 << (n + j)) for j in range(n)]
+    return AffineRelation(n, n, rows)
+
+
+widths = st.integers(0, 70)
+
+
+@st.composite
+def relations(draw, n_in=None, n_out=None):
+    """Constraint systems of up to 70 + 70 variables through a random point,
+    so most are nonempty; a few get the row 0 = 1."""
+    n = draw(widths) if n_in is None else n_in
+    m = draw(widths) if n_out is None else n_out
+    nv = n + m
+    point = draw(st.integers(0, (1 << nv) - 1))
+    coefs = draw(st.lists(st.integers(0, (1 << nv) - 1), max_size=nv + 2))
+    rows = [c | ((c & point).bit_count() & 1) << nv for c in coefs]
+    if draw(st.integers(0, 9)) == 0:
+        rows.append(1 << nv)
+    return AffineRelation(n, m, rows)
+
+
+class TestBlockShiftsMatchRemap:
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_compose(self, data):
+        a = data.draw(relations())
+        b = data.draw(relations(n_in=a.n_out))
+        assert a.compose(b) == old_compose(a, b)
+
+    @settings(deadline=None, max_examples=60)
+    @given(relations(), relations())
+    def test_tensor(self, a, b):
+        assert a.tensor(b) == old_tensor(a, b)
+
+    @settings(deadline=None, max_examples=60)
+    @given(relations())
+    def test_dagger_and_domain(self, a):
+        assert a.dagger() == old_dagger(a)
+        assert a.domain_masks() == old_domain_masks(a)
+        assert a.restriction() == old_restriction_on(a.n_in, old_domain_masks(a))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_restriction_on(self, data):
+        n = data.draw(widths)
+        # bits above the rhs (bit n) are dropped, as the remap dropped them
+        rows = data.draw(st.lists(st.integers(0, (1 << (n + 3)) - 1), max_size=n + 2))
+        assert AffineRelation.restriction_on(n, rows) == old_restriction_on(n, rows)

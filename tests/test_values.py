@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from cnotcalc.circuit import Gate, ValidationResult, circuit, cnot, init1
+from cnotcalc.circuit import Circuit, Gate, ValidationResult, circuit, cnot, init1
 from cnotcalc.gf2 import BitVec, GF2Matrix
 from cnotcalc.normalize import ClausalForm, Clause
 from cnotcalc.rewrite import Derivation, RewriteRule, RuleReport
@@ -98,8 +98,15 @@ def test_no_assignment(value, same, other, text):
 @pytest.mark.parametrize("value, same, other, text", CASES, ids=lambda v: type(v).__name__)
 def test_copy_and_pickle(value, same, other, text):
     assert copy.copy(value) == value
-    if not isinstance(value, (RewriteRule, Derivation)):  # a Circuit does not pickle
-        assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize("c", [C, D, circuit(0), circuit(2, cnot(0, 2))], ids=repr)
+def test_circuit_copy_deepcopy_and_pickle(c):
+    for again in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert again == c and hash(again) == hash(c) and type(again) is Circuit
+        assert again.validate() == c.validate() and repr(again) == repr(c)
 
 
 def test_affine_map_spec():
