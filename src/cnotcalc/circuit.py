@@ -446,35 +446,22 @@ def hat(bits: BitVec | Sequence[int]) -> Circuit:
     return circuit(0, *gates)
 
 
-def swap_block(i: int, n: int) -> Circuit:
-    """Rotate wire i up to position 1, cycling wires 1..i; identity for i <= 1.
-
-    The conjugating permutation used by literals: its dagger restores the
-    original order.
-    """
-    if i < 0 or (i > 0 and i >= n):
-        raise ArityError(f"swap_block index {i} out of range for {n} wires")
-    gates = [swap(j - 1, j) for j in range(i, 1, -1)]
-    return Circuit(n, gates)
-
-
 def literal(i: int, n: int) -> Circuit:
     """On n+1 wires: xor data wire i (1-based, clause wire at 0) onto wire 0.
 
-    A swap-conjugated adjacent cnot; an involution.
+    The single gate ``cnot i 0``; an involution.
     """
     if not 1 <= i <= n:
         raise ArityError(f"literal index {i} out of range for {n} data wires")
-    block = swap_block(i, n + 1)
-    middle = Circuit(n + 1, (cnot(1, 0),))
-    return block.compose(middle).compose(block.dagger())
+    return Circuit(n + 1, (cnot(i, 0),))
 
 
 def clause_circuit(support: Iterable[int], rhs: int, n: int) -> Circuit:
     """Restriction of the identity on n wires to sum(x_i for i in support) = rhs.
 
-    A |0> clause wire collects the parity through literals and is consumed by
-    the ancilla matching rhs.
+    A |0> clause wire collects the parity through one literal per support
+    wire, in increasing order, and is consumed by the ancilla matching rhs:
+    ``|support| + 5`` gates for rhs 1 and ``|support| + 8`` for rhs 0.
     """
     support = sorted(set(support))
     if support and not (0 <= support[0] and support[-1] < n):

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .gf2 import BitVec, GF2Matrix
 from .circuit import Circuit, Gate, cnot, init0, init1, notg, post0, post1, swap
-from .normalize import Clause, ClausalForm
+from .normalize import ClausalForm
 from .relation import AffineRelation
 from .synth import AffineMapSpec
 
@@ -147,6 +147,81 @@ def parse_circuit(
     return name, c
 
 
+# -- the readers shared by graph, system and affine files ---------------------
+
+
+def _read_header(text: str, what: str, arities: dict[str, int], usage: str):
+    """(keyword, arities, line number, body) of a file that starts with a
+    header ``<keyword> <arity> ...``.
+
+    ``arities`` maps each keyword the caller accepts to its number of
+    arities; any other header is reported as ``expected <usage>``.  Every
+    arity is checked to be nonnegative before a body line is read.  The body
+    is the (line number, content, tokens) of each line up to ``end``.
+    """
+    lines = _logical_lines(text)
+    lineno, header = next(lines, (1, None))
+    if header is None:
+        raise FormatError(f"empty {what}", 1)
+    tokens = header.split()
+    count = arities.get(tokens[0])
+    if count is None or len(tokens) != 1 + count:
+        raise FormatError(f"expected {usage}", lineno)
+    sizes = [_int(t, lineno, header, i) for i, t in enumerate(tokens[1:], 1)]
+    for i, k in enumerate(sizes, 1):
+        if k < 0:
+            raise FormatError(
+                f"arity must be nonnegative, got {k}", lineno, _column_of(header, i)
+            )
+    body = []
+    for i, line in lines:
+        if line == "end":
+            break
+        body.append((i, line, line.split()))
+    return tokens[0], sizes, lineno, body
+
+
+def _parity_mask(tokens: list[str], terms: dict, lineno: int, line: str) -> int:
+    """The row of the line ``parity <term> ... = <bit>`` as a bitmask.
+
+    ``terms`` maps each term prefix to (first bit, count, name): the term
+    ``<prefix><j>`` sets bit ``first + j``, for ``0 <= j < count``.  The
+    right-hand side goes to the bit above all the ranges.  A term may occur
+    once only, since over GF(2) a repeat would cancel it.
+    """
+    if tokens[0] != "parity":
+        raise FormatError(f"expected 'parity' line, got {tokens[0]!r}", lineno)
+    if "=" not in tokens:
+        raise FormatError("parity line needs '= <bit>'", lineno)
+    eq = tokens.index("=")
+    if eq != len(tokens) - 2:
+        raise FormatError("expected a single bit after '='", lineno)
+    rhs = _int(tokens[-1], lineno, line, eq + 1)
+    if rhs not in (0, 1):
+        raise FormatError(
+            "right-hand side must be 0 or 1", lineno, _column_of(line, eq + 1)
+        )
+    mask = rhs << sum(count for _, count, _ in terms.values())
+    for i in range(1, eq):
+        t = tokens[i]
+        for prefix, (first, count, name) in terms.items():
+            if t.startswith(prefix):
+                break
+        else:
+            expected = " or ".join(f"{prefix}<i>" for prefix in terms)
+            raise FormatError(
+                f"expected {expected}, got {t!r}", lineno, _column_of(line, i)
+            )
+        j = _int(t[len(prefix) :], lineno, line, i)
+        if not 0 <= j < count:
+            raise FormatError(f"{name} {t} out of range", lineno, _column_of(line, i))
+        bit = 1 << (first + j)
+        if mask & bit:
+            raise FormatError(f"repeated term {t}", lineno, _column_of(line, i))
+        mask |= bit
+    return mask
+
+
 # -- relations ----------------------------------------------------------------
 
 
@@ -161,57 +236,16 @@ def format_relation(r: AffineRelation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_parity_terms(tokens, n, m, lineno, body):
-    if "=" not in tokens:
-        raise FormatError("parity line needs '= <bit>'", lineno)
-    eq = tokens.index("=")
-    if eq != len(tokens) - 2:
-        raise FormatError("expected a single bit after '='", lineno)
-    # tokens follow the leading 'parity', so token i is token i + 1 of body
-    rhs = _int(tokens[-1], lineno, body, len(tokens))
-    if rhs not in (0, 1):
-        raise FormatError("right-hand side must be 0 or 1", lineno)
-    mask = rhs << (n + m)
-    for i, t in enumerate(tokens[:eq], 1):
-        if t.startswith("x"):
-            j = _int(t[1:], lineno, body, i)
-            if not 0 <= j < n:
-                raise FormatError(
-                    f"input variable {t} out of range", lineno, _column_of(body, i)
-                )
-            mask |= 1 << j
-        elif t.startswith("y"):
-            j = _int(t[1:], lineno, body, i)
-            if m == 0 or not 0 <= j < m:
-                raise FormatError(
-                    f"output variable {t} out of range", lineno, _column_of(body, i)
-                )
-            mask |= 1 << (n + j)
-        else:
-            raise FormatError(
-                f"expected x<i> or y<j>, got {t!r}", lineno, _column_of(body, i)
-            )
-    return mask
-
-
 def parse_relation(text: str) -> AffineRelation:
-    lines = list(_logical_lines(text))
-    if not lines:
-        raise FormatError("empty relation file", 1)
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 3 or tokens[0] != "graph":
-        raise FormatError("expected header 'graph <n_in> <n_out>'", lineno)
-    n = _int(tokens[1], lineno, header, 1)
-    m = _int(tokens[2], lineno, header, 2)
-    rows = []
-    for lineno, body in lines[1:]:
-        if body == "end":
-            break
-        tokens = body.split()
-        if tokens[0] != "parity":
-            raise FormatError(f"expected 'parity' line, got {tokens[0]!r}", lineno)
-        rows.append(_parse_parity_terms(tokens[1:], n, m, lineno, body))
+    _, (n, m), _, body = _read_header(
+        text, "relation file", {"graph": 2}, "header 'graph <n_in> <n_out>'"
+    )
+    return _graph(n, m, body)
+
+
+def _graph(n: int, m: int, body) -> AffineRelation:
+    terms = {"x": (0, n, "input variable"), "y": (n, m, "output variable")}
+    rows = [_parity_mask(tokens, terms, lineno, line) for lineno, line, tokens in body]
     return AffineRelation(n, m, rows)
 
 
@@ -227,35 +261,16 @@ def format_system(cf: ClausalForm) -> str:
 
 
 def parse_system(text: str) -> ClausalForm:
-    lines = list(_logical_lines(text))
-    if not lines:
-        raise FormatError("empty system file", 1)
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 2 or tokens[0] != "system":
-        raise FormatError("expected header 'system <n>'", lineno)
-    n = _int(tokens[1], lineno, header, 1)
-    clauses = []
-    for lineno, body in lines[1:]:
-        if body == "end":
-            break
-        tokens = body.split()
-        if tokens[0] != "parity":
-            raise FormatError(f"expected 'parity' line, got {tokens[0]!r}", lineno)
-        if "=" not in tokens:
-            raise FormatError("parity line needs '= <bit>'", lineno)
-        eq = tokens.index("=")
-        if eq != len(tokens) - 2:
-            raise FormatError("expected a single bit after '='", lineno)
-        rhs = _int(tokens[-1], lineno, body, len(tokens) - 1)
-        support = set()
-        for i, t in enumerate(tokens[1:eq], 1):
-            j = _int(t, lineno, body, i)
-            if not 0 <= j < n:
-                raise FormatError(f"wire {j} out of range", lineno)
-            support.add(j)
-        clauses.append(Clause(frozenset(support), rhs))
-    return ClausalForm(n, tuple(clauses))
+    _, (n,), _, body = _read_header(
+        text, "system file", {"system": 1}, "header 'system <n>'"
+    )
+    return ClausalForm.from_masks(n, _system_rows(n, body))
+
+
+def _system_rows(n: int, body) -> list[int]:
+    """The rows of a system's parity lines, rhs at bit ``n``."""
+    terms = {"": (0, n, "wire")}
+    return [_parity_mask(tokens, terms, lineno, line) for lineno, line, tokens in body]
 
 
 # -- synthesis input ------------------------------------------------------------
@@ -265,74 +280,43 @@ def parse_synth_input(text: str) -> AffineRelation:
     """A relation to synthesize: a 'graph' constraint system, a 'system'
     of parity equations (meaning the restriction idempotent it cuts out),
     or an 'affine' map block with an optional input-domain system."""
-    lines = list(_logical_lines(text))
-    if not lines:
-        raise FormatError("empty synthesis input", 1)
-    head = lines[0][1].split()[0]
-    if head == "graph":
-        return parse_relation(text)
-    if head == "system":
-        cf = parse_system(text)
-        return AffineRelation.restriction_on(cf.n, cf.masks())
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 3 or tokens[0] != "affine":
-        raise FormatError(
-            "expected 'graph <n> <m>', 'system <n>', or 'affine <n> <m>' header",
-            lineno,
-        )
-    n = _int(tokens[1], lineno, header, 1)
-    m = _int(tokens[2], lineno, header, 2)
+    kind, sizes, header_line, body = _read_header(
+        text,
+        "synthesis input",
+        {"graph": 2, "system": 1, "affine": 2},
+        "'graph <n> <m>', 'system <n>', or 'affine <n> <m>' header",
+    )
+    if kind == "graph":
+        return _graph(*sizes, body)
+    if kind == "system":
+        return AffineRelation.restriction_on(sizes[0], _system_rows(sizes[0], body))
+    n, m = sizes
     rows: list[list[int]] = []
     shift = None
     dom_rows: list[int] = []
-    for lineno, body in lines[1:]:
-        if body == "end":
-            break
-        tokens = body.split()
+    terms = {"": (0, n, "input wire")}
+    for lineno, line, tokens in body:
         if tokens[0] == "row":
-            bits = [_int(t, lineno, body, i) for i, t in enumerate(tokens[1:], 1)]
+            bits = [_int(t, lineno, line, i) for i, t in enumerate(tokens[1:], 1)]
             if len(bits) != n or any(b not in (0, 1) for b in bits):
                 raise FormatError(f"expected {n} bits after 'row'", lineno)
             rows.append(bits)
         elif tokens[0] == "shift":
-            bits = [_int(t, lineno, body, i) for i, t in enumerate(tokens[1:], 1)]
+            bits = [_int(t, lineno, line, i) for i, t in enumerate(tokens[1:], 1)]
             if len(bits) != m or any(b not in (0, 1) for b in bits):
                 raise FormatError(f"expected {m} bits after 'shift'", lineno)
             shift = bits
         elif tokens[0] == "parity":
-            if "=" not in tokens:
-                raise FormatError("parity line needs '= <bit>'", lineno)
-            eq = tokens.index("=")
-            if eq != len(tokens) - 2:
-                raise FormatError("expected a single bit after '='", lineno)
-            rhs = _int(tokens[-1], lineno, body, len(tokens) - 1)
-            if rhs not in (0, 1):
-                raise FormatError("right-hand side must be 0 or 1", lineno)
-            mask = rhs << n
-            for i, t in enumerate(tokens[1:eq], 1):
-                j = _int(t, lineno, body, i)
-                if not 0 <= j < n:
-                    raise FormatError(f"input wire {j} out of range", lineno)
-                mask |= 1 << j
-            dom_rows.append(mask)
+            dom_rows.append(_parity_mask(tokens, terms, lineno, line))
         else:
             raise FormatError(f"unexpected line {tokens[0]!r}", lineno)
     if len(rows) != m:
-        raise FormatError(f"expected {m} 'row' lines, found {len(rows)}", lines[0][0])
+        raise FormatError(f"expected {m} 'row' lines, found {len(rows)}", header_line)
     if shift is None:
-        raise FormatError("missing 'shift' line", lines[0][0])
-    spec = AffineMapSpec(GF2Matrix(rows, cols=n), BitVec(shift))
-    graph = spec.graph_relation()  # inputs preserved: x -> (x, f(x))
-    if dom_rows:
-        nv = n + graph.n_out
-        lifted = [
-            (r & ((1 << n) - 1)) | (((r >> n) & 1) << nv) for r in dom_rows
-        ]
-        graph = AffineRelation(
-            n, graph.n_out, graph.constraint_masks + tuple(lifted)
-        )
-    return graph
+        raise FormatError("missing 'shift' line", header_line)
+    graph = AffineMapSpec(GF2Matrix(rows, cols=n), BitVec(shift)).graph_relation()
+    # inputs preserved, x -> (x, f(x)), on the solutions of the parity lines
+    return AffineRelation.restriction_on(n, dom_rows).compose(graph)
 
 
 # -- derivations -----------------------------------------------------------------

@@ -74,9 +74,6 @@ class BitVec:
     def __repr__(self) -> str:
         return f"BitVec([{', '.join(str(b) for b in self)}])"
 
-    def to_tuple(self) -> tuple:
-        return tuple(self)
-
 
 class GF2Matrix:
     """An immutable dense bit matrix; rows are int bitmasks (bit j = column j)."""
@@ -125,15 +122,6 @@ class GF2Matrix:
     @property
     def row_masks(self) -> tuple:
         return self._data
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(ij)
-        return (self._data[i] >> j) & 1
-
-    def row(self, i: int) -> BitVec:
-        return BitVec.from_mask(self.cols, self._data[i])
 
     def to_lists(self) -> list:
         return [[(m >> j) & 1 for j in range(self.cols)] for m in self._data]
@@ -198,38 +186,6 @@ def rref_masks(masks: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
     return [basis[p] for p in order], [p.bit_length() - 1 for p in order]
 
 
-def rref(m: GF2Matrix) -> tuple[GF2Matrix, list[int], int]:
-    """Unique reduced row echelon form of ``m``; zero rows are kept, last.
-
-    Returns (reduced matrix, pivot columns in increasing order, rank).
-    """
-    reduced, pivots = rref_masks(m.row_masks, m.cols)
-    rank = len(reduced)
-    padded = reduced + [0] * (m.rows - rank)
-    return GF2Matrix.from_masks(padded, m.cols), pivots, rank
-
-
-def solve_affine(a: GF2Matrix, b: BitVec) -> Optional[tuple[BitVec, list[BitVec]]]:
-    """Solve a*x = b over GF(2).
-
-    Returns (particular solution, nullspace basis) so that the full solution
-    set is particular + span(basis); returns None when inconsistent.
-    """
-    if a.rows != len(b):
-        raise ValueError(f"{a.rows} equations but rhs of length {len(b)}")
-    n = a.cols
-    aug = [mask | (((b.mask >> i) & 1) << n) for i, mask in enumerate(a.row_masks)]
-    reduced, pivots = rref_masks(aug, n + 1)
-    if n in pivots:
-        return None
-    # Particular solution: free variables zero, pivot variables from the rhs.
-    x = 0
-    for mask, col in zip(reduced, pivots):
-        x |= ((mask >> n) & 1) << col
-    basis = [BitVec.from_mask(n, v) for v in null_basis(reduced, pivots, n)]
-    return BitVec.from_mask(n, x), basis
-
-
 def null_basis(reduced: list[int], pivots: list[int], ncols: int) -> list[int]:
     """Basis of the solutions of the homogeneous system whose RREF is
     ``(reduced, pivots)``, as ``rref_masks`` returns it: one vector per free
@@ -261,28 +217,3 @@ def project_masks(masks: Iterable[int], nvars: int, cols: Iterable[int]) -> list
         pivot = work[src]
         work = [row ^ pivot if row & bit else row for i, row in enumerate(work) if i != src]
     return work
-
-
-def project_out(m: GF2Matrix, cols: Iterable[int]) -> GF2Matrix:
-    """Project variables out of an augmented constraint system.
-
-    ``m`` is [A | b] with the rhs in the last column; ``cols`` are coefficient
-    column indices.  The result is the constraint system on the remaining
-    variables whose solution set is the image of the original one under
-    deletion of the projected coordinates.
-    """
-    nvars = m.cols - 1
-    cols = sorted(set(cols))
-    if any(not 0 <= c < nvars for c in cols):
-        raise ValueError(f"columns {cols} out of range for {nvars} variables")
-    rows = project_masks(m.row_masks, nvars, cols)
-    keep = [j for j in range(nvars) if j not in set(cols)]
-    remapped = []
-    for row in rows:
-        new = 0
-        for newj, oldj in enumerate(keep):
-            new |= ((row >> oldj) & 1) << newj
-        new |= ((row >> nvars) & 1) << len(keep)
-        remapped.append(new)
-    remapped = [r for r in remapped if r]
-    return GF2Matrix.from_masks(remapped, len(keep) + 1)

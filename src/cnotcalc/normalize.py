@@ -60,9 +60,6 @@ class ClausalForm(Record):
     def masks(self) -> list[int]:
         return [c.mask(self.n) for c in self.clauses]
 
-    def is_canonical(self) -> bool:
-        return self == gaussian_eliminate(self)
-
 
 def _clauses_from_masks(rows: Iterable[int], n: int) -> tuple[Clause, ...]:
     out = []
@@ -150,7 +147,9 @@ def clausal_to_circuit(cf: ClausalForm) -> Circuit:
 
 
 def normalize_idempotent(c: Circuit) -> Circuit:
-    """The canonical clausal circuit semantically equal to ``c``.
+    """The canonical clausal circuit semantically equal to ``c``: the clause
+    circuits, one ``cnot`` per literal, of its reduced system.  Normalizing
+    it again gives the same gate list.
 
     Raises :class:`NotIdempotentError` (naming the failed condition) when the
     semantics of ``c`` is not a restriction idempotent.

@@ -124,6 +124,7 @@ class TestNormalizeSynth:
         code, _, err = run_cli("synth", str(p))
         assert code == 2 and "partial isomorphism" in err
 
+    @pytest.mark.parametrize("kind", ["affine", "system", "graph"])
     @pytest.mark.parametrize(
         "parity, message",
         [
@@ -131,11 +132,56 @@ class TestNormalizeSynth:
             ("parity 0 = 1 1", "expected a single bit after '='"),
         ],
     )
-    def test_synth_rejects_bad_affine_parity(self, run_cli, tmp_path, parity, message):
-        p = tmp_path / "map.affine"
-        p.write_text(f"affine 1 1\nrow 1\nshift 0\n{parity}\nend\n")
+    def test_synth_rejects_bad_affine_parity(
+        self, run_cli, tmp_path, parity, message, kind
+    ):
+        if kind == "graph":
+            parity = parity.replace("parity 0", "parity x0")
+        header = {
+            "affine": "affine 1 1\nrow 1\nshift 0",
+            "system": "system 1",
+            "graph": "graph 1 1",
+        }
+        p = tmp_path / f"bad.{kind}"
+        p.write_text(f"{header[kind]}\n{parity}\nend\n")
         code, _, err = run_cli("synth", str(p))
-        assert code == 2 and message in err
+        lineno = header[kind].count("\n") + 2
+        assert code == 2 and err.startswith(f"error: line {lineno}, column ")
+        assert err.endswith(f": {message}\n")
+
+    @pytest.mark.parametrize(
+        "text, location",
+        [
+            ("graph 1 1\nparity x0 x0 = 1\n", "line 2, column 11"),
+            ("system 2\nparity 0 1 0 = 1\n", "line 2, column 12"),
+            ("affine 1 1\nrow 1\nshift 0\nparity 0 0 = 1\nend\n", "line 4, column 10"),
+        ],
+        ids=["graph", "system", "affine"],
+    )
+    def test_synth_rejects_repeated_term(self, run_cli, tmp_path, text, location):
+        # over GF(2) a term given twice cancels, so it cannot mean one term
+        p = tmp_path / "repeat.txt"
+        p.write_text(text)
+        code, out, err = run_cli("synth", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {location}: repeated term ")
+
+    @pytest.mark.parametrize(
+        "text, location, arity",
+        [
+            ("graph -1 2\nparity x0 = 1\n", "line 1, column 7", -1),
+            ("graph 2 -1\n", "line 1, column 9", -1),
+            ("system -3\nparity 0 = 1\n", "line 1, column 8", -3),
+            ("affine -1 2\nrow\nshift 0 0\n", "line 1, column 8", -1),
+        ],
+        ids=["graph-in", "graph-out", "system", "affine"],
+    )
+    def test_synth_rejects_negative_arity(self, run_cli, tmp_path, text, location, arity):
+        p = tmp_path / "negative.txt"
+        p.write_text(text)
+        code, out, err = run_cli("synth", str(p))
+        assert code == 2 and out == ""
+        assert err == f"error: {location}: arity must be nonnegative, got {arity}\n"
 
 
 class TestVerifyReplayConstruct:

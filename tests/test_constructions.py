@@ -1,10 +1,13 @@
 """The named circuit families and their defining laws."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from cnotcalc.cli import run
 from cnotcalc.gf2 import BitVec
 from cnotcalc.relation import AffineRelation, ArityError, all_bitvecs
 from cnotcalc.circuit import (
+    Circuit,
     circuit,
     clause_circuit,
     cnot,
@@ -21,9 +24,9 @@ from cnotcalc.circuit import (
     omega_nm,
     permutation_circuit,
     plus_map,
+    post0,
     post1,
     swap,
-    swap_block,
 )
 from cnotcalc.fuzzing import random_circuit, trial_rng
 from cnotcalc import lawsuites
@@ -38,6 +41,32 @@ def delta_graph(n):
             for x in all_bitvecs(n)
         ],
     )
+
+
+def swap_chain_literal(i, n):
+    """The swap-chain literal that ``literal`` replaced: on n+1 wires, wires
+    1..i rotated so that data wire i sits next to the clause wire, an
+    adjacent cnot onto the clause wire, and the rotation undone."""
+    block = Circuit(n + 1, [swap(j - 1, j) for j in range(i, 1, -1)])
+    return block.compose(Circuit(n + 1, (cnot(1, 0),))).compose(block.dagger())
+
+
+def swap_chain_clause(support, rhs, n):
+    """``clause_circuit`` built from swap-chain literals."""
+    gates = [init0(0)]
+    for i in sorted(set(support)):
+        gates.append(swap_chain_literal(i + 1, n).gates)
+    gates.append(post1(0) if rhs else post0(0))
+    return circuit(n, *gates)
+
+
+clause_cases = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.integers(0, n - 1)) if n else st.just(set()),
+        st.integers(0, 1),
+    )
+)
 
 
 def inductive_fanout(n):
@@ -204,16 +233,6 @@ class TestHat:
 
 
 class TestSwapBlockAndLiteral:
-    def test_swap_block_zero_is_identity(self):
-        assert swap_block(0, 4) == identity_circuit(4)
-
-    def test_swap_block_rotates(self):
-        c = swap_block(3, 5)
-        for x in all_bitvecs(5):
-            got = c.eval_state(x)
-            want = [x[0], x[3], x[1], x[2], x[4]]
-            assert got == BitVec(want)
-
     def test_literal_state_map(self):
         lit = literal(1, 2)
         for w in (0, 1):
@@ -261,6 +280,21 @@ class TestClauseCircuit:
         for x in all_bitvecs(2):
             got = c.eval_state(x)
             assert got == (x if x[1] == 0 else None)
+
+    @given(clause_cases)
+    def test_same_semantics_as_swap_chain_literals(self, case):
+        n, support, rhs = case
+        c = clause_circuit(support, rhs, n)
+        assert c.semantics() == swap_chain_clause(support, rhs, n).semantics()
+        # one gate per literal, around a 4-gate init0 and a 1-gate post1 or
+        # 4-gate post0
+        assert len(c.gates) == len(support) + (5 if rhs else 8)
+
+    def test_cli_clause_is_linear_in_support(self, capsys):
+        assert run(["construct", "clause", "128", "1", *map(str, range(0, 128, 2))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "circuit clause : 128 -> 128" and lines[-1] == "end"
+        assert len(lines) - 2 <= 72
 
 
 class TestLatchable:

@@ -123,6 +123,11 @@ class TestSystemFormat:
         assert "parity = 1" in text
         assert parse_system(text) == cf
 
+    def test_bad_rhs_reports_its_own_column(self):
+        with pytest.raises(FormatError) as info:
+            parse_system("system 1\nparity 0 = 2\n")
+        assert str(info.value) == "line 2, column 12: right-hand side must be 0 or 1"
+
 
 class TestSynthInput:
     def test_graph_header_dispatches(self):

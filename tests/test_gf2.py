@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from cnotcalc.gf2 import BitVec, GF2Matrix, project_out, rref, rref_masks, solve_affine
+from cnotcalc.gf2 import BitVec, GF2Matrix, null_basis, project_masks, rref_masks
 
 
 def enumerate_row_space(m: GF2Matrix) -> set:
@@ -44,43 +44,40 @@ matrices = st.integers(1, 4).flatmap(
 class TestRref:
     def test_worked_elimination(self):
         m = GF2Matrix([[1, 0, 1], [1, 1, 0]])
-        r, pivots, rank = rref(m)
-        assert r.to_lists() == [[1, 0, 1], [0, 1, 1]]
+        reduced, pivots = rref_masks(m.row_masks, m.cols)
+        assert GF2Matrix.from_masks(reduced, 3).to_lists() == [[1, 0, 1], [0, 1, 1]]
         assert pivots == [0, 1]
-        assert rank == 2
 
     def test_identity_already_reduced(self):
         m = GF2Matrix.identity(2)
-        r, pivots, rank = rref(m)
-        assert r == m and pivots == [0, 1] and rank == 2
+        assert rref_masks(m.row_masks, m.cols) == (list(m.row_masks), [0, 1])
 
     def test_dependent_rows(self):
         m = GF2Matrix([[1, 1], [1, 1]])
-        r, pivots, rank = rref(m)
-        assert r.to_lists() == [[1, 1], [0, 0]]
-        assert pivots == [0] and rank == 1
+        reduced, pivots = rref_masks(m.row_masks, m.cols)
+        assert reduced == [0b11] and pivots == [0]
         # cross-check: the row space has exactly the 2 elements {00, 11}
         assert enumerate_row_space(m) == {0b00, 0b11}
 
     @given(matrices)
     def test_idempotent(self, m):
-        r1, _, _ = rref(m)
-        r2, _, _ = rref(r1)
-        assert r1 == r2
+        reduced, pivots = rref_masks(m.row_masks, m.cols)
+        assert rref_masks(reduced, m.cols) == (reduced, pivots)
 
     @given(matrices)
     def test_row_space_preserved(self, m):
-        r, _, _ = rref(m)
+        reduced, _ = rref_masks(m.row_masks, m.cols)
+        r = GF2Matrix.from_masks(reduced, m.cols)
         assert enumerate_row_space(m) == enumerate_row_space(r)
 
     @given(matrices)
     def test_pivot_columns_are_unit(self, m):
-        r, pivots, rank = rref(m)
-        assert rank == len(pivots)
+        reduced, pivots = rref_masks(m.row_masks, m.cols)
+        assert len(reduced) == len(pivots)
         assert pivots == sorted(pivots)
         for k, col in enumerate(pivots):
-            column = [r[i, col] for i in range(r.rows)]
-            assert column == [1 if i == k else 0 for i in range(r.rows)]
+            column = [(row >> col) & 1 for row in reduced]
+            assert column == [1 if i == k else 0 for i in range(len(reduced))]
 
 
 def rref_masks_column_scan(masks, ncols):
@@ -142,44 +139,52 @@ class TestRrefMasksAgainstColumnScan:
         assert rref_masks(sums + masks, ncols) == want
 
 
+def solve(a: GF2Matrix, b: BitVec):
+    """(particular solution, nullspace basis) of a*x = b as masks, from the
+    RREF of the augmented rows and ``null_basis``; None when inconsistent."""
+    n = a.cols
+    aug = [mask | (((b.mask >> i) & 1) << n) for i, mask in enumerate(a.row_masks)]
+    reduced, pivots = rref_masks(aug, n + 1)
+    if n in pivots:
+        return None
+    # free variables zero, pivot variables from the rhs
+    x = 0
+    for mask, col in zip(reduced, pivots):
+        x |= ((mask >> n) & 1) << col
+    return x, null_basis(reduced, pivots, n)
+
+
 class TestSolveAffine:
     def test_parity_kernel(self):
-        got = solve_affine(GF2Matrix([[1, 1]]), BitVec([0]))
-        assert got is not None
-        particular, basis = got
-        assert particular == BitVec([0, 0])
-        assert basis == [BitVec([1, 1])]
+        got = solve(GF2Matrix([[1, 1]]), BitVec([0]))
+        assert got == (0b00, [0b11])
 
     def test_identity_system(self):
-        got = solve_affine(GF2Matrix.identity(2), BitVec([1, 0]))
-        assert got == (BitVec([1, 0]), [])
+        got = solve(GF2Matrix.identity(2), BitVec([1, 0]))
+        assert got == (0b01, [])
 
     def test_inconsistent(self):
         # no x has x0+x1 equal to both 1 and 0
-        assert solve_affine(GF2Matrix([[1, 1], [1, 1]]), BitVec([1, 0])) is None
-
-    def test_rhs_length_checked(self):
-        with pytest.raises(ValueError):
-            solve_affine(GF2Matrix([[1, 1]]), BitVec([0, 1]))
+        assert solve(GF2Matrix([[1, 1], [1, 1]]), BitVec([1, 0])) is None
 
     @given(matrices, st.data())
     def test_against_enumeration(self, a, data):
         b = BitVec(data.draw(st.lists(st.integers(0, 1), min_size=a.rows, max_size=a.rows)))
         expected = solution_set(a, b)
-        got = solve_affine(a, b)
+        got = solve(a, b)
         if got is None:
             assert expected == set()
             return
         particular, basis = got
-        assert a.mul_vec(particular) == b
+        assert a.mul_vec(BitVec.from_mask(a.cols, particular)) == b
         for v in basis:
-            assert a.mul_vec(v) == BitVec.zeros(a.rows)
+            assert a.mul_vec(BitVec.from_mask(a.cols, v)) == BitVec.zeros(a.rows)
         span = set()
         for coeffs in product((0, 1), repeat=len(basis)):
-            x = particular.mask
+            x = particular
             for c, v in zip(coeffs, basis):
                 if c:
-                    x ^= v.mask
+                    x ^= v
             span.add(x)
         assert span == expected
 
@@ -202,22 +207,15 @@ class TestProjectOut:
     def test_chain_constraint(self):
         # {x+y=0, y+z=1} without y leaves {x+z=1}
         m = GF2Matrix([[1, 1, 0, 0], [0, 1, 1, 1]])
-        got = project_out(m, [1])
-        assert got.to_lists() == [[1, 1, 1]]
+        assert project_masks(m.row_masks, 3, [1]) == [0b1101]
 
     def test_pinned_variable_vanishes(self):
         m = GF2Matrix([[1, 1]])  # x = 1
-        got = project_out(m, [0])
-        assert got.rows == 0 and got.cols == 1
+        assert project_masks(m.row_masks, 1, [0]) == []
 
     def test_inconsistent_stays_inconsistent(self):
         m = GF2Matrix([[0, 0, 1]])  # 0 = 1 over two variables
-        got = project_out(m, [0])
-        assert got.to_lists() == [[0, 1]]
-
-    def test_rejects_rhs_column(self):
-        with pytest.raises(ValueError):
-            project_out(GF2Matrix([[1, 1]]), [1])
+        assert project_masks(m.row_masks, 2, [0]) == [0b100]
 
     @given(
         st.integers(2, 6).flatmap(
@@ -233,14 +231,19 @@ class TestProjectOut:
     )
     def test_against_enumeration(self, case):
         m, cols = case
-        got = project_out(m, cols)
-        nkeep = got.cols - 1
-        want = self.project_by_enumeration(m, cols)
+        nvars = m.cols - 1
+        got = project_masks(m.row_masks, nvars, cols)
+        assert all(r & (1 << j) == 0 for r in got for j in cols)
+        # the remaining system, on the kept columns and the rhs
+        keep = [j for j in range(nvars) if j not in cols]
         have = solution_set(
-            GF2Matrix.from_masks([r & ((1 << nkeep) - 1) for r in got.row_masks], nkeep),
-            BitVec([(r >> nkeep) & 1 for r in got.row_masks]),
+            GF2Matrix.from_masks(
+                [sum(((r >> j) & 1) << i for i, j in enumerate(keep)) for r in got],
+                len(keep),
+            ),
+            BitVec([(r >> nvars) & 1 for r in got]),
         )
-        assert have == want
+        assert have == self.project_by_enumeration(m, cols)
 
 
 class TestBitVec:

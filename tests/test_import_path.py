@@ -1,6 +1,7 @@
 """Every CLI command is a fresh process, so what ``import cnotcalc.cli``
 pulls in is paid on every command: keep ``dataclasses`` (and through it
-``inspect``) and ``json`` (needed only by ``--json``) off that path."""
+``inspect``) and ``json`` (needed only by ``--json``) off that path.  And
+the package's public names all exist."""
 
 import os
 import subprocess
@@ -26,3 +27,14 @@ def test_cli_import_adds_neither_dataclasses_nor_json():
     ).stdout.split()
     assert "cnotcalc.cli" in out
     assert [m for m in ("dataclasses", "inspect", "json") if m in out] == []
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in cnotcalc.__all__ if not hasattr(cnotcalc, name)]
+    assert missing == []
+
+
+def test_deleted_wrappers_are_not_public():
+    gone = {"rref", "solve_affine", "project_out", "swap_block"}
+    assert gone & set(cnotcalc.__all__) == set()
+    assert [name for name in gone if hasattr(cnotcalc, name)] == []

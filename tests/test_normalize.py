@@ -202,6 +202,20 @@ class TestNormalizeIdempotent:
         b = clause_circuit([1, 0], 1, 2).compose(clause_circuit([0, 1], 1, 2))
         assert normalize_idempotent(a) == normalize_idempotent(b)
 
+    def test_output_normalizes_to_itself(self):
+        # the canonical circuit is a fixed point, gate for gate
+        for i in range(30):
+            rng = trial_rng(85, i)
+            n = rng.randrange(1, 8)
+            rows = [
+                ({j for j in range(n) if rng.random() < 0.5}, rng.randrange(2))
+                for _ in range(rng.randrange(4))
+            ]
+            normal = clausal_to_circuit(
+                idempotent_to_clausal(restriction_to_subspace(n, rows))
+            )
+            assert normalize_idempotent(normal) == normal
+
     def test_diagnostic_on_non_idempotent(self):
         with pytest.raises(NotIdempotentError):
             normalize_idempotent(circuit(2, cnot(0, 1)))
