@@ -2,13 +2,16 @@
 
 Exit codes: 0 for success or a true answer, 1 for a false answer or a failed
 check, 2 for input errors, 3 for an internal error (a bug: one line on
-stderr, no traceback).  ``--json`` prints a stable JSON mirror of the report
-instead of plain text.
+stderr, no traceback), and 141 (128 + SIGPIPE, the status a shell shows
+for a process that SIGPIPE ended), with nothing on stderr, when the reader
+closes stdout before all of the output is written, as ``| head`` may.
+``--json`` prints a stable JSON mirror of the report instead of plain text.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import formats
@@ -30,7 +33,7 @@ from .fuzzing import fuzz
 from .synth import NotPartialIsoError, synth
 from . import lawsuites
 
-OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
+OK, FAIL, USAGE, INTERNAL, BROKEN_PIPE = 0, 1, 2, 3, 141
 
 
 class CliInputError(Exception):
@@ -188,10 +191,9 @@ def _build_construct(name: str, params: list[str]):
             raise CliInputError(f"construct {name} takes {k} argument(s)")
 
     def num(i):
-        try:
-            return int(params[i], 10)
-        except ValueError:
-            raise CliInputError(f"expected an integer, got {params[i]!r}") from None
+        if not formats.INTEGER.fullmatch(params[i]):
+            raise CliInputError(f"expected an integer, got {params[i]!r}")
+        return int(params[i])
 
     if name == "fanout":
         arity(1)
@@ -276,13 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return USAGE if e.code not in (0, None) else OK
-    try:
-        return args.fn(args)
+        code = _dispatch(argv)
+        sys.stdout.flush()  # so a closed stdout shows here, not at shutdown
+    except BrokenPipeError:
+        # The reader has gone, as with ``| head``.  Point stdout at the null
+        # device so that the flush at shutdown does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (CliInputError, formats.FormatError, ArityError, CircuitError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
@@ -290,6 +293,15 @@ def run(argv) -> int:
         message = " ".join(str(e).splitlines())
         print(f"error: internal error: {type(e).__name__}: {message}", file=sys.stderr)
         return INTERNAL
+    return code
+
+
+def _dispatch(argv) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        return USAGE if e.code not in (0, None) else OK
+    return args.fn(args)
 
 
 def main() -> None:

@@ -34,15 +34,31 @@ def _logical_lines(text: str):
             yield i, body
 
 
+# A decimal integer as the formats write it.  ``int()`` alone would also
+# take a ``+`` sign, ``_`` separators and non-ASCII digits.
+INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _int(token: str, line: int, body: str, index: int) -> int:
-    """``int(token)``, where ``token`` is token ``index`` of ``body``.  Its
-    column is worked out only for the error."""
-    try:
+    """``int(token)``, where ``token`` is token ``index`` of ``body`` and
+    must match ``INTEGER``.  Its column is worked out only for the error."""
+    if INTEGER.fullmatch(token):
         return int(token)
-    except ValueError:
-        raise FormatError(
-            f"expected an integer, got {token!r}", line, _column_of(body, index)
-        ) from None
+    raise FormatError(
+        f"expected an integer, got {token!r}", line, _column_of(body, index)
+    )
+
+
+def _arities(tokens: list[str], positions, line: int, header: str) -> list[int]:
+    """The header's arities, at token ``positions``: integers first, then
+    each checked to be nonnegative."""
+    sizes = [_int(tokens[i], line, header, i) for i in positions]
+    for i, k in zip(positions, sizes):
+        if k < 0:
+            raise FormatError(
+                f"arity must be nonnegative, got {k}", line, _column_of(header, i)
+            )
+    return sizes
 
 
 def _column_of(body: str, token_index: int) -> int:
@@ -102,8 +118,7 @@ def parse_circuit(
             "expected header 'circuit <name> : <n_in> -> <n_out>'", lineno
         )
     name = tokens[1]
-    n_in = _int(tokens[3], lineno, header, 3)
-    n_out = _int(tokens[5], lineno, header, 5)
+    n_in, n_out = _arities(tokens, (3, 5), lineno, header)
     try:
         stop = bodies.index("end", start + 1)
     except ValueError:
@@ -127,6 +142,9 @@ def parse_circuit(
         try:
             args = list(map(int, tokens[1:]))
         except ValueError:
+            args = None
+        # On ASCII text with no '+' or '_', int() reads exactly INTEGER.
+        if args is None or not body.isascii() or "+" in body or "_" in body:
             lineno = bodies.index(body, start + 1) + 1
             args = [_int(t, lineno, body, i) for i, t in enumerate(tokens[1:], 1)]
         built = builder(*args)
@@ -167,12 +185,7 @@ def _read_header(text: str, what: str, arities: dict[str, int], usage: str):
     count = arities.get(tokens[0])
     if count is None or len(tokens) != 1 + count:
         raise FormatError(f"expected {usage}", lineno)
-    sizes = [_int(t, lineno, header, i) for i, t in enumerate(tokens[1:], 1)]
-    for i, k in enumerate(sizes, 1):
-        if k < 0:
-            raise FormatError(
-                f"arity must be nonnegative, got {k}", lineno, _column_of(header, i)
-            )
+    sizes = _arities(tokens, range(1, 1 + count), lineno, header)
     body = []
     for i, line in lines:
         if line == "end":

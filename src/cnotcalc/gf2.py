@@ -164,10 +164,18 @@ def rref_masks(masks: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
     every pivot it touches, and whatever remains is a new basis row whose
     pivot bit is then cleared from the older rows.  A dependent row costs one
     XOR per pivot it touches, not a pass over every row.
+
+    ``seen`` is the OR of the rows added to the basis so far.  Each basis
+    row is the row added under its pivot XORed with rows added after it, so
+    it holds no bit outside ``seen``.  When the new pivot is not in
+    ``seen``, no older row holds it and the clearing pass is skipped.  That
+    is the common case in ``Circuit.semantics``, where each output row
+    carries its own ``y`` bit.
     """
     full = (1 << ncols) - 1
     basis: dict[int, int] = {}  # pivot bit -> reduced row
     pivmask = 0
+    seen = 0
     for r in masks:
         hit = r & pivmask
         while hit:
@@ -177,9 +185,11 @@ def rref_masks(masks: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
         if not r & full:
             continue
         low = r & -r
-        for p, row in basis.items():
-            if row & low:
-                basis[p] = row ^ r
+        if seen & low:
+            for p, row in basis.items():
+                if row & low:
+                    basis[p] = row ^ r
+        seen |= r
         basis[low] = r
         pivmask |= low
     order = sorted(basis)

@@ -1,10 +1,12 @@
 """Circuit IR: validation, structure, evaluation, and the semantics functor."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cnotcalc.gf2 import BitVec
-from cnotcalc.relation import AffineRelation, ArityError, all_bitvecs
+from cnotcalc.relation import ENUMERATION_LIMIT, AffineRelation, ArityError, all_bitvecs
 from cnotcalc.circuit import (
     Circuit,
     CircuitError,
@@ -17,6 +19,7 @@ from cnotcalc.circuit import (
     init1,
     notg,
     omega,
+    post0,
     post1,
     swap,
 )
@@ -199,6 +202,70 @@ class TestSemanticsAgainstGateFold:
 
         for c in [fanout(2), omega_nm(2, 1), plus_map(1), clause_circuit([0, 1], 1, 2)]:
             assert c.semantics() == fold_semantics(c)
+
+
+def steered_circuit(rng, n, ngates, post_rate, empty=False):
+    """(circuit, witness): a circuit on n input wires whose post-selections
+    keep a random witness input in its domain, since each one selects the
+    value the witness gives that wire (``post1`` or the ``post0``
+    expansion).  With ``empty``, a wire is then copied onto an ancilla and
+    the two are post-selected on opposite values, so no input is left in
+    the domain."""
+    witness = [rng.randrange(2) for _ in range(n)]
+    vals = list(witness)
+    gates = []
+    while len(gates) < ngates:
+        width = len(vals)
+        r = rng.random()
+        if r < post_rate and width > n // 2:
+            p = rng.randrange(width)
+            gates.extend(post0(p) if vals.pop(p) == 0 else (post1(p),))
+        elif r < 2 * post_rate and width < n + 8:
+            p = rng.randrange(width + 1)
+            vals.insert(p, rng.randrange(2))
+            gates.extend(init0(p) if vals[p] == 0 else (init1(p),))
+        else:
+            a, b = rng.sample(range(width), 2)
+            if rng.random() < 0.2:
+                gates.append(swap(a, b))
+                vals[a], vals[b] = vals[b], vals[a]
+            else:
+                gates.append(cnot(a, b))
+                vals[b] ^= vals[a]
+    if empty:
+        p = rng.randrange(len(vals))
+        v = vals[p]
+        gates += [*init0(0), cnot(p + 1, 0)]  # wire 0 now holds a copy of v
+        gates += post0(0) if v == 0 else (post1(0),)
+        gates += (post1(p),) if v == 0 else post0(p)
+    return Circuit(n, gates), BitVec(witness)
+
+
+class TestSemanticsPastEnumeration:
+    """Symbolic execution against the gate fold, at widths above
+    ENUMERATION_LIMIT where no relation can be checked point by point."""
+
+    @pytest.mark.parametrize(
+        "n, ngates, seed, empty",
+        [
+            (64, 240, 1, False),
+            (64, 160, 2, True),
+            (128, 80, 3, False),
+            (256, 32, 4, False),
+            (256, 32, 5, True),
+        ],
+    )
+    def test_matches_per_gate_composition(self, n, ngates, seed, empty):
+        c, witness = steered_circuit(random.Random(seed), n, ngates, 0.3, empty)
+        assert c.n_in > ENUMERATION_LIMIT
+        rel = c.semantics()
+        assert rel == fold_semantics(c)
+        if empty:
+            assert rel.is_empty()
+        else:
+            assert rel.domain_masks() != ()  # partial, not total
+            y = c.eval_state(witness)
+            assert y is not None and rel.apply(witness) == y
 
 
 class TestEqualCirc:

@@ -1,12 +1,19 @@
 """End-to-end CLI behaviour: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cnotcalc
 from cnotcalc.cli import run
 from cnotcalc.circuit import circuit, cnot, init0, swap
 from cnotcalc.formats import format_circuit
+
+SRC = Path(cnotcalc.__file__).parent.parent
 
 
 @pytest.fixture
@@ -80,6 +87,13 @@ class TestEqual:
         b.write_text(format_circuit(circuit(2, cnot(1, 0)), "b"))
         code, out, _ = run_cli("equal", str(a), str(b))
         assert code == 1 and out.strip() == "unequal"
+
+    def test_negative_header_arity_has_a_location(self, run_cli, tmp_path):
+        p = tmp_path / "neg.cnot"
+        p.write_text("circuit x : -1 -> 0\ncnot 0 1\nend\n")
+        code, out, err = run_cli("semantics", str(p))
+        assert code == 2 and out == ""
+        assert err == "error: line 1, column 13: arity must be nonnegative, got -1\n"
 
     def test_error_in_second_file_names_its_own_line(self, run_cli, tmp_path):
         # the second file repeats the first file's lines at other line numbers
@@ -224,6 +238,15 @@ class TestVerifyReplayConstruct:
         assert err == "error: expected an integer, got 'x'\n"
 
     @pytest.mark.parametrize(
+        "params", [["fanout", "1_0"], ["plus", "+3"], ["fanin", "٣"], ["fanout", " 3"],
+                   ["clause", "4", "1", "0_1"]]
+    )
+    def test_construct_rejects_loose_integers(self, run_cli, params):
+        code, out, err = run_cli("construct", *params)
+        assert code == 2 and out == ""
+        assert err == f"error: expected an integer, got {params[-1]!r}\n"
+
+    @pytest.mark.parametrize(
         "name,header,gates",
         [
             ("fanout", "1200 -> 2400", 5 * 1200),
@@ -321,3 +344,29 @@ class TestInternalError:
     def test_input_errors_still_exit_2(self, run_cli):
         code, _, err = run_cli("construct", "fanout", "x")
         assert code == 2 and err.startswith("error: expected an integer")
+
+
+class TestClosedStdout:
+    """A reader that stops early, as ``| head`` does, is not an error of
+    cnotcalc: exit 141 (128 + SIGPIPE) and nothing on stderr."""
+
+    def spawn(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.Popen(
+            [sys.executable, "-m", "cnotcalc.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+
+    def test_closed_while_writing(self):
+        # about 200 kB of gates, more than a pipe holds
+        proc = self.spawn("construct", "fanout", "3000")
+        assert proc.stdout.readline() == b"circuit fanout : 3000 -> 6000\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141 and err == b""
+
+    def test_closed_before_the_final_flush(self):
+        proc = self.spawn("construct", "omega")
+        proc.stdout.close()  # long before the interpreter has started
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141 and err == b""

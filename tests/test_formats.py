@@ -10,6 +10,7 @@ from cnotcalc.normalize import Clause, ClausalForm
 from cnotcalc.relation import AffineRelation
 from cnotcalc.formats import (
     FormatError,
+    _column_of,
     _int,
     format_circuit,
     format_relation,
@@ -175,6 +176,64 @@ class TestDerivationFormat:
             parse_derivation("CNT2 0 up\n")
 
 
+class TestStrictIntegers:
+    """Every integer is ``-?[0-9]+``.  ``int()`` would also read a ``+``
+    sign, ``_`` separators and non-ASCII digits."""
+
+    @pytest.mark.parametrize(
+        "parse, text, where, token",
+        [
+            (parse_circuit, "circuit x : 2 -> 2\ncnot 1_0 +0\nend\n", "line 2, column 6", "1_0"),
+            (parse_circuit, "circuit x : 2 -> 2\ncnot 0 +1\nend\n", "line 2, column 8", "+1"),
+            (parse_circuit, "circuit x : 2 -> 2\ncnot ١ 0\nend\n", "line 2, column 6", "١"),
+            (parse_circuit, "circuit x : +2 -> 2\nend\n", "line 1, column 13", "+2"),
+            (parse_relation, "graph 2 1\nparity x+1 y0 = 0\n", "line 2, column 8", "+1"),
+            (parse_relation, "graph 1 1\nparity x0 y0 = +1\n", "line 2, column 16", "+1"),
+            (parse_relation, "graph 1_0 1\n", "line 1, column 7", "1_0"),
+            (parse_system, "system 2\nparity ١ = 1\n", "line 2, column 8", "١"),
+            (parse_synth_input, "affine 1 1\nrow +1\nshift 0\nend\n", "line 2, column 5", "+1"),
+            (parse_synth_input, "affine 1 1\nrow 1\nshift 0_0\nend\n", "line 3, column 7", "0_0"),
+            (parse_derivation, "CNT2 +0 lr\n", "line 1, column 6", "+0"),
+        ],
+        ids=[
+            "circuit-underscore", "circuit-plus", "circuit-arabic-digit", "circuit-header",
+            "graph-term", "graph-rhs", "graph-header", "system", "affine-row",
+            "affine-shift", "derivation",
+        ],
+    )
+    def test_rejected_with_its_location(self, parse, text, where, token):
+        with pytest.raises(FormatError) as info:
+            parse(text)
+        assert str(info.value) == f"{where}: expected an integer, got {token!r}"
+
+    def test_minus_sign_still_read(self):
+        assert parse_derivation("CNT2 -1 lr\n") == [("CNT2", -1, "lr")]
+
+    def test_shared_memo_keeps_checking(self):
+        # a line that failed is not memoized, so a second file fails on it too
+        memo = {}
+        for text in ["circuit a : 2 -> 2\ncnot 1 0\ncnot +1 0\nend\n",
+                     "circuit b : 2 -> 2\ncnot +1 0\nend\n"]:
+            with pytest.raises(FormatError, match="got '\\+1'"):
+                parse_circuit(text, memo)
+
+
+class TestCircuitHeaderArity:
+    @pytest.mark.parametrize(
+        "text, where, arity",
+        [
+            ("circuit x : -1 -> 0\nfoo\nend\n", "line 1, column 13", -1),
+            ("circuit x : 0 -> -2\nend\n", "line 1, column 18", -2),
+            ("\n# c\ncircuit x : -3 -> -3\n", "line 3, column 13", -3),
+        ],
+    )
+    def test_negative_arity_fails_at_the_header(self, text, where, arity):
+        # before any gate line is read: 'foo' and a missing 'end' go unreported
+        with pytest.raises(FormatError) as info:
+            parse_circuit(text)
+        assert str(info.value) == f"{where}: arity must be nonnegative, got {arity}"
+
+
 # -- the bulk circuit parser versus the line-by-line one it replaced ----------
 
 _OLD_ARITY = {"cnot": 2, "swap": 2, "init1": 1, "post1": 1, "init0": 1, "post0": 1, "not": 1}
@@ -200,6 +259,11 @@ def old_parse_circuit(text):
     name = tokens[1]
     n_in = _int(tokens[3], lineno, header, 3)
     n_out = _int(tokens[5], lineno, header, 5)
+    for k, i in ((n_in, 3), (n_out, 5)):  # checked before any gate line
+        if k < 0:
+            raise FormatError(
+                f"arity must be nonnegative, got {k}", lineno, _column_of(header, i)
+            )
     gates = []
     terminated = False
     for lineno, body in lines[1:]:
@@ -242,10 +306,12 @@ _WIDTH_CHANGE = {"cnot": 0, "swap": 0, "not": 0, "init1": 1, "init0": 1, "post1"
 _BAD_LINES = [
     "foo 1", "CNOT 0 1", "circuit x : 1 -> 1", "cnot 0", "not", "swap 0 1 2",
     "cnot 0 x", "init1 -", "post0 1.0", "cnot\t1\t1_0x", "init0 ++1", "end now",
+    "cnot 1_0 +0", "swap \u0661 0", "init1 +0", "post1 0_0",
 ]
 _BAD_HEADERS = [
     "circuit x : 2 > 2", "circuit x 2 -> 2", "circuit x : a -> 1", "circuit x : 1 -> b",
     "graph 1 1", "end", "circuit x : -1 -> 0", "circuit : 1 -> 1",
+    "circuit x : 1 -> -1", "circuit x : +1 -> 1", "circuit x : 1_0 -> 10",
 ]
 
 

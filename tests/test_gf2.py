@@ -1,9 +1,10 @@
 """GF(2) linear algebra: worked examples plus brute-force cross-checks."""
 
+import random
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cnotcalc.gf2 import BitVec, GF2Matrix, null_basis, project_masks, rref_masks
 
@@ -137,6 +138,56 @@ class TestRrefMasksAgainstColumnScan:
             sums.append(acc)
         assert rref_masks(masks + sums, ncols) == want
         assert rref_masks(sums + masks, ncols) == want
+
+
+@st.composite
+def semantics_shaped(draw):
+    """(ncols, rows) shaped like the system ``Circuit.semantics`` builds.
+
+    Some columns are "x" columns and the others "fresh" ones.  There are
+    x-only rows, sparse or dense (the post-selections); one row per fresh
+    column that carries that column and an x-part (the outputs, each with
+    its own y bit); and later rows that hit fresh columns.  The fresh
+    columns sit anywhere, and the rows come in one of several orders.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))  # one draw: rows take thousands
+    ncols = draw(st.integers(1, 600))
+    fresh = rng.sample(range(ncols), draw(st.integers(0, ncols)))
+    xcols = sorted(set(range(ncols)) - set(fresh))
+
+    def pick(cols, dense):
+        if dense:
+            return sum(1 << c for c in cols if rng.random() < 0.5)
+        return sum(1 << c for c in rng.sample(cols, min(len(cols), rng.randrange(1, 4))))
+
+    ndomain = draw(st.integers(0, min(len(xcols), 300))) if xcols else 0
+    nlater = draw(st.integers(0, 30)) if fresh else 0
+    domain = [pick(xcols, rng.random() < 0.3) for _ in range(ndomain)]
+    outputs = [(1 << f) | (pick(xcols, rng.random() < 0.3) if xcols else 0) for f in fresh]
+    later = [
+        pick(fresh, rng.random() < 0.2) | (pick(xcols, False) if xcols and rng.random() < 0.5 else 0)
+        for _ in range(nlater)
+    ]
+    order = draw(st.sampled_from(["domain first", "outputs first", "shuffled"]))
+    if order == "domain first":
+        rows = domain + outputs + later
+    elif order == "outputs first":
+        rows = outputs + domain + later
+    else:
+        rows = domain + outputs + later
+        rng.shuffle(rows)
+    return ncols, rows
+
+
+class TestRrefMasksOnSemanticsShapedRows:
+    """The skip of the clearing pass for a pivot no earlier row holds must
+    leave the unique RREF: checked where the skip is taken most."""
+
+    @settings(deadline=None)
+    @given(semantics_shaped())
+    def test_identical_rows_and_pivots(self, system):
+        ncols, rows = system
+        assert rref_masks(rows, ncols) == rref_masks_column_scan(rows, ncols)
 
 
 def solve(a: GF2Matrix, b: BitVec):
