@@ -27,7 +27,7 @@ from .circuit import (
 )
 from .gf2 import BitVec
 from .normalize import NotIdempotentError, idempotent_to_clausal, clausal_to_circuit
-from .relation import ArityError
+from .relation import ENUMERATION_LIMIT, ArityError
 from .rewrite import Derivation, replay, verify_all
 from .fuzzing import fuzz
 from .synth import NotPartialIsoError, synth
@@ -50,6 +50,13 @@ def _read(path: str) -> str:
 
 def _load_circuit(path: str, memo=None):
     return formats.parse_circuit(_read(path), memo)
+
+
+def _integer(token: str) -> int:
+    """A number argument, written as integers in files are."""
+    if not formats.INTEGER.fullmatch(token):
+        raise CliInputError(f"expected an integer, got {token!r}")
+    return int(token)
 
 
 def _parse_bits(text: str) -> BitVec:
@@ -155,15 +162,20 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    for option in ("trials", "wires", "depth"):
-        value = getattr(args, option)
+    wires, depth, seed, trials = (
+        _integer(token) for token in (args.wires, args.depth, args.seed, args.trials)
+    )
+    for option, value in (("trials", trials), ("wires", wires), ("depth", depth)):
         if value < 0:
             raise CliInputError(f"--{option} must be nonnegative, got {value}")
-    ran, failure = fuzz(args.wires, args.depth, args.seed, args.trials)
+    # the oracle trial runs every input of up to --wires wires
+    if wires > ENUMERATION_LIMIT:
+        raise CliInputError(f"--wires must be at most {ENUMERATION_LIMIT}, got {wires}")
+    ran, failure = fuzz(wires, depth, seed, trials)
     if failure is None:
-        text = f"{ran} trials passed (wires<={args.wires} depth={args.depth} seed={args.seed})"
+        text = f"{ran} trials passed (wires<={wires} depth={depth} seed={seed})"
         _emit(
-            {"command": "fuzz", "ok": True, "trials": ran, "seed": args.seed},
+            {"command": "fuzz", "ok": True, "trials": ran, "seed": seed},
             args.json,
             text,
         )
@@ -191,9 +203,7 @@ def _build_construct(name: str, params: list[str]):
             raise CliInputError(f"construct {name} takes {k} argument(s)")
 
     def num(i):
-        if not formats.INTEGER.fullmatch(params[i]):
-            raise CliInputError(f"expected an integer, got {params[i]!r}")
-        return int(params[i])
+        return _integer(params[i])
 
     if name == "fanout":
         arity(1)
@@ -265,10 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("derivation")
 
     sp = add("fuzz", _cmd_fuzz, "random-circuit oracle and round-trip checks")
-    sp.add_argument("--wires", type=int, default=5)
-    sp.add_argument("--depth", type=int, default=30)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--wires", default="5", help=f"at most {ENUMERATION_LIMIT}")
+    sp.add_argument("--depth", default="30")
+    sp.add_argument("--seed", default="0")
+    sp.add_argument("--trials", default="1000")
 
     sp = add("construct", _cmd_construct, "print a built-in circuit")
     sp.add_argument("name", choices=["fanout", "fanin", "omega", "plus", "hat", "clause"])

@@ -12,11 +12,9 @@ import re
 from itertools import chain
 from typing import Optional
 
-from .gf2 import BitVec, GF2Matrix
 from .circuit import Circuit, Gate, cnot, init0, init1, notg, post0, post1, swap
 from .normalize import ClausalForm
 from .relation import AffineRelation
-from .synth import AffineMapSpec
 
 
 class FormatError(ValueError):
@@ -304,32 +302,44 @@ def parse_synth_input(text: str) -> AffineRelation:
     if kind == "system":
         return AffineRelation.restriction_on(sizes[0], _system_rows(sizes[0], body))
     n, m = sizes
-    rows: list[list[int]] = []
+    # x -> (x, T x + s) on the solutions of the parity lines, as one system
+    # over x, the copy of x, T x + s and the right-hand side at bit 2n + m.
+    rhs = 2 * n + m
+    rows: list[int] = []
+    map_rows: list[int] = []
     shift = None
-    dom_rows: list[int] = []
     terms = {"": (0, n, "input wire")}
     for lineno, line, tokens in body:
         if tokens[0] == "row":
-            bits = [_int(t, lineno, line, i) for i, t in enumerate(tokens[1:], 1)]
-            if len(bits) != n or any(b not in (0, 1) for b in bits):
-                raise FormatError(f"expected {n} bits after 'row'", lineno)
-            rows.append(bits)
+            map_rows.append(_bits_mask(tokens, n, lineno, line))
         elif tokens[0] == "shift":
-            bits = [_int(t, lineno, line, i) for i, t in enumerate(tokens[1:], 1)]
-            if len(bits) != m or any(b not in (0, 1) for b in bits):
-                raise FormatError(f"expected {m} bits after 'shift'", lineno)
+            bits = _bits_mask(tokens, m, lineno, line)
+            if shift is not None:
+                raise FormatError("repeated 'shift' line", lineno)
             shift = bits
         elif tokens[0] == "parity":
-            dom_rows.append(_parity_mask(tokens, terms, lineno, line))
+            r = _parity_mask(tokens, terms, lineno, line)
+            rows.append((r & ((1 << n) - 1)) | (r >> n) << rhs)
         else:
             raise FormatError(f"unexpected line {tokens[0]!r}", lineno)
-    if len(rows) != m:
-        raise FormatError(f"expected {m} 'row' lines, found {len(rows)}", header_line)
+    if len(map_rows) != m:
+        raise FormatError(f"expected {m} 'row' lines, found {len(map_rows)}", header_line)
     if shift is None:
         raise FormatError("missing 'shift' line", header_line)
-    graph = AffineMapSpec(GF2Matrix(rows, cols=n), BitVec(shift)).graph_relation()
-    # inputs preserved, x -> (x, f(x)), on the solutions of the parity lines
-    return AffineRelation.restriction_on(n, dom_rows).compose(graph)
+    rows += [(1 << j) | (1 << (n + j)) for j in range(n)]
+    rows += [
+        a | 1 << (2 * n + i) | ((shift >> i) & 1) << rhs for i, a in enumerate(map_rows)
+    ]
+    return AffineRelation(n, n + m, rows)
+
+
+def _bits_mask(tokens: list[str], count: int, lineno: int, line: str) -> int:
+    """The ``count`` bits after the keyword of a ``row`` or ``shift`` line,
+    the first one lowest."""
+    bits = [_int(t, lineno, line, i) for i, t in enumerate(tokens[1:], 1)]
+    if len(bits) != count or any(b not in (0, 1) for b in bits):
+        raise FormatError(f"expected {count} bits after {tokens[0]!r}", lineno)
+    return sum(b << i for i, b in enumerate(bits))
 
 
 # -- derivations -----------------------------------------------------------------

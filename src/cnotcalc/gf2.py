@@ -213,17 +213,16 @@ def null_basis(reduced: list[int], pivots: list[int], ncols: int) -> list[int]:
     return out
 
 
-def project_masks(masks: Iterable[int], nvars: int, cols: Iterable[int]) -> list[int]:
-    """Existentially eliminate the given variable columns from an augmented
-    system (bit ``nvars`` is the right-hand side).  Returned rows still use
-    the original column numbering; eliminated columns are guaranteed clear.
+def project_masks(masks: Iterable[int], k: int, ncols: int) -> list[int]:
+    """Existentially eliminate the variables of columns ``0 .. k-1`` from an
+    augmented system whose rows lie below ``ncols`` (the right-hand side is
+    its highest column).
+
+    A row of the RREF whose pivot is below ``k`` fixes that eliminated
+    variable from the others, so it constrains nothing that remains; the
+    rows with pivot ``>= k`` have no bit below ``k`` and span the
+    projection.  Returns those rows shifted down by ``k``: the projection,
+    in RREF.
     """
-    work = list(masks)
-    for col in sorted(set(cols)):
-        bit = 1 << col
-        src = next((i for i in range(len(work)) if work[i] & bit), None)
-        if src is None:
-            continue
-        pivot = work[src]
-        work = [row ^ pivot if row & bit else row for i, row in enumerate(work) if i != src]
-    return work
+    rows, pivots = rref_masks(masks, ncols)
+    return [r >> k for r, p in zip(rows, pivots) if p >= k]

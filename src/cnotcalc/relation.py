@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .gf2 import BitVec, GF2Matrix, null_basis, project_masks, rref_masks
+from .gf2 import BitVec, null_basis, project_masks, rref_masks
 
 ENUMERATION_LIMIT = 20
 
@@ -52,19 +52,6 @@ class AffineRelation:
     @classmethod
     def empty(cls, n_in: int, n_out: int) -> "AffineRelation":
         return cls(n_in, n_out, [1 << (n_in + n_out)])
-
-    @classmethod
-    def total_affine(cls, linear: GF2Matrix, shift: BitVec) -> "AffineRelation":
-        """Graph {(x, linear*x + shift)} of a total affine map."""
-        m, n = linear.rows, linear.cols
-        if len(shift) != m:
-            raise ArityError(f"shift length {len(shift)} != {m} output rows")
-        rows = []
-        for i in range(m):
-            rows.append(
-                linear.row_masks[i] | (1 << (n + i)) | (shift[i] << (n + m))
-            )
-        return cls(n, m, rows)
 
     @classmethod
     def permutation(cls, perm: list[int]) -> "AffineRelation":
@@ -107,11 +94,6 @@ class AffineRelation:
     # -- structure ---------------------------------------------------------
 
     @property
-    def constraints(self) -> GF2Matrix:
-        """The canonical augmented system, rhs in the last column."""
-        return GF2Matrix.from_masks(self._rows, self.n_in + self.n_out + 1)
-
-    @property
     def constraint_masks(self) -> tuple[int, ...]:
         return self._rows
 
@@ -136,7 +118,15 @@ class AffineRelation:
     #
     # Each operation moves whole blocks of a row's bits (input, output,
     # rhs) with masks and shifts.  Rows of a relation have no bit above
-    # their rhs, and projected columns come back clear.
+    # their rhs.  ``compose`` and ``domain_masks`` put the block they
+    # eliminate lowest, where ``project_masks`` removes it.
+
+    def _outputs_first(self, rhs: int) -> list[int]:
+        """The rows with the outputs at bits ``0 .. n_out-1``, the inputs
+        above them and the right-hand side at bit ``rhs``."""
+        n, m = self.n_in, self.n_out
+        x, y = (1 << n) - 1, (1 << m) - 1
+        return [(r >> n) & y | (r & x) << m | (r >> (n + m)) << rhs for r in self._rows]
 
     def compose(self, other: "AffineRelation") -> "AffineRelation":
         """Relational composite: {(x,z) : exists y. (x,y) in self, (y,z) in other}."""
@@ -146,15 +136,11 @@ class AffineRelation:
             )
         n, m, p = self.n_in, self.n_out, other.n_out
         nv = n + m + p
-        # Variable layout: x at 0.., y at n.., z at n+m.., rhs at nv.
-        xy, yz = (1 << (n + m)) - 1, (1 << (m + p)) - 1
-        rows = [(r & xy) | (r >> (n + m)) << nv for r in self._rows]
-        rows += [(r & yz) << n | (r >> (m + p)) << nv for r in other._rows]
-        rows = project_masks(rows, nv, range(n, n + m))
-        # y is clear; move z and the rhs down next to x.
-        x = (1 << n) - 1
-        rows = [(r & x) | (r >> (n + m)) << n for r in rows]
-        return AffineRelation(n, p, rows)
+        # Variable layout: y at 0.., x at m.., z at m+n.., rhs at nv, so that
+        # projecting y out leaves x, z and the rhs where the composite has them.
+        rows = self._outputs_first(nv)
+        rows += [(r & ((1 << m) - 1)) | (r >> m) << (m + n) for r in other._rows]
+        return AffineRelation(n, p, project_masks(rows, m, nv + 1))
 
     def tensor(self, other: "AffineRelation") -> "AffineRelation":
         """Parallel composite on the disjoint union of wires."""
@@ -172,19 +158,15 @@ class AffineRelation:
     def dagger(self) -> "AffineRelation":
         """Graph converse: swap input and output roles."""
         n, m = self.n_in, self.n_out
-        x, y = (1 << n) - 1, (1 << m) - 1
-        rows = [
-            (r & x) << m | (r >> n) & y | (r >> (n + m)) << (n + m)
-            for r in self._rows
-        ]
-        return AffineRelation(m, n, rows)
+        return AffineRelation(m, n, self._outputs_first(n + m))
 
     def domain_masks(self) -> tuple[int, ...]:
-        """Constraint system of the domain, over the n_in input variables."""
+        """Constraint system of the domain, over the n_in input variables.
+
+        The rows are canonical: the projection of a canonical system is in
+        RREF, and that of the empty relation's ``0 = 1`` is ``0 = 1``."""
         n, m = self.n_in, self.n_out
-        rows = project_masks(self._rows, n + m, range(n, n + m))
-        x = (1 << n) - 1
-        return _canonical([(r & x) | (r >> (n + m)) << n for r in rows], n)
+        return tuple(project_masks(self._outputs_first(n + m), m, n + m + 1))
 
     def restriction(self) -> "AffineRelation":
         """The restriction idempotent: identity on the domain of definition."""

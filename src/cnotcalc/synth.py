@@ -52,13 +52,15 @@ class AffineMapSpec(Record):
         return self.linear.mul_vec(x) ^ self.shift
 
     def graph_relation(self) -> AffineRelation:
-        """The graph {(x, (x, f(x)))} as a relation n -> n+m."""
+        """The graph {(x, (x, f(x)))} as a relation n -> n+m: output j
+        copies input j, and output n + i is row i of the map plus its shift."""
         n, m = self.n_in, self.n_out
-        rows = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-        rows += self.linear.to_lists()
-        full = GF2Matrix(rows, n)
-        pad = BitVec([0] * n + list(self.shift))
-        return AffineRelation.total_affine(full, pad)
+        rows = [(1 << j) | (1 << (n + j)) for j in range(n)]
+        rows += [
+            a | 1 << (2 * n + i) | self.shift[i] << (2 * n + m)
+            for i, a in enumerate(self.linear.row_masks)
+        ]
+        return AffineRelation(n, n + m, rows)
 
 
 def _bits(mask: int):
@@ -142,20 +144,15 @@ def _complete_basis(vectors: list[int], n: int) -> list[int]:
 
 def _map_rows(r: AffineRelation) -> list[int]:
     """Rows a_i (i < n_out) with w_i = parity(a_i & v) for every homogeneous
-    solution (v, w) of the partial isomorphism ``r``: the image of a domain
-    direction v is the vector of those parities.
+    solution (v, w) of the nonempty partial isomorphism ``r``: the image of
+    a domain direction v is the vector of those parities.
 
-    One elimination of the homogeneous system with the output columns
-    first: each output column is a pivot (``r`` is a partial isomorphism),
-    and the row reduced to it holds y_i and input terms only.
+    The canonical rows of ``r.dagger()`` have the output columns first.
+    Each output column is a pivot (``r`` is a partial isomorphism), and the
+    row reduced to it holds y_i, input terms and the right-hand side only.
     """
     n, m = r.n_in, r.n_out
-    swapped = [
-        ((row >> n) & ((1 << m) - 1)) | ((row & ((1 << n) - 1)) << m)
-        for row in r.constraint_masks
-    ]
-    reduced, _ = rref_masks(swapped, n + m)
-    return [row >> m for row in reduced[:m]]
+    return [(row >> m) & ((1 << n) - 1) for row in r.dagger().constraint_masks[:m]]
 
 
 def synth(r: AffineRelation) -> Circuit:

@@ -180,6 +180,14 @@ class TestNormalizeSynth:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {location}: repeated term ")
 
+    def test_synth_rejects_repeated_shift(self, run_cli, tmp_path):
+        # a second shift line used to override the first
+        p = tmp_path / "twice.affine"
+        p.write_text("affine 2 1\nrow 1 0\nshift 0\nshift 1\n")
+        code, out, err = run_cli("synth", str(p))
+        assert code == 2 and out == ""
+        assert err == "error: line 4, column 1: repeated 'shift' line\n"
+
     @pytest.mark.parametrize(
         "text, location, arity",
         [
@@ -307,6 +315,36 @@ class TestFuzzCommand:
         code, out, err = run_cli("fuzz", option, value)
         assert code == 2 and out == ""
         assert err == f"error: {option} must be nonnegative, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--trials", "1_0"),
+            ("--wires", "\u0662"),
+            ("--depth", "+3"),
+            ("--seed", "0x1"),
+            ("--trials", ""),
+        ],
+    )
+    def test_loose_integers_rejected(self, run_cli, option, value):
+        code, out, err = run_cli("fuzz", option, value)
+        assert code == 2 and out == ""
+        assert err == f"error: expected an integer, got {value!r}\n"
+
+    def test_wires_above_enumeration_limit_rejected(self, run_cli, monkeypatch):
+        import cnotcalc.cli as cli_mod
+
+        def no_fuzz(*args):
+            raise AssertionError("fuzz started")
+
+        monkeypatch.setattr(cli_mod, "fuzz", no_fuzz)
+        code, out, err = run_cli("fuzz", "--wires", "21", "--trials", "0")
+        assert code == 2 and out == ""
+        assert err == "error: --wires must be at most 20, got 21\n"
+
+    def test_wires_at_enumeration_limit_allowed(self, run_cli):
+        code, out, _ = run_cli("fuzz", "--wires", "20", "--trials", "0")
+        assert code == 0 and out == "0 trials passed (wires<=20 depth=30 seed=0)\n"
 
     def test_zero_trials_allowed(self, run_cli):
         code, out, _ = run_cli("fuzz", "--trials", "0", "--wires", "0", "--depth", "0")

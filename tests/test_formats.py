@@ -22,6 +22,8 @@ from cnotcalc.formats import (
     parse_system,
 )
 from cnotcalc.fuzzing import random_circuit, trial_rng
+from cnotcalc.gf2 import BitVec, GF2Matrix
+from cnotcalc.synth import AffineMapSpec, synth_total_graph
 
 
 class TestCircuitFormat:
@@ -130,6 +132,25 @@ class TestSystemFormat:
         assert str(info.value) == "line 2, column 12: right-hand side must be 0 or 1"
 
 
+@st.composite
+def affine_files(draw):
+    """(n, m, matrix rows, shift, parity lines) of an ``affine`` file with
+    n, m <= 10 and 0-4 parity lines, each a tuple of distinct wires and an
+    rhs; small n makes some sets of parity lines inconsistent."""
+    n, m = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+
+    def bits(k):
+        return st.lists(st.integers(0, 1), min_size=k, max_size=k)
+
+    matrix = draw(st.lists(bits(n), min_size=m, max_size=m))
+    parity = st.tuples(
+        st.lists(st.integers(0, max(n - 1, 0)), unique=True, max_size=n).map(tuple)
+        if n else st.just(()),
+        st.integers(0, 1),
+    )
+    return n, m, matrix, draw(bits(m)), draw(st.lists(parity, max_size=4))
+
+
 class TestSynthInput:
     def test_graph_header_dispatches(self):
         rel = parse_synth_input("graph 1 1\nparity x0 y0 = 1\n")
@@ -159,6 +180,39 @@ end
     def test_row_count_checked(self):
         with pytest.raises(FormatError, match="row"):
             parse_synth_input("affine 2 2\nrow 1 0\nshift 0 0\nend\n")
+
+    def test_repeated_shift_rejected_at_the_repeat(self):
+        with pytest.raises(FormatError) as info:
+            parse_synth_input("affine 2 1\nrow 1 0\nshift 0\nshift 1\nend\n")
+        assert str(info.value) == "line 4, column 1: repeated 'shift' line"
+
+    @settings(deadline=None)
+    @given(affine_files())
+    @example((1, 1, [[1]], [0], [((0,), 0), ((0,), 1)]))  # inconsistent domain
+    @example((2, 0, [], [], [((), 1)]))  # 'parity = 1' alone
+    @example((0, 0, [], [], []))
+    def test_affine_block_is_restricted_graph(self, case):
+        """One system for the affine block equals the restriction to the
+        parity lines composed with the graph of the map."""
+        n, m, matrix, shift, parities = case
+        text = f"affine {n} {m}\n"
+        text += "".join("row " + " ".join(map(str, row)) + "\n" for row in matrix)
+        text += "shift " + " ".join(map(str, shift)) + "\n"
+        text += "".join(
+            " ".join(["parity", *map(str, wires), "=", str(rhs)]) + "\n"
+            for wires, rhs in parities
+        )
+        spec = AffineMapSpec(GF2Matrix(matrix, cols=n), BitVec(shift))
+        dom = [sum(1 << w for w in wires) | rhs << n for wires, rhs in parities]
+        want = AffineRelation.restriction_on(n, dom).compose(spec.graph_relation())
+        assert parse_synth_input(text + "end\n") == want
+
+    @settings(deadline=None)
+    @given(affine_files())
+    def test_graph_relation_is_the_synthesized_graph(self, case):
+        n, m, matrix, shift, _ = case
+        spec = AffineMapSpec(GF2Matrix(matrix, cols=n), BitVec(shift))
+        assert spec.graph_relation() == synth_total_graph(spec).semantics()
 
     def test_system_header_gives_idempotent(self):
         rel = parse_synth_input("system 2\nparity 0 1 = 1\n")

@@ -240,6 +240,28 @@ class TestSolveAffine:
         assert span == expected
 
 
+def column_scan_project(masks, nvars, cols):
+    """The former ``project_masks``, kept as an oracle: eliminate each given
+    column in turn by a pass over the rows (bit ``nvars`` is the rhs).  Rows
+    keep the original column numbering; eliminated columns come back clear."""
+    work = list(masks)
+    for col in sorted(set(cols)):
+        bit = 1 << col
+        src = next((i for i in range(len(work)) if work[i] & bit), None)
+        if src is None:
+            continue
+        pivot = work[src]
+        work = [row ^ pivot if row & bit else row for i, row in enumerate(work) if i != src]
+    return work
+
+
+def eliminated_lowest(masks, nvars, cols):
+    """The rows with columns ``cols`` (sorted) moved to the lowest bits, the
+    other variables above them in order, then the rhs."""
+    order = sorted(cols) + [j for j in range(nvars + 1) if j not in set(cols)]
+    return [sum(((r >> j) & 1) << i for i, j in enumerate(order)) for r in masks]
+
+
 class TestProjectOut:
     def project_by_enumeration(self, m: GF2Matrix, cols) -> set:
         nvars = m.cols - 1
@@ -256,17 +278,17 @@ class TestProjectOut:
         return shadows
 
     def test_chain_constraint(self):
-        # {x+y=0, y+z=1} without y leaves {x+z=1}
-        m = GF2Matrix([[1, 1, 0, 0], [0, 1, 1, 1]])
-        assert project_masks(m.row_masks, 3, [1]) == [0b1101]
+        # {x+y=0, y+z=1} without y leaves {x+z=1}; columns y, x, z, rhs
+        m = GF2Matrix([[1, 1, 0, 0], [1, 0, 1, 1]])
+        assert project_masks(m.row_masks, 1, 4) == [0b111]
 
     def test_pinned_variable_vanishes(self):
         m = GF2Matrix([[1, 1]])  # x = 1
-        assert project_masks(m.row_masks, 1, [0]) == []
+        assert project_masks(m.row_masks, 1, 2) == []
 
     def test_inconsistent_stays_inconsistent(self):
         m = GF2Matrix([[0, 0, 1]])  # 0 = 1 over two variables
-        assert project_masks(m.row_masks, 2, [0]) == [0b100]
+        assert project_masks(m.row_masks, 1, 3) == [0b10]
 
     @given(
         st.integers(2, 6).flatmap(
@@ -283,18 +305,35 @@ class TestProjectOut:
     def test_against_enumeration(self, case):
         m, cols = case
         nvars = m.cols - 1
-        got = project_masks(m.row_masks, nvars, cols)
-        assert all(r & (1 << j) == 0 for r in got for j in cols)
-        # the remaining system, on the kept columns and the rhs
         keep = [j for j in range(nvars) if j not in cols]
+        got = project_masks(eliminated_lowest(m.row_masks, nvars, cols), len(cols), m.cols)
+        assert got == rref_masks(got, len(keep) + 1)[0]  # already in RREF
+        # the remaining system, on the kept columns and the rhs
         have = solution_set(
-            GF2Matrix.from_masks(
-                [sum(((r >> j) & 1) << i for i, j in enumerate(keep)) for r in got],
-                len(keep),
-            ),
-            BitVec([(r >> nvars) & 1 for r in got]),
+            GF2Matrix.from_masks([r & ((1 << len(keep)) - 1) for r in got], len(keep)),
+            BitVec([(r >> len(keep)) & 1 for r in got]),
         )
         assert have == self.project_by_enumeration(m, cols)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 70).flatmap(
+            lambda nv: st.tuples(
+                st.just(nv),
+                st.lists(st.integers(0, (1 << (nv + 1)) - 1), max_size=nv + 4),
+                st.sets(st.integers(0, nv - 1), max_size=nv) if nv else st.just(set()),
+            )
+        )
+    )
+    def test_against_column_scan(self, case):
+        """The same row space as the old per-column elimination, in RREF."""
+        nvars, masks, cols = case
+        k = len(cols)
+        old = column_scan_project(masks, nvars, cols)
+        assert all(r & (1 << j) == 0 for r in old for j in cols)
+        want = rref_masks(eliminated_lowest(old, nvars, cols), nvars + 1)[0]
+        got = project_masks(eliminated_lowest(masks, nvars, cols), k, nvars + 1)
+        assert got == [r >> k for r in want]
 
 
 class TestBitVec:

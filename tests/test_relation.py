@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnotcalc.gf2 import BitVec, project_masks
+from cnotcalc.gf2 import BitVec
 from cnotcalc.relation import AffineRelation, ArityError, all_bitvecs
 from cnotcalc.fuzzing import random_circuit, trial_rng
+from test_gf2 import column_scan_project
 
 
 def rel_from_pairs(n, m, pairs):
@@ -339,7 +340,7 @@ def old_compose(a, b):
     nv = n + m + p
     rows = [_remap(r, n + m, list(range(n + m)), nv) for r in a.constraint_masks]
     rows += [_remap(r, m + p, list(range(n, nv)), nv) for r in b.constraint_masks]
-    rows = project_masks(rows, nv, range(n, n + m))
+    rows = column_scan_project(rows, nv, range(n, n + m))
     where = list(range(n)) + [0] * m + list(range(n, n + p))
     return AffineRelation(n, p, [_remap(r, nv, where, n + p) for r in rows])
 
@@ -362,7 +363,7 @@ def old_dagger(a):
 
 def old_domain_masks(a):
     n, m = a.n_in, a.n_out
-    rows = project_masks(a.constraint_masks, n + m, range(n, n + m))
+    rows = column_scan_project(a.constraint_masks, n + m, range(n, n + m))
     where = list(range(n)) + [0] * m
     return AffineRelation(n, 0, [_remap(r, n + m, where, n) for r in rows]).constraint_masks
 
@@ -418,3 +419,34 @@ class TestBlockShiftsMatchRemap:
         # bits above the rhs (bit n) are dropped, as the remap dropped them
         rows = data.draw(st.lists(st.integers(0, (1 << (n + 3)) - 1), max_size=n + 2))
         assert AffineRelation.restriction_on(n, rows) == old_restriction_on(n, rows)
+
+
+@st.composite
+def maybe_empty(draw, n_in=None, n_out=None):
+    """``relations``, or half the time the empty relation of their arities."""
+    r = draw(relations(n_in, n_out))
+    return AffineRelation.empty(r.n_in, r.n_out) if draw(st.booleans()) else r
+
+
+class TestOneProjectionMatchesColumnScan:
+    """``compose`` and ``domain_masks`` eliminate with one RREF, the
+    eliminated block lowest; the old path projected column by column."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.data())
+    def test_compose(self, data):
+        a = data.draw(maybe_empty())
+        b = data.draw(maybe_empty(n_in=a.n_out))
+        got = a.compose(b)
+        assert got == old_compose(a, b)
+        if a.is_empty() or b.is_empty():
+            assert got == AffineRelation.empty(a.n_in, b.n_out)
+
+    @settings(deadline=None, max_examples=80)
+    @given(maybe_empty())
+    def test_domain_masks(self, a):
+        got = a.domain_masks()
+        assert got == old_domain_masks(a)
+        assert got == AffineRelation(a.n_in, 0, got).constraint_masks  # canonical
+        if a.is_empty():
+            assert got == (1 << a.n_in,)
