@@ -17,6 +17,7 @@ import sys
 from . import formats
 from .circuit import (
     CircuitError,
+    Gate,
     clause_circuit,
     fanin,
     fanout,
@@ -44,7 +45,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliInputError(f"cannot read {path}: {e}") from None
 
 
@@ -97,7 +98,9 @@ def _cmd_semantics(args) -> int:
 
 
 def _cmd_equal(args) -> int:
-    memo: dict = {}  # the second file is usually an edit of the first
+    # gate-line body -> what it builds: the second file is usually an edit
+    # of the first, so most of its lines are parsed already
+    memo: dict[str, Gate | tuple[Gate, ...]] = {}
     _, c = _load_circuit(args.file1, memo)
     _, d = _load_circuit(args.file2, memo)
     if (c.n_in, c.n_out) != (d.n_in, d.n_out):

@@ -1,18 +1,19 @@
 """Line-oriented text formats for circuits, relations, equation systems,
 affine map specs, and derivations.
 
-All formats are UTF-8, one item per line, ``#`` to end of line is a comment.
-Circuits print with primitive gates only; the parser additionally accepts the
+All formats are UTF-8, one item per line.  A comment runs from ``#`` to the
+end of its line, and lines end where ``str.splitlines`` splits them: at line
+feeds, carriage returns, form feeds, U+2028 and the like.  Circuits print
+with primitive gates only; the parser additionally accepts the
 ``init0``/``post0``/``not`` macros and expands them.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain
 from typing import Optional
 
-from .circuit import Circuit, Gate, cnot, init0, init1, notg, post0, post1, swap
+from .circuit import Circuit, Gate, circuit, cnot, init0, init1, notg, post0, post1, swap
 from .normalize import ClausalForm
 from .relation import AffineRelation
 
@@ -24,10 +25,25 @@ class FormatError(ValueError):
         self.column = column
 
 
+# ``#`` up to the end of its line: the characters that ``str.splitlines``
+# ends a line at.  Left to ``re``'s cache rather than compiled at import:
+# the class of non-Latin-1 characters takes about 0.4 ms to compile, which
+# every command would pay, and only text with a ``#`` needs it.
+_COMMENT = "#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*"
+
+
+def _bodies(text: str) -> list[str]:
+    """The content of each line, comment removed and stripped."""
+    if "#" in text:
+        # A comment becomes a space, not nothing: deleting the one in
+        # "\r#c\n" would join two line breaks into one "\r\n".
+        text = re.sub(_COMMENT, " ", text)
+    return list(map(str.strip, text.splitlines()))
+
+
 def _logical_lines(text: str):
     """(line number, stripped content) for non-empty, non-comment lines."""
-    for i, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
+    for i, body in enumerate(_bodies(text), start=1):
         if body:
             yield i, body
 
@@ -87,20 +103,27 @@ def format_circuit(c: Circuit, name: str = "main") -> str:
     return "\n".join(lines) + "\n"
 
 
+# The primitive gates by their number of wires, for the direct path of
+# ``parse_circuit``.
+_ONE_WIRE = {"init1": init1, "post1": post1}
+_TWO_WIRES = {"cnot": cnot, "swap": swap}
+
+
 def parse_circuit(
-    text: str, memo: Optional[dict[str, tuple[Gate, ...]]] = None
+    text: str, memo: Optional[dict[str, Gate | tuple[Gate, ...]]] = None
 ) -> tuple[str, Circuit]:
     """(name, circuit) of a circuit file.
 
-    ``memo`` maps gate-line bodies to their gates.  Calls that parse several
-    files of one command pass the same dict, so a line met in an earlier
-    file is not parsed again.  It holds only lines that parsed, and the
-    empty body of blank and comment-only lines, which maps to no gates.
+    ``memo`` maps gate-line bodies to what they build: the ``Gate`` of a
+    primitive line, the tuple of gates of a macro line, and the empty tuple
+    for the empty body of blank and comment-only lines.  Calls that parse
+    several files of one command pass the same dict, so a line met in an
+    earlier file is not parsed again.  It holds only lines that parsed.
     """
     if memo is None:
         memo = {}
     memo[""] = ()
-    bodies = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    bodies = _bodies(text)
     start = next((i for i, body in enumerate(bodies) if body), None)
     if start is None:
         raise FormatError("empty circuit file", 1)
@@ -126,10 +149,26 @@ def parse_circuit(
     # n wires allow only about 2 n^2 distinct lines, so long circuits repeat
     # many of them.  Gates are immutable, so repeated lines share them.  In
     # first-occurrence order, the first bad body is the first bad line.
+    # ``wires`` maps the wire numbers met so far, as ``str`` writes them, to
+    # their ints.  A primitive line whose numbers are all in it takes the
+    # direct path, with no checks to make; any other line, and so every
+    # error, takes the general path below.
+    wires: dict[str, int] = {}
+    wire = wires.get
     for body in dict.fromkeys(gate_bodies):
         if body in memo:
             continue
         tokens = body.split()
+        if len(tokens) == 3:
+            builder, a, b = _TWO_WIRES.get(tokens[0]), wire(tokens[1]), wire(tokens[2])
+            if builder is not None and a is not None and b is not None:
+                memo[body] = builder(a, b)
+                continue
+        elif len(tokens) == 2:
+            builder, a = _ONE_WIRE.get(tokens[0]), wire(tokens[1])
+            if builder is not None and a is not None:
+                memo[body] = builder(a)
+                continue
         kind = tokens[0]
         builder, arity = _GATES.get(kind, (None, None))
         if builder is None or len(tokens) != 1 + arity:
@@ -145,13 +184,18 @@ def parse_circuit(
         if args is None or not body.isascii() or "+" in body or "_" in body:
             lineno = bodies.index(body, start + 1) + 1
             args = [_int(t, lineno, body, i) for i, t in enumerate(tokens[1:], 1)]
-        built = builder(*args)
-        memo[body] = built if type(built) is tuple else (built,)
+        for t, k in zip(tokens[1:], args):
+            if str(k) == t:
+                wires[t] = k
+        memo[body] = builder(*args)
     if stop is None:
         last = max(i for i, body in enumerate(bodies) if body)
         raise FormatError("missing 'end' terminator", last + 1)
-    gates = list(chain.from_iterable(map(memo.__getitem__, gate_bodies)))
-    c = Circuit(n_in, gates)
+    gates = list(map(memo.__getitem__, gate_bodies))
+    if tuple in map(type, gates):  # a macro or a blank line: flatten
+        c = circuit(n_in, *gates)
+    else:
+        c = Circuit(n_in, gates)
     v = c.validate()
     if not v.ok:
         raise FormatError(v.message, start + 1)

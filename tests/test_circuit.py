@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cnotcalc.gf2 import BitVec
+from cnotcalc.gf2 import BitVec, null_basis, rref_masks
 from cnotcalc.relation import ENUMERATION_LIMIT, AffineRelation, ArityError, all_bitvecs
 from cnotcalc.circuit import (
     Circuit,
@@ -266,6 +266,30 @@ class TestSemanticsPastEnumeration:
             assert rel.domain_masks() != ()  # partial, not total
             y = c.eval_state(witness)
             assert y is not None and rel.apply(witness) == y
+            self.check_points(c, rel, witness, random.Random(seed))
+
+    @staticmethod
+    def check_points(c, rel, witness, rng):
+        """``eval_state`` against ``apply`` past the enumeration limit: on 16
+        points of the domain, the witness plus random sums of the null basis
+        of its linear part, and, for each domain row, on the witness with
+        that row's pivot flipped, which breaks that row alone."""
+        n = c.n_in
+        rows = [r & ((1 << n) - 1) for r in rel.domain_masks()]
+        reduced, pivots = rref_masks(rows, n)
+        assert reduced == rows  # domain rows are canonical
+        basis = null_basis(reduced, pivots, n)
+        assert basis  # a domain with more than one point
+        for _ in range(16):
+            v = witness.mask
+            for b in basis:
+                v ^= b * rng.randrange(2)
+            x = BitVec.from_mask(n, v)
+            y = c.eval_state(x)
+            assert y is not None and rel.apply(x) == y
+        for p in pivots:
+            x = BitVec.from_mask(n, witness.mask ^ (1 << p))
+            assert c.eval_state(x) is None and rel.apply(x) is None
 
 
 class TestEqualCirc:

@@ -109,6 +109,18 @@ class TestEqual:
         assert code == 2
         assert err == "error: line 1, column 1: gate 2 post1(7): wire out of range at width 3\n"
 
+    def test_second_file_not_utf8_is_named(self, run_cli, tmp_path):
+        a = tmp_path / "ok.cnot"
+        b = tmp_path / "bad.cnot"
+        a.write_text("circuit a : 2 -> 2\ncnot 0 1\nend\n")
+        b.write_bytes(b"circuit b : 2 -> 2\n\xffcnot 0 1\nend\n")
+        code, out, err = run_cli("equal", str(a), str(b))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: cannot read {b}: 'utf-8' codec can't decode byte 0xff"
+            " in position 19: invalid start byte\n"
+        )
+
 
 class TestNormalizeSynth:
     def test_normalize_identity(self, run_cli, tmp_path):

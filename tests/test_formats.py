@@ -427,6 +427,63 @@ def circuit_files(draw, pool=()):
     return text, bodies
 
 
+_ODD_SPELLINGS = ["0{k}", "00{k}", "+{k}", "-{k}", "{k}_0", "٢", "-0"]
+_SEPARATORS = [" ", " ", "\t", "  ", " \t ", "\t\t"]
+
+
+def spell(draw, k):
+    """The wire number k as a file may write it: mostly canonically."""
+    if draw(PERCENT) < 85:
+        return str(k)
+    return draw(st.sampled_from(_ODD_SPELLINGS)).format(k=k)
+
+
+def respell(draw, line):
+    """The gate line, written with other spacing, spellings and comments."""
+    kind, *args = line.split()
+    sep = draw(st.sampled_from(_SEPARATORS))
+    text = sep.join([kind, *(spell(draw, int(a)) for a in args)])
+    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(
+        st.sampled_from(["", " ", "# c", "  #x 1 2"])
+    )
+
+
+@st.composite
+def wide_files(draw, canonical=False):
+    """(text, body lines) of a circuit file on 256 to 300 wires whose gates
+    lie mostly on wires 250 and up: a cnot or swap of a wire with itself at
+    times, and with ``canonical`` unset, odd spellings of wire numbers
+    (``007``, ``-0``, ``+1``, ``1_0``, a non-ASCII digit), tabs and runs of
+    spaces, and ``#`` in the middle of a line or on a last line with no line
+    break after it."""
+    n_in = draw(st.integers(256, 300))
+    width = n_in
+    bodies = []
+    for _ in range(draw(st.integers(0, 30))):
+        if bodies and draw(PERCENT) < 15:
+            bodies.append(draw(st.sampled_from(bodies)))
+            continue
+        kinds = [k for k, d in _WIDTH_CHANGE.items() if width + d >= 251]
+        kind = draw(st.sampled_from(kinds))
+        top = width + 1 if kind.startswith("init") else width
+        args = [draw(st.integers(250, top - 1)) for _ in range(_OLD_ARITY[kind])]
+        if len(args) == 2 and draw(PERCENT) < 5:
+            args[1] = args[0]
+        width += _WIDTH_CHANGE[kind]
+        if canonical:
+            line = " ".join([kind, *map(str, args)])
+        else:
+            sep = draw(st.sampled_from(_SEPARATORS))
+            line = sep.join([kind, *(spell(draw, k) for k in args)])
+            line += draw(st.sampled_from(["", "", "\t", " # c 1", "#x"]))
+        bodies.append(line)
+    lines = [f"circuit w : {n_in} -> {width}", *bodies, "end"]
+    text = "\n".join(lines) + "\n"
+    if not canonical:
+        text += draw(st.sampled_from(["", "# tail", "#", "\n# tail\n"]))
+    return text, bodies
+
+
 class TestBulkParserMatchesOld:
     @settings(max_examples=200, deadline=None)
     @given(circuit_files())
@@ -460,3 +517,58 @@ class TestBulkParserMatchesOld:
             parse_circuit(b, memo)
         assert str(info.value) == "line 5, column 8: expected an integer, got 'z'"
         assert outcome(parse_circuit, b, memo) == outcome(old_parse_circuit, b)
+
+    @pytest.mark.parametrize(
+        "brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_comment_ends_at_every_line_break(self, brk):
+        # each line break that str.splitlines splits at ends a comment, and
+        # a comment between "\r" and "\n" keeps them two line breaks
+        lines = ["circuit x : 2 -> 2", "# c", "cnot 0 1 # c", "", "#", "cnot 0 q", "end"]
+        for text, line in [(brk.join(lines), 6), ("\r# c\n".join(lines), 11)]:
+            assert outcome(parse_circuit, text) == outcome(old_parse_circuit, text)
+            assert outcome(parse_circuit, text)[1].startswith(f"line {line}, column 8:")
+        with pytest.raises(FormatError, match="^line 3, column 8:"):
+            parse_derivation(brk.join(["CNT2 0 lr #c", "#", "CNT2 0 up"]))
+
+    # The direct path builds a primitive line whose wire numbers are all in
+    # the call's table of canonical ones; every other line takes the general
+    # path.  These files mix the two, on wide registers, in odd spellings.
+
+    @pytest.mark.parametrize("token", ["007", "-0", "-3", "+1", "1_0", "٢", "0", "300"])
+    @pytest.mark.parametrize("kind", ["cnot", "swap", "init1", "post1", "not"])
+    def test_spelling_after_canonical_lines(self, kind, token):
+        # the canonical numbers are in the table before the odd one is met
+        arity = _OLD_ARITY[kind]
+        other = ["cnot 7 1", "swap 3 0", "init1 300", "post1 2", "cnot 300 2", "swap 1 7"]
+        line = " ".join([kind, *[token] * arity])
+        mixed = " ".join([kind, token, "1"][: 1 + arity])
+        for body in (line, mixed):
+            text = "\n".join(["circuit x : 301 -> 301", *other, body, *other, "end"])
+            assert outcome(parse_circuit, text) == outcome(old_parse_circuit, text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_files())
+    @example(("circuit x : 8 -> 8\ncnot 3 3\nend\n", []))
+    @example(("circuit x : 8 -> 8\nswap 1 2\nswap 5 5\nend\n", []))
+    @example(("circuit x : 300 -> 300\ncnot 299 256\ncnot 299\t\t256\nend\n# tail", []))
+    @example(("circuit x : 300 -> 300\ncnot 299 256 # c\ncnot 299#c 256\nend\n#", []))
+    @example(("circuit x : 2 -> 2\r# c\nend\r#", []))
+    def test_wide_file(self, file):
+        text, _ = file
+        assert outcome(parse_circuit, text) == outcome(old_parse_circuit, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_respelled_second_file_with_shared_memo(self, data):
+        # b holds a's gates, each line spelled anew: few of its bodies are in
+        # the memo, and its wire numbers go through a fresh table
+        a, a_lines = data.draw(wide_files(canonical=True))
+        header, *rest = a.splitlines()
+        b_lines = [respell(data.draw, line) for line in a_lines]
+        b = "\n".join([header, *b_lines, *rest[len(a_lines):]]) + "\n"
+        memo = {}
+        assert outcome(parse_circuit, a, memo) == outcome(old_parse_circuit, a)
+        assert outcome(parse_circuit, b, memo) == outcome(old_parse_circuit, b)
+        assert outcome(parse_circuit, a, memo) == outcome(old_parse_circuit, a)
+
