@@ -331,7 +331,12 @@ class Circuit:
         return BitVec(bits)
 
     def semantics(self) -> AffineRelation:
-        """The affine partial isomorphism computed by the circuit."""
+        """The affine partial isomorphism computed by the circuit.
+
+        A ``post1`` on a wire that holds the constant 0 adds the row
+        ``0 = 1``, which makes the relation empty whatever follows: the
+        gate loop stops there and returns ``AffineRelation.empty``.
+        """
         if not self._validation.ok:
             raise CircuitError(self._validation.message)
         n = self.n_in
@@ -349,6 +354,8 @@ class Circuit:
                 wires.insert(a[0], one)
             else:
                 e = wires.pop(a[0])
+                if not e:
+                    return AffineRelation.empty(n, self._validation.n_out)
                 # constraint: linear part of e equals 1 xor its constant term
                 dom_rows.append((e & (one - 1)) | ((1 ^ (e >> n)) << n))
         m = len(wires)

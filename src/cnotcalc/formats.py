@@ -14,6 +14,7 @@ import re
 from typing import Optional
 
 from .circuit import Circuit, Gate, circuit, cnot, init0, init1, notg, post0, post1, swap
+from .gf2 import set_bits
 from .normalize import ClausalForm
 from .relation import AffineRelation
 
@@ -283,9 +284,9 @@ def _parity_mask(tokens: list[str], terms: dict, lineno: int, line: str) -> int:
 def format_relation(r: AffineRelation) -> str:
     n, m = r.n_in, r.n_out
     lines = [f"graph {n} {m}"]
+    coef = (1 << (n + m)) - 1
     for row in r.constraint_masks:
-        terms = [f"x{j}" for j in range(n) if (row >> j) & 1]
-        terms += [f"y{j}" for j in range(m) if (row >> (n + j)) & 1]
+        terms = [f"x{j}" if j < n else f"y{j - n}" for j in set_bits(row & coef)]
         rhs = (row >> (n + m)) & 1
         lines.append(" ".join(["parity", *terms, "=", str(rhs)]))
     return "\n".join(lines) + "\n"

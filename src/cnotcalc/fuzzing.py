@@ -3,6 +3,11 @@
 Each trial draws from its own sub-stream derived from (seed, trial index),
 so trials are order-independent and could run concurrently; reports are
 ordered by trial index either way.
+
+``random_circuit`` draws every number through ``rng.getrandbits``, as
+``random.Random``'s own ``choice`` and ``randrange`` do, so a ``trial_rng``
+stream gives the circuits it always gave.  A subclass of ``random.Random``
+changes the draws only by overriding ``getrandbits``.
 """
 
 from __future__ import annotations
@@ -11,8 +16,8 @@ import random
 from functools import lru_cache
 from typing import Optional
 
-from .circuit import Circuit, cnot, init0, init1, notg, post0, post1, swap
-from .relation import all_bitvecs
+from .circuit import Circuit, Gate, cnot, init0, init1, notg, post0, post1, swap
+from .relation import AffineRelation, all_bitvecs
 from .synth import synth
 
 
@@ -27,47 +32,63 @@ def random_circuit(
     max_width: Optional[int] = None,
     allow_post: bool = True,
 ) -> Circuit:
-    """A valid random circuit; width stays within [0, max_width]."""
+    """A valid random circuit; width stays within [0, max_width].
+
+    Each gate is a ``choice`` of kind from ``_menu`` and one ``randrange``
+    per wire argument.  Both are drawn inline, as ``random.Random`` draws
+    them: redraw ``getrandbits(n.bit_length())`` until it is below ``n``.
+    """
     if max_width is None:
         max_width = n_in + 4
-    choice, randrange = rng.choice, rng.randrange
-    gates: list = []
+    bits = rng.getrandbits
+    gates: list[Gate] = []
     width = n_in
     for _ in range(depth):
-        kind = choice(_menu(width, max_width, allow_post))
-        if kind == "cnot":
-            c = randrange(width)
-            t = randrange(width - 1)
-            if t >= c:
-                t += 1
-            gates.append(cnot(c, t))
-        elif kind == "swap":
-            a = randrange(width)
-            b = randrange(width - 1)
+        menu, k = _menu(width, max_width, allow_post)
+        r = bits(k)
+        while r >= len(menu):
+            r = bits(k)
+        kind = menu[r]
+        grow = _KINDS[kind][1]
+        n = width + 1 if grow > 0 else width  # an insertion has width + 1 places
+        k = n.bit_length()
+        a = bits(k)
+        while a >= n:
+            a = bits(k)
+        if kind == "cnot" or kind == "swap":  # a second, distinct wire
+            n = width - 1
+            k = n.bit_length()
+            b = bits(k)
+            while b >= n:
+                b = bits(k)
             if b >= a:
                 b += 1
-            gates.append(swap(a, b))
-        elif kind == "init1":
-            gates.append(init1(randrange(width + 1)))
-            width += 1
-        elif kind == "init0":
-            gates.extend(init0(randrange(width + 1)))
-            width += 1
-        elif kind == "post1":
-            gates.append(post1(randrange(width)))
-            width -= 1
-        elif kind == "post0":
-            gates.extend(post0(randrange(width)))
-            width -= 1
+            gates += _gates(kind, a, b)
         else:
-            gates.extend(notg(randrange(width)))
+            gates += _gates(kind, a)
+            width += grow
     return Circuit(n_in, gates)
 
 
+# Each kind ``_menu`` offers: its builder and its change in width.
+_KINDS = {
+    "cnot": (cnot, 0), "swap": (swap, 0), "not": (notg, 0),
+    "init1": (init1, 1), "init0": (init0, 1), "post1": (post1, -1), "post0": (post0, -1),
+}
+
+
+@lru_cache(maxsize=4096)
+def _gates(kind: str, *args: int) -> tuple[Gate, ...]:
+    """The gates of one drawn kind, built once: gates are immutable."""
+    gates = _KINDS[kind][0](*args)
+    return gates if type(gates) is tuple else (gates,)
+
+
 @lru_cache(maxsize=256)
-def _menu(width: int, max_width: int, allow_post: bool) -> tuple[str, ...]:
-    """The gate kinds ``random_circuit`` draws from at one width; their
-    order and multiplicity fix what each ``rng.choice`` returns."""
+def _menu(width: int, max_width: int, allow_post: bool) -> tuple[tuple[str, ...], int]:
+    """The gate kinds ``random_circuit`` draws from at one width, and the
+    bit length of their number; the kinds' order and multiplicity fix which
+    one each draw picks."""
     menu: list[str] = []
     if width >= 2:
         menu += ["cnot"] * 4 + ["swap"]
@@ -77,21 +98,21 @@ def _menu(width: int, max_width: int, allow_post: bool) -> tuple[str, ...]:
         menu += ["not"]
         if allow_post:
             menu += ["post1", "post0"]
-    return tuple(menu) or ("init1",)
+    kinds = tuple(menu) or ("init1",)
+    return kinds, len(kinds).bit_length()
 
 
-def oracle_trial(c: Circuit) -> Optional[str]:
-    """Gatewise evaluation must agree with the semantics on every input."""
-    rel = c.semantics()
+def oracle_trial(c: Circuit, rel: AffineRelation) -> Optional[str]:
+    """Gatewise evaluation must agree with the semantics ``rel`` of ``c`` on
+    every input."""
     for x in all_bitvecs(c.n_in):
         if c.eval_state(x) != rel.apply(x):
             return f"eval/apply disagree on input {list(x)}"
     return None
 
 
-def synth_roundtrip_trial(c: Circuit) -> Optional[str]:
-    """Synthesis from the semantics must reproduce the semantics."""
-    rel = c.semantics()
+def synth_roundtrip_trial(c: Circuit, rel: AffineRelation) -> Optional[str]:
+    """Synthesis from the semantics ``rel`` of ``c`` must reproduce it."""
     again = synth(rel).semantics()
     if again != rel:
         return "semantics(synth(semantics(c))) differs from semantics(c)"
@@ -109,8 +130,9 @@ def fuzz(
         rng = trial_rng(seed, i)
         n_in = rng.randrange(wires + 1)
         c = random_circuit(rng, n_in, depth)
+        rel = c.semantics()
         for check in (oracle_trial, synth_roundtrip_trial):
-            message = check(c)
+            message = check(c, rel)
             if message is not None:
                 return i + 1, (i, c, message)
     return trials, None

@@ -15,6 +15,14 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+def set_bits(mask: int):
+    """Indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class BitVec:
     """An immutable vector over GF(2), indexed 0..len-1."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .gf2 import rref_masks
+from .gf2 import rref_masks, set_bits
 from .circuit import Circuit, clause_circuit
 from .record import Record
 from .relation import AffineRelation
@@ -62,11 +62,8 @@ class ClausalForm(Record):
 
 
 def _clauses_from_masks(rows: Iterable[int], n: int) -> tuple[Clause, ...]:
-    out = []
-    for r in rows:
-        support = frozenset(i for i in range(n) if (r >> i) & 1)
-        out.append(Clause(support, (r >> n) & 1))
-    return tuple(out)
+    low = (1 << n) - 1
+    return tuple(Clause(set_bits(r & low), (r >> n) & 1) for r in rows)
 
 
 UNSAT = Clause(frozenset(), 1)

@@ -51,7 +51,13 @@ class AffineRelation:
 
     @classmethod
     def empty(cls, n_in: int, n_out: int) -> "AffineRelation":
-        return cls(n_in, n_out, [1 << (n_in + n_out)])
+        """The nowhere-defined relation; its one row ``0 = 1`` is already
+        canonical, so it skips the elimination."""
+        if n_in < 0 or n_out < 0:
+            raise ArityError("arities must be nonnegative")
+        rel = object.__new__(cls)
+        rel.n_in, rel.n_out, rel._rows = n_in, n_out, (1 << (n_in + n_out),)
+        return rel
 
     @classmethod
     def permutation(cls, perm: list[int]) -> "AffineRelation":
@@ -119,7 +125,9 @@ class AffineRelation:
     # Each operation moves whole blocks of a row's bits (input, output,
     # rhs) with masks and shifts.  Rows of a relation have no bit above
     # their rhs.  ``compose`` and ``domain_masks`` put the block they
-    # eliminate lowest, where ``project_masks`` removes it.
+    # eliminate lowest, where ``project_masks`` removes it.  ``compose``,
+    # ``tensor`` and ``dagger`` return the empty relation at once, after
+    # their arity checks, when an operand is empty.
 
     def _outputs_first(self, rhs: int) -> list[int]:
         """The rows with the outputs at bits ``0 .. n_out-1``, the inputs
@@ -135,6 +143,8 @@ class AffineRelation:
                 f"cannot compose {self.n_in}->{self.n_out} with {other.n_in}->{other.n_out}"
             )
         n, m, p = self.n_in, self.n_out, other.n_out
+        if self.is_empty() or other.is_empty():
+            return AffineRelation.empty(n, p)
         nv = n + m + p
         # Variable layout: y at 0.., x at m.., z at m+n.., rhs at nv, so that
         # projecting y out leaves x, z and the rhs where the composite has them.
@@ -145,6 +155,8 @@ class AffineRelation:
     def tensor(self, other: "AffineRelation") -> "AffineRelation":
         """Parallel composite on the disjoint union of wires."""
         n1, m1, n2, m2 = self.n_in, self.n_out, other.n_in, other.n_out
+        if self.is_empty() or other.is_empty():
+            return AffineRelation.empty(n1 + n2, m1 + m2)
         rhs = n1 + n2 + m1 + m2
         # Variable layout: x1, x2, y1, y2, rhs.
         x1, y1, x2 = (1 << n1) - 1, (1 << m1) - 1, (1 << n2) - 1
@@ -158,6 +170,8 @@ class AffineRelation:
     def dagger(self) -> "AffineRelation":
         """Graph converse: swap input and output roles."""
         n, m = self.n_in, self.n_out
+        if self.is_empty():
+            return AffineRelation.empty(m, n)
         return AffineRelation(m, n, self._outputs_first(n + m))
 
     def domain_masks(self) -> tuple[int, ...]:

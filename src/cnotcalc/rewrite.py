@@ -331,7 +331,7 @@ def apply_at(
     prefix = c.gates[:offset]
     segment = c.gates[offset : offset + k]
     suffix = c.gates[offset + k :]
-    w0 = Circuit(c.n_in, prefix).n_out
+    w0 = c.n_in + sum(g.delta for g in prefix)  # c is valid: no need to revalidate
 
     circ_events, circ_final, touched = _replay_ids(segment, w0, first_fresh=w0)
     src_events, src_final, _ = _replay_ids(src.gates, src.n_in, first_fresh=src.n_in)

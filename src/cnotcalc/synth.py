@@ -17,7 +17,7 @@ from one elimination per variable.
 
 from __future__ import annotations
 
-from .gf2 import BitVec, GF2Matrix, null_basis, rref_masks
+from .gf2 import BitVec, GF2Matrix, null_basis, rref_masks, set_bits
 from .relation import AffineRelation
 from .circuit import Circuit, circuit, cnot, init0, init1, notg, omega_nm, post0
 from .normalize import ClausalForm, clausal_to_circuit
@@ -63,14 +63,6 @@ class AffineMapSpec(Record):
         return AffineRelation(n, n + m, rows)
 
 
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def synth_total_graph(f: AffineMapSpec) -> Circuit:
     """Circuit n -> n+m computing (x, f(x)): ancillae prepared to the shift,
     then one cnot per set matrix entry, input j onto output i."""
@@ -79,7 +71,7 @@ def synth_total_graph(f: AffineMapSpec) -> Circuit:
     for i in range(m):
         gates.append(init1(n + i) if f.shift[i] else init0(n + i))
     for i, row in enumerate(f.linear.row_masks):
-        gates.extend(cnot(j, n + i) for j in _bits(row))
+        gates.extend(cnot(j, n + i) for j in set_bits(row))
     return circuit(n, *gates)
 
 
@@ -117,7 +109,7 @@ def _solve_linear_rows(basis: list[int], images: list[int], n: int, m: int) -> l
         raise RuntimeError("extension system must be consistent")
     out = [0] * m
     for mask, col in zip(reduced, pivots):
-        for o in _bits(mask >> n):
+        for o in set_bits(mask >> n):
             out[o] |= 1 << col
     return out
 
@@ -205,7 +197,7 @@ def synth(r: AffineRelation) -> Circuit:
     graph_stage = synth_total_graph(forward)
     erase: list = []
     for j, row in enumerate(u_rows):
-        erase.extend(cnot(n + i, j) for i in _bits(row))
+        erase.extend(cnot(n + i, j) for i in set_bits(row))
         if g_shift[j]:
             erase.append(notg(j))
     erase += [post0(0) for _ in range(n)]

@@ -292,6 +292,100 @@ class TestSemanticsPastEnumeration:
             assert c.eval_state(x) is None and rel.apply(x) is None
 
 
+def old_semantics(c):
+    """``Circuit.semantics`` without its early exit: every post-selection
+    adds a domain row, and one canonical form is taken at the end."""
+    n = c.n_in
+    one = 1 << n
+    wires = [1 << i for i in range(n)]
+    dom_rows = []
+    for g in c.gates:
+        k, a = g.kind, g.args
+        if k == "cnot":
+            wires[a[1]] ^= wires[a[0]]
+        elif k == "swap":
+            i, j = a
+            wires[i], wires[j] = wires[j], wires[i]
+        elif k == "init1":
+            wires.insert(a[0], one)
+        else:
+            e = wires.pop(a[0])
+            dom_rows.append((e & (one - 1)) | ((1 ^ (e >> n)) << n))
+    m = len(wires)
+    rhs = 1 << (n + m)
+    rows = [(r & (one - 1)) | (rhs if r & one else 0) for r in dom_rows]
+    for i, e in enumerate(wires):
+        rows.append((e & (one - 1)) | (1 << (n + i)) | (rhs if e & one else 0))
+    return AffineRelation(n, m, rows)
+
+
+@st.composite
+def post_heavy_circuits(draw, n_in, extra=4):
+    """Valid circuits on ``n_in`` inputs (a strategy) whose width stays
+    below ``n_in + extra``; about half the one-wire gates are ``post0``."""
+    n = draw(n_in)
+    width, gates = n, []
+    for _ in range(draw(st.integers(0, 40))):
+        kinds = []
+        if width >= 2:
+            kinds += ["cnot", "swap"]
+        if width < n + extra:
+            kinds += ["init1", "init0"]
+        if width >= 1:
+            kinds += ["post1", "not"] + ["post0"] * 4
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("cnot", "swap"):
+            a, b = draw(st.lists(st.integers(0, width - 1), min_size=2, max_size=2, unique=True))
+            gates.append(cnot(a, b) if kind == "cnot" else swap(a, b))
+        elif kind in ("init1", "init0"):
+            p = draw(st.integers(0, width))
+            gates.extend((init1(p),) if kind == "init1" else init0(p))
+            width += 1
+        else:
+            p = draw(st.integers(0, width - 1))
+            gates.extend({"post1": (post1(p),), "post0": post0(p), "not": notg(p)}[kind])
+            if kind != "not":
+                width -= 1
+    return Circuit(n, gates)
+
+
+class TestSemanticsEarlyExit:
+    """``semantics`` returns the empty relation at the first ``post1`` of a
+    wire holding the constant 0; the full row list is the oracle."""
+
+    def test_exit_on_constant_zero(self):
+        # post0 of a wire holding 1: the gates after it do not matter
+        c = circuit(2, init1(1), post0(1), cnot(0, 1), init1(0))
+        rel = c.semantics()
+        assert rel == AffineRelation.empty(2, 3) == old_semantics(c)
+
+    def test_no_exit_on_constant_one(self):
+        # init0 pops its 1 wire: a row 0 = 0, no exit
+        c = circuit(1, init0(0), post1(1))
+        assert c.semantics() == old_semantics(c) and not c.semantics().is_empty()
+
+    @given(post_heavy_circuits(st.just(0)))
+    def test_state_preparations(self, c):
+        assert c.semantics() == old_semantics(c)
+
+    @given(post_heavy_circuits(st.integers(0, 6)))
+    def test_small_widths(self, c):
+        assert c.semantics() == old_semantics(c)
+
+    @given(post_heavy_circuits(st.integers(ENUMERATION_LIMIT + 1, 64), extra=8))
+    def test_past_enumeration(self, c):
+        assert c.semantics() == old_semantics(c)
+
+    def test_law_suite_draws(self):
+        empty = 0
+        for rng in seeded(300, salt=61):
+            c = random_circuit(rng, rng.randrange(6), 30)
+            rel = c.semantics()
+            assert rel == old_semantics(c)
+            empty += rel.is_empty()
+        assert 0 < empty < 300
+
+
 class TestEqualCirc:
     def test_cnt1_swap(self):
         lhs = circuit(2, cnot(0, 1), cnot(1, 0), cnot(0, 1))

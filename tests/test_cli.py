@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,24 @@ class TestSemantics:
         data = json.loads(out)
         assert data["command"] == "semantics"
         assert data["relation"][0] == "graph 1 2"
+
+    def test_wide_header_without_gates_under_a_second(self, tmp_path):
+        # 31 bytes that declare 5,000 wires: formatting costs per set bit,
+        # not per column of every row
+        p = tmp_path / "big.cnot"
+        p.write_text("circuit big : 5000 -> 5000\nend\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cnotcalc.cli", "semantics", str(p)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0 and proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "graph 5000 5000" and len(lines) == 5001
+        assert lines[1:] == [f"parity x{j} y{j} = 0" for j in range(5000)]
+        assert elapsed < 1.0
 
 
 class TestEqual:

@@ -83,6 +83,38 @@ end
         assert str(info.value) == "line 3, column 9: expected an integer, got 'z1'"
 
 
+def old_format_relation(r):
+    """``format_relation`` as it was: every column of every row tested."""
+    n, m = r.n_in, r.n_out
+    lines = [f"graph {n} {m}"]
+    for row in r.constraint_masks:
+        terms = [f"x{j}" for j in range(n) if (row >> j) & 1]
+        terms += [f"y{j}" for j in range(m) if (row >> (n + j)) & 1]
+        rhs = (row >> (n + m)) & 1
+        lines.append(" ".join(["parity", *terms, "=", str(rhs)]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def wide_relations(draw):
+    """Relations of up to 300 + 300 variables: sparse rows of one to three
+    terms, a few dense rows, sometimes x_j = y_j for every j both sides
+    have, and now and then the row 0 = 1."""
+    n, m = draw(st.integers(0, 300)), draw(st.integers(0, 300))
+    nv = n + m
+    bit = st.integers(0, max(nv, 1) - 1).map(lambda j: 1 << j) if nv else st.just(0)
+    rows = [
+        sum(set(draw(st.lists(bit, min_size=1, max_size=3)))) | draw(st.integers(0, 1)) << nv
+        for _ in range(draw(st.integers(0, 40)))
+    ]
+    rows += draw(st.lists(st.integers(0, (1 << (nv + 1)) - 1), max_size=4))
+    if draw(st.booleans()):
+        rows += [(1 << j) | (1 << (n + j)) for j in range(min(n, m))]
+    if draw(st.integers(0, 9)) == 0:
+        rows.append(1 << nv)
+    return AffineRelation(n, m, rows)
+
+
 class TestRelationFormat:
     def test_fanout_canonical_text(self):
         rel = circuit(1, init0(0), cnot(1, 0)).semantics()
@@ -102,6 +134,15 @@ class TestRelationFormat:
     def test_bad_variable_reported(self):
         with pytest.raises(FormatError, match="z0"):
             parse_relation("graph 1 1\nparity z0 = 1\n")
+
+    @settings(deadline=None, max_examples=60)
+    @given(wide_relations())
+    def test_set_bits_match_column_scan(self, rel):
+        assert format_relation(rel) == old_format_relation(rel)
+
+    def test_set_bits_on_the_widest_identity(self):
+        rel = AffineRelation.identity(300)
+        assert format_relation(rel) == old_format_relation(rel)
 
     def test_out_of_range_variable(self):
         with pytest.raises(FormatError, match="out of range"):

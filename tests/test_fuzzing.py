@@ -1,9 +1,15 @@
 """The random circuit generator, pinned to the recursive form it replaced."""
 
+import hashlib
 import random
 
+import pytest
+
 from cnotcalc.circuit import circuit, cnot, init0, init1, notg, post0, post1, swap
-from cnotcalc.fuzzing import random_circuit, trial_rng
+from cnotcalc import fuzzing
+from cnotcalc.formats import format_circuit
+from cnotcalc.fuzzing import fuzz, random_circuit, trial_rng
+from cnotcalc.relation import AffineRelation, all_bitvecs
 
 
 def old_random_circuit(rng, n_in, depth, max_width=None, allow_post=True):
@@ -56,18 +62,19 @@ def old_random_circuit(rng, n_in, depth, max_width=None, allow_post=True):
 
 
 class LoggedRandom(random.Random):
-    """Records every public choice/randrange call and its result."""
+    """Records every ``getrandbits(k)`` call and its result.
+
+    ``random.Random`` serves ``choice`` and ``randrange`` from
+    ``getrandbits`` (``_randbelow_with_getrandbits``, which it also picks
+    for a subclass that overrides ``getrandbits``), so this log holds every
+    draw of the old generator, rejected redraws included.
+    """
 
     calls: list
 
-    def choice(self, seq):
-        out = super().choice(seq)
-        self.calls.append(("choice", tuple(seq), out))
-        return out
-
-    def randrange(self, *args):
-        out = super().randrange(*args)
-        self.calls.append(("randrange", args, out))
+    def getrandbits(self, k):
+        out = super().getrandbits(k)
+        self.calls.append((k, out))
         return out
 
 
@@ -96,6 +103,8 @@ def test_same_circuit_and_draws_as_old_generator():
                 new = random_circuit(new_rng, *shape)
                 old = old_random_circuit(old_rng, *shape)
                 assert new == old and new.validate() == old.validate(), shape
+                # a choice of kind and a first wire per gate, at least
+                assert len(old_rng.calls) >= 2 * shape[1], shape
                 assert new_rng.calls == old_rng.calls, shape
                 assert new_rng.getstate() == old_rng.getstate(), shape
 
@@ -109,3 +118,121 @@ def test_plain_trial_rng_stream_unchanged():
             assert b.randrange(6) == n
             assert random_circuit(a, n, 30) == old_random_circuit(b, n, 30)
             assert a.getstate() == b.getstate()
+
+
+def law_suite_circuits(count):
+    """Circuits drawn as the law suites and ``fuzz`` draw them: six per
+    index, two of them from one stream."""
+    for i in range(count):
+        rng = trial_rng(0, i)  # inverse_laws
+        n = rng.randrange(6)
+        yield random_circuit(rng, n, 30)
+        yield random_circuit(rng, n, 30)
+        yield random_circuit(trial_rng(1, i), 0, 30)  # total_or_degenerate
+        rng = trial_rng(2, i)  # copy_naturality
+        n = rng.randrange(4)
+        yield random_circuit(rng, n, depth=12, max_width=n + 2)
+        rng = trial_rng(3, i)  # plus_naturality
+        n = rng.randrange(3)
+        yield random_circuit(rng, n, depth=10, max_width=n + 2)
+        rng = trial_rng(4, i)  # fuzz --wires 8
+        n = rng.randrange(9)
+        yield random_circuit(rng, n, 30)
+
+
+# sha256 of the circuit files of law_suite_circuits(2000), as the
+# generator drew them when it still called choice and randrange
+LAW_SUITE_DIGEST = "5f3dc061908a928396c79284dcf4ea345eb37c01a923062e3ddf142997da3895"
+
+
+def test_law_suite_circuits_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for c in law_suite_circuits(2000):
+        h.update(format_circuit(c).encode())
+        count += 1
+    assert count == 12_000
+    assert h.hexdigest() == LAW_SUITE_DIGEST
+
+
+def test_gate_cache_is_bounded():
+    assert fuzzing._gates.cache_info().maxsize is not None
+    assert fuzzing._menu.cache_info().maxsize is not None
+
+
+# -- fuzz: one semantics per trial ----------------------------------------------
+
+
+def old_fuzz(wires, depth, seed, trials):
+    """``fuzz`` as it was: each check computes the semantics itself."""
+
+    def oracle_trial(c):
+        rel = c.semantics()
+        for x in all_bitvecs(c.n_in):
+            if c.eval_state(x) != rel.apply(x):
+                return f"eval/apply disagree on input {list(x)}"
+        return None
+
+    def synth_roundtrip_trial(c):
+        rel = c.semantics()
+        if fuzzing.synth(rel).semantics() != rel:
+            return "semantics(synth(semantics(c))) differs from semantics(c)"
+        return None
+
+    for i in range(trials):
+        rng = trial_rng(seed, i)
+        c = random_circuit(rng, rng.randrange(wires + 1), depth)
+        for check in (oracle_trial, synth_roundtrip_trial):
+            message = check(c)
+            if message is not None:
+                return i + 1, (i, c, message)
+    return trials, None
+
+
+def plant_synth_failure(monkeypatch, n_in=3):
+    """Synthesis that returns a nowhere-defined circuit for every non-empty
+    relation on ``n_in`` inputs."""
+    synth = fuzzing.synth
+
+    def planted(rel):
+        if rel.n_in == n_in and not rel.is_empty():
+            rel = AffineRelation.empty(rel.n_in, rel.n_out)
+        return synth(rel)
+
+    monkeypatch.setattr(fuzzing, "synth", planted)
+
+
+def plant_apply_failure(monkeypatch):
+    """``apply`` that is undefined on the all-ones input of 4 wires."""
+    apply = AffineRelation.apply
+
+    def planted(rel, x):
+        if len(x) == 4 and x.mask == 0b1111:
+            return None
+        return apply(rel, x)
+
+    monkeypatch.setattr(AffineRelation, "apply", planted)
+
+
+def plant_both_failures(monkeypatch):
+    """Both checks fail on every non-empty relation on 4 inputs, so the
+    order of the checks decides the message."""
+    plant_synth_failure(monkeypatch, n_in=4)
+    apply = AffineRelation.apply
+    monkeypatch.setattr(
+        AffineRelation, "apply", lambda rel, x: None if len(x) == 4 else apply(rel, x)
+    )
+
+
+@pytest.mark.parametrize("plant", [plant_synth_failure, plant_apply_failure, plant_both_failures])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_planted_failure_as_old_fuzz_reports_it(monkeypatch, plant, seed):
+    plant(monkeypatch)
+    got = fuzz(wires=5, depth=30, seed=seed, trials=300)
+    want = old_fuzz(wires=5, depth=30, seed=seed, trials=300)
+    assert got[1] is not None and got[1][0] > 0  # found, and not at once
+    assert got == want
+
+
+def test_no_failure_as_old_fuzz():
+    assert fuzz(wires=4, depth=20, seed=3, trials=60) == old_fuzz(4, 20, 3, 60) == (60, None)

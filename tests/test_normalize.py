@@ -264,3 +264,20 @@ class TestRoundTrip:
             c1 = clausal_to_circuit(gaussian_eliminate(ClausalForm(n, tuple(base))))
             c2 = clausal_to_circuit(gaussian_eliminate(ClausalForm(n, tuple(mixed))))
             assert c1 == c2
+
+
+def old_clauses_from_masks(rows, n):
+    """``ClausalForm.from_masks`` as it was: every column of every row tested."""
+    out = []
+    for r in rows:
+        support = frozenset(i for i in range(n) if (r >> i) & 1)
+        out.append(Clause(support, (r >> n) & 1))
+    return ClausalForm(n, tuple(out))
+
+
+@given(st.data())
+def test_from_masks_by_set_bits_matches_column_scan(data):
+    n = data.draw(st.integers(0, 300))
+    # bits above the rhs (bit n) are dropped, as the column scan dropped them
+    rows = data.draw(st.lists(st.integers(0, (1 << (n + 3)) - 1), max_size=12))
+    assert ClausalForm.from_masks(n, rows) == old_clauses_from_masks(rows, n)

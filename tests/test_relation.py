@@ -392,6 +392,56 @@ def relations(draw, n_in=None, n_out=None):
     return AffineRelation(n, m, rows)
 
 
+class TestEmptyOperand:
+    """``compose``, ``tensor`` and ``dagger`` return the empty relation at
+    once when an operand is empty; the per-bit remap path is the oracle."""
+
+    @staticmethod
+    def emptied(a, data):
+        return AffineRelation.empty(a.n_in, a.n_out) if data.draw(st.booleans()) else a
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_compose(self, data):
+        a = data.draw(relations())
+        b = data.draw(relations(n_in=a.n_out))
+        for x, y in [(AffineRelation.empty(a.n_in, a.n_out), b),
+                     (a, AffineRelation.empty(b.n_in, b.n_out)),
+                     (self.emptied(a, data), self.emptied(b, data))]:
+            assert x.compose(y) == old_compose(x, y)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_tensor(self, data):
+        a, b = data.draw(relations()), data.draw(relations())
+        for x, y in [(AffineRelation.empty(a.n_in, a.n_out), b),
+                     (a, AffineRelation.empty(b.n_in, b.n_out)),
+                     (self.emptied(a, data), self.emptied(b, data))]:
+            assert x.tensor(y) == old_tensor(x, y)
+
+    @settings(deadline=None, max_examples=60)
+    @given(widths, widths)
+    def test_dagger(self, n, m):
+        e = AffineRelation.empty(n, m)
+        assert e.dagger() == old_dagger(e) == AffineRelation.empty(m, n)
+
+    @given(widths, widths)
+    def test_empty_is_the_canonical_row(self, n, m):
+        # built without elimination, as the elimination would build it
+        assert AffineRelation.empty(n, m) == AffineRelation(n, m, [1 << (n + m)])
+
+    def test_empty_arities_checked(self):
+        for n, m in [(-1, 0), (0, -1)]:
+            with pytest.raises(ArityError):
+                AffineRelation.empty(n, m)
+
+    def test_compose_arity_checked_first(self):
+        e, idn = AffineRelation.empty, AffineRelation.identity
+        for a, b in [(e(2, 3), e(2, 2)), (e(2, 3), idn(2)), (idn(2), e(3, 1)), (e(0, 1), e(0, 0))]:
+            with pytest.raises(ArityError):
+                a.compose(b)
+
+
 class TestBlockShiftsMatchRemap:
     @settings(deadline=None, max_examples=60)
     @given(st.data())
