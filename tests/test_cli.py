@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: outputs, exit codes, determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -10,11 +11,19 @@ from pathlib import Path
 import pytest
 
 import cnotcalc
-from cnotcalc.cli import run
+from cnotcalc.cli import FAIL, OK, USAGE, run
 from cnotcalc.circuit import circuit, cnot, init0, swap
 from cnotcalc.formats import format_circuit
 
 SRC = Path(cnotcalc.__file__).parent.parent
+
+
+def cli_process(*argv, flags=()):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "cnotcalc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 @pytest.fixture
@@ -74,12 +83,8 @@ class TestSemantics:
         # not per column of every row
         p = tmp_path / "big.cnot"
         p.write_text("circuit big : 5000 -> 5000\nend\n")
-        env = dict(os.environ, PYTHONPATH=str(SRC))
         start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "cnotcalc.cli", "semantics", str(p)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = cli_process("semantics", str(p))
         elapsed = time.perf_counter() - start
         assert proc.returncode == 0 and proc.stderr == ""
         lines = proc.stdout.splitlines()
@@ -271,6 +276,15 @@ class TestVerifyReplayConstruct:
         assert code == 0
         assert out.splitlines()[0] == "circuit clause : 3 -> 3"
 
+    @pytest.mark.parametrize(
+        "params, wire", [(["3", "1", "1", "1"], 1), (["4", "0", "2", "0", "3", "2"], 2)]
+    )
+    def test_construct_clause_rejects_a_repeated_wire(self, run_cli, params, wire):
+        # x1 + x1 = 0 over GF(2): the clause 3 1 1 1 reads 0 = 1, not x1 = 1
+        code, out, err = run_cli("construct", "clause", *params)
+        assert code == 2 and out == ""
+        assert err == f"error: repeated wire {wire}\n"
+
     def test_construct_clause_bad_wire(self, run_cli):
         code, out, err = run_cli("construct", "clause", "4", "1", "x")
         assert code == 2 and out == ""
@@ -439,3 +453,97 @@ class TestClosedStdout:
         proc.stdout.close()  # long before the interpreter has started
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141 and err == b""
+
+
+class TestMain:
+    """``main``, the process entry point, freezes the heap once the command
+    is done, so that interpreter shutdown skips collecting it.  ``run``, the
+    in-process entry point, never touches the collector."""
+
+    @pytest.mark.parametrize("code", [OK, FAIL, USAGE])
+    def test_freezes_after_run_then_exits_with_its_code(self, monkeypatch, code):
+        import cnotcalc.cli as cli_mod
+
+        calls = []
+
+        def fake_run(argv):
+            calls.append(("run", argv))
+            return code
+
+        monkeypatch.setattr(cli_mod, "run", fake_run)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append(("freeze",)))
+        monkeypatch.setattr(sys, "argv", ["cnotcalc", "construct", "omega"])
+        with pytest.raises(SystemExit) as exit_:
+            cli_mod.main()
+        assert exit_.value.code == code
+        assert calls == [("run", ["construct", "omega"]), ("freeze",)]
+
+    def test_run_leaves_the_collector_alone(self, run_cli):
+        before = gc.get_freeze_count(), gc.isenabled()
+        code, out, _ = run_cli("construct", "omega")
+        assert code == 0 and out.startswith("circuit omega")
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+@pytest.fixture
+def circuit_files(tmp_path):
+    texts = {
+        "swap3": "circuit a : 2 -> 2\ncnot 0 1\ncnot 1 0\ncnot 0 1\nend\n",
+        "swap": "circuit b : 2 -> 2\nswap 0 1\nend\n",
+        "cnot": "circuit c : 2 -> 2\ncnot 1 0\nend\n",
+        # partial: the first two are defined where x0 = x1 and give x0 there,
+        # the third is defined where x1 = 0
+        "partial_a": "circuit d : 2 -> 1\ncnot 0 1\npost0 1\nend\n",
+        "partial_b": "circuit e : 2 -> 1\ncnot 1 0\npost0 0\nend\n",
+        "partial_c": "circuit f : 2 -> 1\npost0 1\nend\n",
+    }
+    paths = {"missing": str(tmp_path / "missing.cnot")}
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.cnot"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+class TestProcess:
+    """``python -m cnotcalc.cli`` runs ``main``, which the in-process tests
+    above do not: exit codes and output as a process sees them."""
+
+    @pytest.mark.parametrize(
+        "argv, code, first_line, lines, error",
+        [
+            (("equal", "swap3", "swap"), 0, "equal", 1, ""),
+            (("equal", "swap", "cnot"), 1, "unequal", 1, ""),
+            (("semantics", "missing"), 2, None, 0, "error: cannot read "),
+            (("--help",), 0, "usage: cnotcalc [-h]", None, ""),
+            (("construct", "fanout", "3000"), 0, "circuit fanout : 3000 -> 6000", 15002, ""),
+        ],
+    )
+    def test_exit_code_and_output(self, circuit_files, argv, code, first_line, lines, error):
+        proc = cli_process(*(circuit_files.get(arg, arg) for arg in argv))
+        assert proc.returncode == code
+        out = proc.stdout.splitlines()
+        if first_line is not None:
+            assert out[0] == first_line
+        if lines is not None:
+            assert len(out) == lines
+        if error:
+            assert proc.stderr.startswith(error) and proc.stderr.count("\n") == 1
+        else:
+            assert proc.stderr == ""
+
+    def test_verify_under_optimize(self):
+        # -O strips assert statements: the checks must not rest on them
+        proc = cli_process("verify", flags=("-O",))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "all checks passed"
+
+    @pytest.mark.parametrize(
+        "pair, code", [(("partial_a", "partial_b"), OK), (("partial_a", "partial_c"), FAIL)]
+    )
+    def test_equal_on_a_partial_pair_is_the_same_under_optimize(self, circuit_files, pair, code):
+        paths = [circuit_files[name] for name in pair]
+        plain = cli_process("equal", *paths)
+        optimized = cli_process("equal", *paths, flags=("-O",))
+        assert plain.returncode == code
+        assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
