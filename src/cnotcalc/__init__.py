@@ -26,26 +26,38 @@ from .circuit import (
     clause_circuit,
     is_latchable,
 )
-from .rewrite import (
-    RewriteRule,
-    Derivation,
-    axiom,
-    lemma_fixture,
-    all_rules,
-    apply_at,
-    replay,
-    verify_all,
-    verify_rules,
-)
-from .normalize import (
-    Clause,
-    ClausalForm,
-    idempotent_to_clausal,
-    clausal_to_circuit,
-    gaussian_eliminate,
-    normalize_idempotent,
-)
-from .synth import AffineMapSpec, synth_total_graph, synth
+
+# The layers above the circuit load on first use of a name they define, so
+# a program that never touches them (the ``equal``, ``semantics`` and
+# ``eval`` commands among others) does not compile them.  ``synth`` is the
+# submodule; its function is ``cnotcalc.synth.synth``.
+_LAZY = {
+    "rewrite": (
+        "RewriteRule", "Derivation", "axiom", "lemma_fixture", "all_rules", "apply_at",
+        "replay", "verify_all", "verify_rules",
+    ),
+    "normalize": (
+        "Clause", "ClausalForm", "idempotent_to_clausal", "clausal_to_circuit",
+        "gaussian_eliminate", "normalize_idempotent",
+    ),
+    "synth": ("AffineMapSpec", "synth_total_graph"),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    import importlib
+
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _OWNER:
+        return getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_OWNER})
+
 
 __all__ = [
     "BitVec",
@@ -90,5 +102,4 @@ __all__ = [
     "normalize_idempotent",
     "AffineMapSpec",
     "synth_total_graph",
-    "synth",
 ]

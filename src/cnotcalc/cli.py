@@ -8,6 +8,10 @@ closes stdout before all of the output is written, as ``| head`` may.
 ``--json`` prints a stable JSON mirror of the report instead of plain text;
 errors stay one plain ``error:`` line on stderr.
 
+The layers above ``circuit`` (``normalize``, ``synth``, ``rewrite``,
+``fuzzing``, ``lawsuites``) are imported by the handlers that run them, so
+``equal``, ``semantics``, ``eval`` and ``construct`` never load them.
+
 ``main`` is the process entry point of ``cnotcalc`` and ``python -m
 cnotcalc.cli``; once the command is done it freezes the heap, so interpreter
 shutdown does not collect it.  ``run(argv)`` is the in-process entry point: it
@@ -33,12 +37,7 @@ from .circuit import (
     plus_map,
 )
 from .gf2 import BitVec
-from .normalize import NotIdempotentError, idempotent_to_clausal, clausal_to_circuit
 from .relation import ENUMERATION_LIMIT, ArityError
-from .rewrite import Derivation, replay, verify_all
-from .fuzzing import fuzz
-from .synth import NotPartialIsoError, synth
-from . import lawsuites
 
 OK, FAIL, USAGE, INTERNAL, BROKEN_PIPE = 0, 1, 2, 3, 141
 
@@ -119,6 +118,8 @@ def _cmd_equal(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from .normalize import NotIdempotentError, clausal_to_circuit, idempotent_to_clausal
+
     _, c = _load_circuit(args.file)
     try:
         cf = idempotent_to_clausal(c.semantics())
@@ -130,6 +131,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import NotPartialIsoError, synth
+
     rel = formats.parse_synth_input(_read(args.file))
     try:
         c = synth(rel)
@@ -141,6 +144,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import lawsuites
+    from .rewrite import verify_all
+
     lines = []
     ok = True
     for report in verify_all():
@@ -155,6 +161,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from .rewrite import Derivation, replay
+
     _, c = _load_circuit(args.file)
     steps = formats.parse_derivation(_read(args.derivation))
     try:
@@ -171,6 +179,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from .fuzzing import fuzz
+
     wires, depth, seed, trials = (
         _integer(token) for token in (args.wires, args.depth, args.seed, args.trials)
     )

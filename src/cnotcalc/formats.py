@@ -11,12 +11,14 @@ with primitive gates only; the parser additionally accepts the
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .circuit import Circuit, Gate, circuit, cnot, init0, init1, notg, post0, post1, swap
 from .gf2 import set_bits
-from .normalize import ClausalForm
 from .relation import AffineRelation
+
+if TYPE_CHECKING:
+    from .normalize import ClausalForm
 
 
 class FormatError(ValueError):
@@ -317,6 +319,8 @@ def format_system(cf: ClausalForm) -> str:
 
 
 def parse_system(text: str) -> ClausalForm:
+    from .normalize import ClausalForm  # no command parses a system file
+
     _, (n,), _, body = _read_header(
         text, "system file", {"system": 1}, "header 'system <n>'"
     )

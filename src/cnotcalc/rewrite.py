@@ -253,9 +253,14 @@ def all_rules() -> list[RewriteRule]:
 
 
 def find_rule(name: str) -> RewriteRule:
+    """The axiom or lemma fixture of that name."""
     if name in _axiom_table():
         return axiom(name)
-    return lemma_fixture(name)
+    if name in _lemma_table():
+        return lemma_fixture(name)
+    raise RuleLoadError(
+        f"unknown rule {name!r}; axioms: {axiom_names()}; lemmas: {lemma_names()}"
+    )
 
 
 # -- rule application ---------------------------------------------------------
@@ -396,7 +401,10 @@ def replay(d: Derivation) -> list[Circuit]:
     out = [d.start]
     current = d.start
     for i, (name, offset, direction) in enumerate(d.steps):
-        rule = find_rule(name)
+        try:
+            rule = find_rule(name)
+        except RuleLoadError as e:
+            raise RuleLoadError(f"step {i}: {e}") from None
         nxt = apply_at(current, rule, offset, direction)
         if nxt is None:
             raise ValueError(

@@ -266,6 +266,21 @@ class TestVerifyReplayConstruct:
         code, _, err = run_cli("replay", str(c), str(d))
         assert code == 2 and "does not match" in err
 
+    def test_replay_unknown_rule_names_the_step_and_every_rule(self, run_cli, tmp_path):
+        from cnotcalc.rewrite import axiom_names, lemma_names
+
+        c = tmp_path / "c.cnot"
+        c.write_text("circuit c : 2 -> 2\ncnot 0 1\ncnot 0 1\nend\n")
+        d = tmp_path / "d.deriv"
+        d.write_text("CNT2 0 lr\nnosuch 0 lr\n")
+        code, out, err = run_cli("replay", str(c), str(d))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: step 1: unknown rule 'nosuch'; axioms: {axiom_names()};"
+            f" lemmas: {lemma_names()}\n"
+        )
+        assert len(axiom_names()) == 11 and len(lemma_names()) == 16
+
     def test_construct_hat(self, run_cli):
         code, out, _ = run_cli("construct", "hat", "01")
         assert code == 0
@@ -377,12 +392,13 @@ class TestFuzzCommand:
         assert err == f"error: expected an integer, got {value!r}\n"
 
     def test_wires_above_enumeration_limit_rejected(self, run_cli, monkeypatch):
-        import cnotcalc.cli as cli_mod
+        import cnotcalc.fuzzing as fuzzing_mod
 
         def no_fuzz(*args):
             raise AssertionError("fuzz started")
 
-        monkeypatch.setattr(cli_mod, "fuzz", no_fuzz)
+        # the handler imports fuzz from its module when it runs
+        monkeypatch.setattr(fuzzing_mod, "fuzz", no_fuzz)
         code, out, err = run_cli("fuzz", "--wires", "21", "--trials", "0")
         assert code == 2 and out == ""
         assert err == "error: --wires must be at most 20, got 21\n"
@@ -396,13 +412,13 @@ class TestFuzzCommand:
         assert code == 0 and out.startswith("0 trials passed")
 
     def test_counterexample_printed(self, run_cli, monkeypatch):
-        import cnotcalc.cli as cli_mod
+        import cnotcalc.fuzzing as fuzzing_mod
         from cnotcalc.circuit import circuit, notg
 
         def fake_fuzz(wires, depth, seed, trials):
             return 1, (0, circuit(1, notg(0)), "synthetic failure")
 
-        monkeypatch.setattr(cli_mod, "fuzz", fake_fuzz)
+        monkeypatch.setattr(fuzzing_mod, "fuzz", fake_fuzz)
         code, out, _ = run_cli("fuzz", "--trials", "1")
         assert code == 1
         assert "synthetic failure" in out and "circuit counterexample0" in out
@@ -496,6 +512,10 @@ def circuit_files(tmp_path):
         "partial_a": "circuit d : 2 -> 1\ncnot 0 1\npost0 1\nend\n",
         "partial_b": "circuit e : 2 -> 1\ncnot 1 0\npost0 0\nend\n",
         "partial_c": "circuit f : 2 -> 1\npost0 1\nend\n",
+        "cnot_twice": "circuit g : 2 -> 2\ncnot 0 1\ncnot 0 1\nend\n",
+        "idempotent": "circuit h : 2 -> 2\ncnot 0 1\npost0 1\ninit0 1\ncnot 0 1\nend\n",
+        "graph": "graph 1 1\nparity x0 y0 = 1\n",
+        "derivation": "CNT2 0 lr\n",
     }
     paths = {"missing": str(tmp_path / "missing.cnot")}
     for name, text in texts.items():
@@ -517,6 +537,11 @@ class TestProcess:
             (("semantics", "missing"), 2, None, 0, "error: cannot read "),
             (("--help",), 0, "usage: cnotcalc [-h]", None, ""),
             (("construct", "fanout", "3000"), 0, "circuit fanout : 3000 -> 6000", 15002, ""),
+            # the commands that import their layers when they run
+            (("synth", "graph"), 0, "circuit synth : 1 -> 1", None, ""),
+            (("normalize", "idempotent"), 0, "circuit clausal : 2 -> 2", None, ""),
+            (("replay", "cnot_twice", "derivation"), 0, "circuit step0 : 2 -> 2", 6, ""),
+            (("fuzz", "--trials", "1"), 0, "1 trials passed (wires<=5 depth=30 seed=0)", 1, ""),
         ],
     )
     def test_exit_code_and_output(self, circuit_files, argv, code, first_line, lines, error):

@@ -1,15 +1,18 @@
 """Every CLI command is a fresh process, so what ``import cnotcalc.cli``
 pulls in is paid on every command: keep ``dataclasses`` (and through it
-``inspect``) and ``json`` (needed only by ``--json``) off that path.  The
-file formats sit below the layers that use them.  Importing cnotcalc as a
-library leaves the host's garbage collector and exit alone.  And the
-package's public names all exist."""
+``inspect``) and ``json`` (needed only by ``--json``) off that path, and let
+each command load only the layers it runs.  The file formats sit below the
+layers that use them.  Importing cnotcalc as a library leaves the host's
+garbage collector and exit alone.  And the package's public names all
+exist, each the very object its module defines."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cnotcalc
 
@@ -23,13 +26,87 @@ print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_cli_import_adds_neither_dataclasses_nor_json():
+def _probe(code: str, *argv: str) -> list[str]:
+    """The lines a fresh interpreter running ``code`` prints."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+
+
+def test_cli_import_adds_neither_dataclasses_nor_json():
+    out = _probe(PROBE)[0].split()
     assert "cnotcalc.cli" in out
     assert [m for m in ("dataclasses", "inspect", "json") if m in out] == []
+
+
+# the layers above the circuit that only some commands run
+LAYERS = {"rewrite", "normalize", "synth", "fuzzing", "lawsuites"}
+
+RUN_PROBE = """
+import sys
+import cnotcalc.cli
+code = cnotcalc.cli.run(sys.argv[1:])
+print(code)
+print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("cnotcalc."))))
+"""
+
+INPUTS = {
+    "circ": "circuit c : 2 -> 2\ncnot 0 1\ncnot 0 1\nend\n",
+    "idem": "circuit h : 2 -> 2\ncnot 0 1\npost0 1\ninit0 1\ncnot 0 1\nend\n",
+    "graph": "graph 1 1\nparity x0 y0 = 1\n",
+    "deriv": "CNT2 0 lr\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("--help",), set()),
+        (("equal", "circ", "idem"), set()),
+        (("semantics", "circ"), set()),
+        (("eval", "circ", "--input", "10"), set()),
+        (("construct", "fanout", "3"), set()),
+        (("synth", "graph"), {"synth", "normalize"}),
+        (("normalize", "idem"), {"normalize"}),
+        (("replay", "circ", "deriv"), {"rewrite"}),
+        (("fuzz", "--trials", "1"), {"fuzzing", "synth", "normalize"}),
+        (("verify",), LAYERS),
+    ],
+)
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    args = [str(tmp_path / a) if a in INPUTS else a for a in argv]
+    *_, code, modules = _probe(RUN_PROBE, *args)
+    assert code in ("0", "1")
+    assert set(modules.split()) & LAYERS == loaded
+
+
+SYNTH_ORDERS = {
+    "submodule first": "import cnotcalc.synth\nfrom cnotcalc import synth\n",
+    "package first": "from cnotcalc import synth\nimport cnotcalc.synth\n",
+    "attribute only": "import cnotcalc\nsynth = cnotcalc.synth\n",
+}
+
+SYNTH_PROBE = """
+import importlib
+import sys
+import cnotcalc
+module = sys.modules["cnotcalc.synth"]
+print(synth is module and cnotcalc.synth is module and callable(module.synth))
+print("synth" in cnotcalc.__all__)
+print(sorted(
+    name for name in cnotcalc.__all__
+    if getattr(importlib.import_module(getattr(cnotcalc, name).__module__), name)
+    is not getattr(cnotcalc, name)
+))
+"""
+
+
+@pytest.mark.parametrize("order", sorted(SYNTH_ORDERS))
+def test_synth_is_the_submodule_whatever_the_import_order(order):
+    assert _probe(SYNTH_ORDERS[order] + SYNTH_PROBE) == ["True", "False", "[]"]
 
 
 def test_formats_imports_no_higher_layer():
