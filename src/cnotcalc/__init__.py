@@ -85,21 +85,5 @@ __all__ = [
     "literal",
     "clause_circuit",
     "is_latchable",
-    "RewriteRule",
-    "Derivation",
-    "axiom",
-    "lemma_fixture",
-    "all_rules",
-    "apply_at",
-    "replay",
-    "verify_all",
-    "verify_rules",
-    "Clause",
-    "ClausalForm",
-    "idempotent_to_clausal",
-    "clausal_to_circuit",
-    "gaussian_eliminate",
-    "normalize_idempotent",
-    "AffineMapSpec",
-    "synth_total_graph",
+    *_OWNER,
 ]

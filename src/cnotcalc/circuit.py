@@ -8,8 +8,10 @@ A circuit ``n_in -> n_out`` is an ordered list of gates over four primitives:
 * ``post1 p``   - post-select wire ``p`` on 1 and delete it (width -1)
 
 Wires are absolute indices into the current register, so the width changes
-along the gate list; ``validate`` checks the whole trace.  The derived
-``init0``/``post0``/``not`` gates expand to primitive sequences eagerly.
+along the gate list.  ``Circuit`` checks the whole trace when it is built and
+raises ``CircuitError`` at the first illegal gate, so every ``Circuit`` is a
+morphism ``n_in -> n_out``.  The derived ``init0``/``post0``/``not`` gates
+expand to primitive sequences eagerly; ``GATES`` lists every gate kind.
 
 ``semantics`` maps a circuit to its :class:`AffineRelation` by symbolic
 execution: every wire carries an affine expression in the inputs and each
@@ -22,7 +24,6 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .gf2 import BitVec
-from .record import Record
 from .relation import AffineRelation, ArityError
 
 CNOT = "cnot"
@@ -32,7 +33,12 @@ POST1 = "post1"
 
 
 class CircuitError(ValueError):
-    pass
+    """An illegal circuit; ``index`` is the position of the first illegal
+    gate when a gate is to blame."""
+
+    def __init__(self, message: str, index: Optional[int] = None):
+        super().__init__(message)
+        self.index = index
 
 
 # ``Gate.need`` of a gate that is legal at no width.
@@ -161,6 +167,20 @@ def notg(pos: int) -> tuple[Gate, ...]:
     return (init1(pos), cnot(pos, pos + 1), post1(pos))
 
 
+# kind -> (builder, number of arguments, change in width), for every gate
+# kind of the file format and of random circuits; the macros' builders
+# return tuples of primitive gates.
+GATES = {
+    "cnot": (cnot, 2, 0),
+    "swap": (swap, 2, 0),
+    "not": (notg, 1, 0),
+    "init1": (init1, 1, 1),
+    "init0": (init0, 1, 1),
+    "post1": (post1, 1, -1),
+    "post0": (post0, 1, -1),
+}
+
+
 def _flatten(items: Iterable) -> list[Gate]:
     out: list[Gate] = []
     for item in items:
@@ -169,22 +189,6 @@ def _flatten(items: Iterable) -> list[Gate]:
         else:
             out.extend(_flatten(item))
     return out
-
-
-class ValidationResult(Record):
-    __slots__ = ("ok", "n_out", "bad_index", "message")
-
-    def __init__(
-        self,
-        ok: bool,
-        n_out: Optional[int],
-        bad_index: Optional[int] = None,
-        message: Optional[str] = None,
-    ):
-        self._init(ok, n_out, bad_index, message)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _gate_width(gate: Gate, width: int) -> Optional[str]:
@@ -218,9 +222,9 @@ def _gate_width(gate: Gate, width: int) -> Optional[str]:
 
 
 class Circuit:
-    """An immutable gate list with fixed input arity."""
+    """An immutable gate list, legal at every step, with fixed input arity."""
 
-    __slots__ = ("n_in", "gates", "_validation")
+    __slots__ = ("n_in", "gates", "n_out")
 
     def __init__(self, n_in: int, gates: Iterable[Gate] = ()):
         if n_in < 0:
@@ -229,32 +233,18 @@ class Circuit:
         gates = tuple(gates)
         object.__setattr__(self, "gates", gates)
         width = n_in
-        problem = None
         for i, g in enumerate(gates):
             if g.need > width:
                 # need is exact for well-formed gates; _gate_width has the
                 # last word on the rest (and may raise, as it always has)
                 reason = _gate_width(g, width)
                 if reason is not None:
-                    problem = ValidationResult(False, None, i, f"gate {i} {g}: {reason}")
-                    break
+                    raise CircuitError(f"gate {i} {g}: {reason}", i)
             width += g.delta
-        if problem is None:
-            problem = ValidationResult(True, width)
-        object.__setattr__(self, "_validation", problem)
+        object.__setattr__(self, "n_out", width)
 
     def __setattr__(self, *_):
         raise AttributeError("Circuit is immutable")
-
-    @property
-    def n_out(self) -> int:
-        v = self._validation
-        if not v.ok:
-            raise CircuitError(v.message)
-        return v.n_out
-
-    def validate(self) -> ValidationResult:
-        return self._validation
 
     def __eq__(self, other) -> bool:
         return (
@@ -271,7 +261,7 @@ class Circuit:
         return Circuit, (self.n_in, self.gates)
 
     def __repr__(self) -> str:
-        return f"Circuit({self.n_in}->{self._validation.n_out}, {list(self.gates)})"
+        return f"Circuit({self.n_in}->{self.n_out}, {list(self.gates)})"
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -287,15 +277,11 @@ class Circuit:
 
     def tensor(self, other: "Circuit") -> "Circuit":
         """self on the lower wires, other re-indexed above them."""
-        if not (self._validation.ok and other._validation.ok):
-            raise CircuitError("tensor of an invalid circuit")
         shifted = tuple(g.shifted(self.n_out) for g in other.gates)
         return Circuit(self.n_in + other.n_in, self.gates + shifted)
 
     def dagger(self) -> "Circuit":
         """Horizontal flip: reverse the gate list, trading init1 and post1."""
-        if not self._validation.ok:
-            raise CircuitError(self._validation.message)
         flipped = []
         for g in reversed(self.gates):
             if g.kind == INIT1:
@@ -313,8 +299,6 @@ class Circuit:
         bits = list(x)
         if len(bits) != self.n_in:
             raise ArityError(f"input of length {len(bits)} for arity {self.n_in}")
-        if not self._validation.ok:
-            raise CircuitError(self._validation.message)
         for g in self.gates:
             k, a = g.kind, g.args
             if k == CNOT:
@@ -337,8 +321,6 @@ class Circuit:
         ``0 = 1``, which makes the relation empty whatever follows: the
         gate loop stops there and returns ``AffineRelation.empty``.
         """
-        if not self._validation.ok:
-            raise CircuitError(self._validation.message)
         n = self.n_in
         one = 1 << n  # constant-term bit of a wire expression
         wires = [1 << i for i in range(n)]
@@ -355,7 +337,7 @@ class Circuit:
             else:
                 e = wires.pop(a[0])
                 if not e:
-                    return AffineRelation.empty(n, self._validation.n_out)
+                    return AffineRelation.empty(n, self.n_out)
                 # constraint: linear part of e equals 1 xor its constant term
                 dom_rows.append((e & (one - 1)) | ((1 ^ (e >> n)) << n))
         m = len(wires)

@@ -217,9 +217,10 @@ def _cmd_fuzz(args) -> int:
 
 
 def _build_construct(name: str, params: list[str]):
-    def arity(k):
-        if len(params) != k:
-            raise CliInputError(f"construct {name} takes {k} argument(s)")
+    def arity(*counts):
+        if len(params) not in counts:
+            told = " or ".join(map(str, counts))
+            raise CliInputError(f"construct {name} takes {told} argument(s)")
 
     def num(i):
         return _integer(params[i])
@@ -231,10 +232,8 @@ def _build_construct(name: str, params: list[str]):
         arity(1)
         return fanin(num(0))
     if name == "omega":
-        if not params:
-            return omega()
-        arity(2)
-        return omega_nm(num(0), num(1))
+        arity(0, 2)
+        return omega_nm(num(0), num(1)) if params else omega()
     if name == "plus":
         arity(1)
         return plus_map(num(0))

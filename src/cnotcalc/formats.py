@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Optional
 
-from .circuit import Circuit, Gate, circuit, cnot, init0, init1, notg, post0, post1, swap
+from .circuit import GATES, Circuit, CircuitError, Gate, circuit, cnot, init1, post1, swap
 from .gf2 import set_bits
 from .relation import AffineRelation
 
@@ -86,18 +86,6 @@ def _column_of(body: str, token_index: int) -> int:
 
 
 # -- circuits -----------------------------------------------------------------
-
-# kind -> (builder, number of arguments)
-_GATES = {
-    "cnot": (cnot, 2),
-    "swap": (swap, 2),
-    "init1": (init1, 1),
-    "post1": (post1, 1),
-    "init0": (init0, 1),
-    "post0": (post0, 1),
-    "not": (notg, 1),
-}
-
 
 def format_circuit(c: Circuit, name: str = "main") -> str:
     lines = [f"circuit {name} : {c.n_in} -> {c.n_out}"]
@@ -173,7 +161,7 @@ def parse_circuit(
                 memo[body] = builder(a)
                 continue
         kind = tokens[0]
-        builder, arity = _GATES.get(kind, (None, None))
+        builder, arity, _ = GATES.get(kind, (None, None, None))
         if builder is None or len(tokens) != 1 + arity:
             lineno = bodies.index(body, start + 1) + 1
             if builder is None:
@@ -195,19 +183,29 @@ def parse_circuit(
         last = max(i for i, body in enumerate(bodies) if body)
         raise FormatError("missing 'end' terminator", last + 1)
     gates = list(map(memo.__getitem__, gate_bodies))
-    if tuple in map(type, gates):  # a macro or a blank line: flatten
-        c = circuit(n_in, *gates)
-    else:
-        c = Circuit(n_in, gates)
-    v = c.validate()
-    if not v.ok:
-        raise FormatError(v.message, start + 1)
+    try:
+        if tuple in map(type, gates):  # a macro or a blank line: flatten
+            c = circuit(n_in, *gates)
+        else:
+            c = Circuit(n_in, gates)
+    except CircuitError as e:
+        raise FormatError(str(e), start + 2 + _line_of_gate(gates, e.index)) from None
     if c.n_out != n_out:
         raise FormatError(
             f"header declares {n_in} -> {n_out} but gates yield {c.n_out} outputs",
             start + 1,
         )
     return name, c
+
+
+def _line_of_gate(entries: list, index: int) -> int:
+    """The position in ``entries``, the memo entries of a file's gate lines,
+    of the line that builds gate ``index``: a macro line builds all its
+    gates, a blank or comment line none."""
+    for j, entry in enumerate(entries):
+        index -= 1 if type(entry) is Gate else len(entry)
+        if index < 0:
+            return j
 
 
 # -- the readers shared by graph, system and affine files ---------------------

@@ -16,7 +16,7 @@ import random
 from functools import lru_cache
 from typing import Optional
 
-from .circuit import Circuit, Gate, cnot, init0, init1, notg, post0, post1, swap
+from .circuit import GATES, Circuit, Gate
 from .relation import AffineRelation, all_bitvecs
 from .synth import synth
 
@@ -49,7 +49,7 @@ def random_circuit(
         while r >= len(menu):
             r = bits(k)
         kind = menu[r]
-        grow = _KINDS[kind][1]
+        grow = GATES[kind][2]
         n = width + 1 if grow > 0 else width  # an insertion has width + 1 places
         k = n.bit_length()
         a = bits(k)
@@ -70,17 +70,10 @@ def random_circuit(
     return Circuit(n_in, gates)
 
 
-# Each kind ``_menu`` offers: its builder and its change in width.
-_KINDS = {
-    "cnot": (cnot, 0), "swap": (swap, 0), "not": (notg, 0),
-    "init1": (init1, 1), "init0": (init0, 1), "post1": (post1, -1), "post0": (post0, -1),
-}
-
-
 @lru_cache(maxsize=4096)
 def _gates(kind: str, *args: int) -> tuple[Gate, ...]:
     """The gates of one drawn kind, built once: gates are immutable."""
-    gates = _KINDS[kind][0](*args)
+    gates = GATES[kind][0](*args)
     return gates if type(gates) is tuple else (gates,)
 
 

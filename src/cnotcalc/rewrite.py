@@ -20,7 +20,6 @@ from typing import Iterable, Optional
 from .circuit import (
     Circuit,
     Gate,
-    CircuitError,
     CNOT,
     SWAP,
     INIT1,
@@ -326,8 +325,6 @@ def apply_at(
     semantically equal to ``c``."""
     if direction not in ("lr", "rl"):
         raise ValueError(f"direction must be 'lr' or 'rl', got {direction!r}")
-    if not c.validate():
-        raise CircuitError(c.validate().message)
     src, dst = (rule.lhs, rule.rhs) if direction == "lr" else (rule.rhs, rule.lhs)
     k = len(src.gates)
     if offset < 0 or offset + k > len(c.gates):
@@ -336,7 +333,7 @@ def apply_at(
     prefix = c.gates[:offset]
     segment = c.gates[offset : offset + k]
     suffix = c.gates[offset + k :]
-    w0 = c.n_in + sum(g.delta for g in prefix)  # c is valid: no need to revalidate
+    w0 = c.n_in + sum(g.delta for g in prefix)
 
     circ_events, circ_final, touched = _replay_ids(segment, w0, first_fresh=w0)
     src_events, src_final, _ = _replay_ids(src.gates, src.n_in, first_fresh=src.n_in)

@@ -131,7 +131,7 @@ class TestEqual:
         b.write_text("circuit b : 3 -> 3\nswap 1 2\ncnot 0 1\npost1 7\nend\n")
         code, _, err = run_cli("equal", str(a), str(b))
         assert code == 2
-        assert err == "error: line 1, column 1: gate 2 post1(7): wire out of range at width 3\n"
+        assert err == "error: line 4, column 1: gate 2 post1(7): wire out of range at width 3\n"
 
     def test_second_file_not_utf8_is_named(self, run_cli, tmp_path):
         a = tmp_path / "ok.cnot"
@@ -299,6 +299,20 @@ class TestVerifyReplayConstruct:
         code, out, err = run_cli("construct", "clause", *params)
         assert code == 2 and out == ""
         assert err == f"error: repeated wire {wire}\n"
+
+    @pytest.mark.parametrize(
+        "params, told",
+        [(["omega", "1"], "0 or 2"), (["omega", "1", "2", "3"], "0 or 2"), (["fanout"], "1"),
+         (["hat", "01", "1"], "1")],
+    )
+    def test_construct_argument_count(self, run_cli, params, told):
+        code, out, err = run_cli("construct", *params)
+        assert code == 2 and out == ""
+        assert err == f"error: construct {params[0]} takes {told} argument(s)\n"
+
+    def test_construct_omega_n_m(self, run_cli):
+        code, out, _ = run_cli("construct", "omega", "1", "2")
+        assert code == 0 and out.splitlines()[0] == "circuit omega : 1 -> 2"
 
     def test_construct_clause_bad_wire(self, run_cli):
         code, out, err = run_cli("construct", "clause", "4", "1", "x")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cnotcalc.circuit import (
-    Circuit, circuit, cnot, init0, init1, notg, post0, post1, swap,
+    Circuit, CircuitError, circuit, cnot, init0, init1, notg, post0, post1, swap,
 )
 from cnotcalc.normalize import Clause, ClausalForm
 from cnotcalc.relation import AffineRelation
@@ -58,8 +58,12 @@ end
             parse_circuit("circuit x : 1 -> 1\ncnot 0\nend\n")
 
     def test_invalid_width_trace_caught(self):
-        with pytest.raises(FormatError, match="out of range"):
+        with pytest.raises(FormatError, match="^line 2, column 1: gate 0 cnot.*out of range"):
             parse_circuit("circuit x : 1 -> 1\ncnot 0 1\nend\n")
+        # a macro line covers all of its gates, blank and comment lines none
+        text = "circuit x : 1 -> 1\n# c\n\nnot 0\ninit0 1\n\nswap 0 1\nnot 5\nend\n"
+        with pytest.raises(FormatError, match=r"^line 8, column 1: gate 8 init1\(5\)"):
+            parse_circuit(text)
 
     def test_missing_end(self):
         with pytest.raises(FormatError, match="end"):
@@ -360,6 +364,7 @@ def old_parse_circuit(text):
                 f"arity must be nonnegative, got {k}", lineno, _column_of(header, i)
             )
     gates = []
+    origins = []  # the line number of each gate
     terminated = False
     for lineno, body in lines[1:]:
         if body == "end":
@@ -373,13 +378,15 @@ def old_parse_circuit(text):
             raise FormatError(f"gate {kind} takes {_OLD_ARITY[kind]} argument(s)", lineno)
         args = [_int(t, lineno, body, i) for i, t in enumerate(tokens[1:], 1)]
         built = _OLD_BUILDERS[kind](*args)
-        gates.extend(built if isinstance(built, tuple) else (built,))
+        built = built if isinstance(built, tuple) else (built,)
+        gates.extend(built)
+        origins += [lineno] * len(built)
     if not terminated:
         raise FormatError("missing 'end' terminator", lines[-1][0])
-    c = Circuit(n_in, gates)
-    v = c.validate()
-    if not v.ok:
-        raise FormatError(v.message, lines[0][0])
+    try:
+        c = Circuit(n_in, gates)
+    except CircuitError as e:
+        raise FormatError(str(e), origins[e.index]) from None
     if c.n_out != n_out:
         raise FormatError(
             f"header declares {n_in} -> {n_out} but gates yield {c.n_out} outputs",
@@ -394,7 +401,7 @@ def outcome(parse, text, *memo):
         name, c = parse(text, *memo)
     except Exception as e:
         return type(e), str(e)
-    return name, c.n_in, c.gates, c.validate()
+    return name, c.n_in, c.gates, c.n_out
 
 
 _WIDTH_CHANGE = {"cnot": 0, "swap": 0, "not": 0, "init1": 1, "init0": 1, "post1": -1, "post0": -1}

@@ -180,7 +180,7 @@ class TestApplyAt:
             out = apply_at(c, rule, offset, direction)
             if out is not None:
                 applied += 1
-                assert out.validate().ok
+                assert out.n_out == c.n_out
                 assert equal_circ(c, out)
         assert applied >= 50
 
