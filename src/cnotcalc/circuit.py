@@ -8,10 +8,13 @@ A circuit ``n_in -> n_out`` is an ordered list of gates over four primitives:
 * ``post1 p``   - post-select wire ``p`` on 1 and delete it (width -1)
 
 Wires are absolute indices into the current register, so the width changes
-along the gate list.  ``Circuit`` checks the whole trace when it is built and
-raises ``CircuitError`` at the first illegal gate, so every ``Circuit`` is a
-morphism ``n_in -> n_out``.  The derived ``init0``/``post0``/``not`` gates
-expand to primitive sequences eagerly; ``GATES`` lists every gate kind.
+along the gate list.  Every ``Gate`` is legal at some width: building one
+with two equal wires, a negative wire or anything but the four primitives
+raises ``CircuitError``.  ``Circuit`` checks the widths along the whole
+trace when it is built and raises ``CircuitError`` at the first gate out of
+range, so every ``Circuit`` is a morphism ``n_in -> n_out``.  The derived
+``init0``/``post0``/``not`` gates expand to primitive sequences eagerly;
+``GATES`` lists every gate kind.
 
 ``semantics`` maps a circuit to its :class:`AffineRelation` by symbolic
 execution: every wire carries an affine expression in the inputs and each
@@ -41,12 +44,6 @@ class CircuitError(ValueError):
         self.index = index
 
 
-# ``Gate.need`` of a gate that is legal at no width.
-NEVER = 1 << 62
-
-_WIDTH_DELTA = {CNOT: 0, SWAP: 0, INIT1: 1, POST1: -1}
-
-
 class _GateFields:
     """The storage of a :class:`Gate`, writable while the gate is built."""
 
@@ -57,18 +54,27 @@ class Gate(_GateFields):
     """One gate: its kind and wire arguments, compared and hashed as the
     pair (kind, args).
 
-    ``need`` is the least register width at which the gate is legal
-    (``NEVER`` for a malformed gate) and ``delta`` its change in width, so a
-    gate list validates with one comparison and one addition per gate.  The
-    builders ``cnot``, ``swap``, ``init1`` and ``post1`` set both directly;
-    ``Gate(kind, args)`` works them out.  ``line``, the gate's line in the
+    A gate is one of the four generators, legal at some width: the
+    builders ``cnot``, ``swap``, ``init1`` and ``post1`` raise
+    ``CircuitError`` for anything else, and ``Gate(kind, args)`` accepts
+    only a primitive kind with a tuple of as many ints as it takes.
+    ``need`` is the least register width at which the gate is legal and
+    ``delta`` its change in width, so a gate list validates with one
+    comparison and one addition per gate.  ``line``, the gate's line in the
     circuit file format, is built on first use and kept.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: str, args: tuple[int, ...]) -> "Gate":
-        return _gate(kind, args, _need(kind, args), _WIDTH_DELTA.get(kind, 0))
+        if (
+            kind in _PRIMITIVES
+            and type(args) is tuple
+            and len(args) == GATES[kind][1]
+            and all(type(a) is int for a in args)
+        ):
+            return GATES[kind][0](*args)
+        raise CircuitError(f"no gate {kind!r} with arguments {args!r}")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -99,7 +105,7 @@ class Gate(_GateFields):
         return text
 
     def shifted(self, offset: int) -> "Gate":
-        return Gate(self.kind, tuple(a + offset for a in self.args))
+        return GATES[self.kind][0](*(a + offset for a in self.args))
 
 
 _new = object.__new__
@@ -118,38 +124,30 @@ def _gate(kind: str, args: tuple, need: int, delta: int) -> Gate:
     return g
 
 
-def _need(kind: str, args) -> int:
-    """``Gate.need`` of any (kind, args): NEVER unless args is a tuple of as
-    many ints as the kind takes, legal at some width."""
-    if type(args) is tuple:
-        if kind == CNOT or kind == SWAP:
-            if len(args) == 2 and type(args[0]) is int and type(args[1]) is int:
-                return _need2(*args)
-        elif kind == INIT1 or kind == POST1:
-            if len(args) == 1 and type(args[0]) is int and args[0] >= 0:
-                return args[0] + 1 if kind == POST1 else args[0]
-    return NEVER
-
-
-def _need2(a: int, b: int) -> int:
-    """Least width holding two distinct wires a and b."""
-    return (a if a > b else b) + 1 if a != b and a >= 0 and b >= 0 else NEVER
-
-
 def cnot(control: int, target: int) -> Gate:
-    return _gate(CNOT, (control, target), _need2(control, target), 0)
+    if control == target or control < 0 or target < 0:
+        reason = "control equals target" if control == target else "negative wire index"
+        raise CircuitError(f"cnot({control}, {target}): {reason}")
+    return _gate(CNOT, (control, target), (control if control > target else target) + 1, 0)
 
 
 def swap(a: int, b: int) -> Gate:
-    return _gate(SWAP, (a, b), _need2(a, b), 0)
+    if a == b or a < 0 or b < 0:
+        reason = "swap of a wire with itself" if a == b else "negative wire index"
+        raise CircuitError(f"swap({a}, {b}): {reason}")
+    return _gate(SWAP, (a, b), (a if a > b else b) + 1, 0)
 
 
 def init1(pos: int) -> Gate:
-    return _gate(INIT1, (pos,), pos if pos >= 0 else NEVER, 1)
+    if pos < 0:
+        raise CircuitError(f"init1({pos}): negative wire index")
+    return _gate(INIT1, (pos,), pos, 1)
 
 
 def post1(pos: int) -> Gate:
-    return _gate(POST1, (pos,), pos + 1 if pos >= 0 else NEVER, -1)
+    if pos < 0:
+        raise CircuitError(f"post1({pos}): negative wire index")
+    return _gate(POST1, (pos,), pos + 1, -1)
 
 
 def init0(pos: int) -> tuple[Gate, ...]:
@@ -179,6 +177,7 @@ GATES = {
     "post1": (post1, 1, -1),
     "post0": (post0, 1, -1),
 }
+_PRIMITIVES = (CNOT, SWAP, INIT1, POST1)
 
 
 def _flatten(items: Iterable) -> list[Gate]:
@@ -189,36 +188,6 @@ def _flatten(items: Iterable) -> list[Gate]:
         else:
             out.extend(_flatten(item))
     return out
-
-
-def _gate_width(gate: Gate, width: int) -> Optional[str]:
-    """None when the gate is legal at the given width, else a reason.
-
-    The rule ``Gate.need`` encodes; ``Circuit`` asks it only to word the
-    error for a gate whose ``need`` exceeds the width.
-    """
-    k, a = gate.kind, gate.args
-    if k == CNOT:
-        c, t = a
-        if c == t:
-            return "control equals target"
-        if not (0 <= c < width and 0 <= t < width):
-            return f"wire out of range at width {width}"
-    elif k == SWAP:
-        x, y = a
-        if x == y:
-            return "swap of a wire with itself"
-        if not (0 <= x < width and 0 <= y < width):
-            return f"wire out of range at width {width}"
-    elif k == INIT1:
-        if not 0 <= a[0] <= width:
-            return f"insertion index out of range at width {width}"
-    elif k == POST1:
-        if not 0 <= a[0] < width:
-            return f"wire out of range at width {width}"
-    else:
-        return f"unknown gate kind {k!r}"
-    return None
 
 
 class Circuit:
@@ -235,11 +204,10 @@ class Circuit:
         width = n_in
         for i, g in enumerate(gates):
             if g.need > width:
-                # need is exact for well-formed gates; _gate_width has the
-                # last word on the rest (and may raise, as it always has)
-                reason = _gate_width(g, width)
-                if reason is not None:
-                    raise CircuitError(f"gate {i} {g}: {reason}", i)
+                where = "insertion index" if g.kind == INIT1 else "wire"
+                raise CircuitError(
+                    f"gate {i} {g}: {where} out of range at width {width}", i
+                )
             width += g.delta
         object.__setattr__(self, "n_out", width)
 
@@ -285,9 +253,9 @@ class Circuit:
         flipped = []
         for g in reversed(self.gates):
             if g.kind == INIT1:
-                flipped.append(Gate(POST1, g.args))
+                flipped.append(post1(g.args[0]))
             elif g.kind == POST1:
-                flipped.append(Gate(INIT1, g.args))
+                flipped.append(init1(g.args[0]))
             else:
                 flipped.append(g)
         return Circuit(self.n_out, flipped)
@@ -428,9 +396,10 @@ def plus_map(n: int) -> Circuit:
 
 
 def hat(bits: BitVec | Sequence[int]) -> Circuit:
-    """The total 0 -> n preparation of a basis state."""
+    """The total 0 -> n preparation of a basis state; ``ValueError`` for a
+    bit other than 0 or 1."""
     gates: list = []
-    for i, b in enumerate(bits):
+    for i, b in enumerate(BitVec(bits)):
         gates.append(init1(i) if b else init0(i))
     return circuit(0, *gates)
 

@@ -26,7 +26,6 @@ import sys
 
 from . import formats
 from .circuit import (
-    CircuitError,
     Gate,
     clause_circuit,
     fanin,
@@ -37,7 +36,7 @@ from .circuit import (
     plus_map,
 )
 from .gf2 import BitVec
-from .relation import ENUMERATION_LIMIT, ArityError
+from .relation import ENUMERATION_LIMIT
 
 OK, FAIL, USAGE, INTERNAL, BROKEN_PIPE = 0, 1, 2, 3, 141
 
@@ -56,13 +55,6 @@ def _read(path: str) -> str:
 
 def _load_circuit(path: str, memo=None):
     return formats.parse_circuit(_read(path), memo)
-
-
-def _integer(token: str) -> int:
-    """A number argument, written as integers in files are."""
-    if not formats.INTEGER.fullmatch(token):
-        raise CliInputError(f"expected an integer, got {token!r}")
-    return int(token)
 
 
 def _parse_bits(text: str) -> BitVec:
@@ -181,8 +173,8 @@ def _cmd_replay(args) -> int:
 def _cmd_fuzz(args) -> int:
     from .fuzzing import fuzz
 
-    wires, depth, seed, trials = (
-        _integer(token) for token in (args.wires, args.depth, args.seed, args.trials)
+    wires, depth, seed, trials = map(
+        formats.integer, (args.wires, args.depth, args.seed, args.trials)
     )
     for option, value in (("trials", trials), ("wires", wires), ("depth", depth)):
         if value < 0:
@@ -223,7 +215,7 @@ def _build_construct(name: str, params: list[str]):
             raise CliInputError(f"construct {name} takes {told} argument(s)")
 
     def num(i):
-        return _integer(params[i])
+        return formats.integer(params[i])
 
     if name == "fanout":
         arity(1)
@@ -321,7 +313,7 @@ def run(argv) -> int:
         # device so that the flush at shutdown does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return BROKEN_PIPE
-    except (CliInputError, formats.FormatError, ArityError, CircuitError, ValueError) as e:
+    except (CliInputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
     except Exception as e:

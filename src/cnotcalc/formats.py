@@ -56,14 +56,24 @@ def _logical_lines(text: str):
 INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _int(token: str, line: int, body: str, index: int) -> int:
-    """``int(token)``, where ``token`` is token ``index`` of ``body`` and
-    must match ``INTEGER``.  Its column is worked out only for the error."""
-    if INTEGER.fullmatch(token):
+def integer(token: str) -> int:
+    """``int(token)`` of a token that must match ``INTEGER``; otherwise a
+    ``ValueError`` that says what is wrong, without echoing a long token."""
+    if not INTEGER.fullmatch(token):
+        raise ValueError(f"expected an integer, got {token!r}")
+    try:
         return int(token)
-    raise FormatError(
-        f"expected an integer, got {token!r}", line, _column_of(body, index)
-    )
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"integer too long ({len(token.lstrip('-'))} digits)") from None
+
+
+def _int(token: str, line: int, body: str, index: int) -> int:
+    """``integer(token)``, where ``token`` is token ``index`` of ``body``.
+    Its column is worked out only for the error."""
+    try:
+        return integer(token)
+    except ValueError as e:
+        raise FormatError(str(e), line, _column_of(body, index)) from None
 
 
 def _arities(tokens: list[str], positions, line: int, header: str) -> list[int]:
@@ -142,43 +152,46 @@ def parse_circuit(
     # first-occurrence order, the first bad body is the first bad line.
     # ``wires`` maps the wire numbers met so far, as ``str`` writes them, to
     # their ints.  A primitive line whose numbers are all in it takes the
-    # direct path, with no checks to make; any other line, and so every
-    # error, takes the general path below.
+    # direct path, where only its builder checks anything; any other line,
+    # and so every error but a builder's, takes the general path below.
     wires: dict[str, int] = {}
     wire = wires.get
-    for body in dict.fromkeys(gate_bodies):
-        if body in memo:
-            continue
-        tokens = body.split()
-        if len(tokens) == 3:
-            builder, a, b = _TWO_WIRES.get(tokens[0]), wire(tokens[1]), wire(tokens[2])
-            if builder is not None and a is not None and b is not None:
-                memo[body] = builder(a, b)
+    try:
+        for body in dict.fromkeys(gate_bodies):
+            if body in memo:
                 continue
-        elif len(tokens) == 2:
-            builder, a = _ONE_WIRE.get(tokens[0]), wire(tokens[1])
-            if builder is not None and a is not None:
-                memo[body] = builder(a)
-                continue
-        kind = tokens[0]
-        builder, arity, _ = GATES.get(kind, (None, None, None))
-        if builder is None or len(tokens) != 1 + arity:
-            lineno = bodies.index(body, start + 1) + 1
-            if builder is None:
-                raise FormatError(f"unknown gate {kind!r}", lineno)
-            raise FormatError(f"gate {kind} takes {arity} argument(s)", lineno)
-        try:
-            args = list(map(int, tokens[1:]))
-        except ValueError:
-            args = None
-        # On ASCII text with no '+' or '_', int() reads exactly INTEGER.
-        if args is None or not body.isascii() or "+" in body or "_" in body:
-            lineno = bodies.index(body, start + 1) + 1
-            args = [_int(t, lineno, body, i) for i, t in enumerate(tokens[1:], 1)]
-        for t, k in zip(tokens[1:], args):
-            if str(k) == t:
-                wires[t] = k
-        memo[body] = builder(*args)
+            tokens = body.split()
+            if len(tokens) == 3:
+                builder, a, b = _TWO_WIRES.get(tokens[0]), wire(tokens[1]), wire(tokens[2])
+                if builder is not None and a is not None and b is not None:
+                    memo[body] = builder(a, b)
+                    continue
+            elif len(tokens) == 2:
+                builder, a = _ONE_WIRE.get(tokens[0]), wire(tokens[1])
+                if builder is not None and a is not None:
+                    memo[body] = builder(a)
+                    continue
+            kind = tokens[0]
+            builder, arity, _ = GATES.get(kind, (None, None, None))
+            if builder is None or len(tokens) != 1 + arity:
+                lineno = bodies.index(body, start + 1) + 1
+                if builder is None:
+                    raise FormatError(f"unknown gate {kind!r}", lineno)
+                raise FormatError(f"gate {kind} takes {arity} argument(s)", lineno)
+            try:
+                args = list(map(int, tokens[1:]))
+            except ValueError:
+                args = None
+            # On ASCII text with no '+' or '_', int() reads exactly INTEGER.
+            if args is None or not body.isascii() or "+" in body or "_" in body:
+                lineno = bodies.index(body, start + 1) + 1
+                args = [_int(t, lineno, body, i) for i, t in enumerate(tokens[1:], 1)]
+            for t, k in zip(tokens[1:], args):
+                if str(k) == t:
+                    wires[t] = k
+            memo[body] = builder(*args)
+    except CircuitError as e:  # a gate that no width admits
+        raise FormatError(str(e), bodies.index(body, start + 1) + 1) from None
     if stop is None:
         last = max(i for i, body in enumerate(bodies) if body)
         raise FormatError("missing 'end' terminator", last + 1)

@@ -1,9 +1,10 @@
 """Circuit IR: validation, structure, evaluation, and the semantics functor."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from cnotcalc.gf2 import BitVec, null_basis, rref_masks
 from cnotcalc.relation import ENUMERATION_LIMIT, AffineRelation, ArityError, all_bitvecs
@@ -505,54 +506,118 @@ def _validate(n_in, gates):
 
 
 _wire = st.integers(-2, 7)
-_built = st.one_of(
-    st.builds(cnot, _wire, _wire),
-    st.builds(swap, _wire, _wire),
-    st.builds(init1, _wire),
-    st.builds(post1, _wire),
+_ARITY = {"cnot": 2, "swap": 2, "init1": 1, "post1": 1}
+_BUILDERS = {"cnot": cnot, "swap": swap, "init1": init1, "post1": post1}
+# (builder, kind, args): the four builders over wires -2..7
+_builder_specs = st.one_of(
+    *[st.tuples(st.just(_BUILDERS[k]), st.just(k), st.tuples(*[_wire] * n)) for k, n in _ARITY.items()]
 )
-# kinds, argument counts and argument types the builders never produce
-_malformed = st.builds(
-    Gate,
-    st.sampled_from(["cnot", "swap", "init1", "post1", "toffoli", "CNOT"]),
-    st.lists(st.one_of(_wire, st.booleans(), st.sampled_from([0.5, 1.0, 2.5])), max_size=3).map(tuple),
+# Gate(kind, args), mostly well formed, with odd kinds, counts and types too
+_args = st.lists(
+    st.one_of(_wire, _wire, _wire, st.booleans(), st.sampled_from([0.5, 1.0, 2.5])),
+    max_size=3,
 )
+_constructor_specs = st.tuples(
+    st.just(Gate),
+    st.sampled_from(["cnot", "swap", "init1", "post1", "toffoli", "CNOT", "not"]),
+    st.one_of(_args.map(tuple), _args),
+)
+_specs = st.one_of(_builder_specs, _constructor_specs)
 
-# well-formed gates built by the constructor rather than the builders
-_direct = _built.map(lambda g: Gate(g.kind, g.args))
+
+def _build(spec):
+    """The gate a spec builds, or None when building raises CircuitError."""
+    build, kind, args = spec
+    try:
+        return build(*args) if build is not Gate else Gate(kind, args)
+    except CircuitError:
+        return None
 
 
-@given(st.integers(0, 6), st.lists(st.one_of(_built, _direct, _malformed), max_size=12))
-def test_validation_matches_the_per_gate_rule(n_in, gates):
+def _old_legal_widths(kind, args):
+    """The widths 0..11 at which the old rule accepts (kind, args), for a
+    primitive kind with a tuple of as many ints as it takes; else none."""
+    if not (
+        kind in _ARITY
+        and type(args) is tuple
+        and len(args) == _ARITY[kind]
+        and all(type(a) is int for a in args)
+    ):
+        return []
+    g = SimpleNamespace(kind=kind, args=args)
+    return [w for w in range(12) if _old_gate_width(g, w) is None]
+
+
+@given(st.integers(0, 6), st.lists(_specs, max_size=12))
+def test_validation_matches_the_per_gate_rule(n_in, specs):
+    gates = [g for g in map(_build, specs) if g is not None]
     assert _validate(n_in, gates) == _old_validate(n_in, gates)
 
 
-@given(st.integers(0, 6), st.lists(_built, max_size=12))
-def test_validation_matches_the_per_gate_rule_on_builder_gates(n_in, gates):
+@given(st.integers(0, 6), st.lists(_builder_specs, max_size=12))
+def test_validation_matches_the_per_gate_rule_on_builder_gates(n_in, specs):
     # mostly valid lists, so the width bookkeeping is exercised far along
+    gates = [g for g in map(_build, specs) if g is not None]
     assert _validate(n_in, gates) == _old_validate(n_in, gates)
 
 
-@given(st.one_of(_built, _direct, _malformed))
-def test_need_is_the_least_legal_width(g):
-    legal = [w for w in range(12) if _old_validate(w, [g]) == (True, w + g.delta, None, None)]
-    if g.need < 12:
+@given(_specs)
+def test_need_is_the_least_legal_width(spec):
+    # a gate builds exactly when the old rule admits it at some width
+    _, kind, args = spec
+    legal = _old_legal_widths(kind, args)
+    g = _build(spec)
+    assert (g is not None) == bool(legal)
+    if g is not None:
+        assert (g.kind, g.args, g.delta) == (kind, args, _OLD_DELTA[kind])
         assert legal == list(range(g.need, 12))
-    else:  # malformed, or legal only where the per-gate rule has the last word
-        assert Gate(g.kind, g.args).need == g.need
 
 
 def test_gates_left_to_the_per_gate_rule():
-    # legal by the old rule although malformed: extra args are ignored, and
-    # the width still moves by the kind's delta
-    odd = [Gate("init1", (0, 5)), Gate("cnot", (True, 0)), Gate("post1", (1.0,)), init1(1)]
-    assert _validate(1, odd) == _old_validate(1, odd) == (True, 2, None, None)
-    for bad in ([Gate("init1", ())], [Gate("cnot", (0, 1, 2))], [Gate("cnot", ("a", 0))]):
-        assert _validate(2, bad) == _old_validate(2, bad) != (True, 2, None, None)
+    # once legal by the old rule although malformed, now refused when built
+    odd = [("init1", (0, 5)), ("cnot", (True, 0)), ("post1", (1.0,)), ("init1", [1])]
+    bad = [("init1", ()), ("cnot", (0, 1, 2)), ("cnot", ("a", 0)), ("h", (0,))]
+    for kind, args in odd + bad:
+        with pytest.raises(CircuitError) as info:
+            Gate(kind, args)
+        assert str(info.value) == f"no gate {kind!r} with arguments {args!r}"
 
 
-@given(st.one_of(_built, _malformed))
-def test_gate_line_is_the_old_format_line(g):
+def test_builders_refuse_what_no_width_admits():
+    cases = [
+        (cnot, (3, 3), "cnot(3, 3): control equals target"),
+        (cnot, (-1, -1), "cnot(-1, -1): control equals target"),
+        (cnot, (-1, 0), "cnot(-1, 0): negative wire index"),
+        (cnot, (2, -3), "cnot(2, -3): negative wire index"),
+        (swap, (2, 2), "swap(2, 2): swap of a wire with itself"),
+        (swap, (0, -1), "swap(0, -1): negative wire index"),
+        (init1, (-1,), "init1(-1): negative wire index"),
+        (post1, (-2,), "post1(-2): negative wire index"),
+        (notg, (-1,), "init1(-1): negative wire index"),
+    ]
+    for build, args, message in cases:
+        with pytest.raises(CircuitError) as info:
+            build(*args)
+        assert str(info.value) == message and info.value.index is None
+
+
+def test_width_errors_keep_their_text():
+    for n_in, gates, message in [
+        (1, [cnot(0, 1)], "gate 0 cnot(0, 1): wire out of range at width 1"),
+        (2, [swap(0, 1), swap(2, 0)], "gate 1 swap(2, 0): wire out of range at width 2"),
+        (0, [init1(1)], "gate 0 init1(1): insertion index out of range at width 0"),
+        (1, [post1(0), post1(0)], "gate 1 post1(0): wire out of range at width 0"),
+    ]:
+        with pytest.raises(CircuitError) as info:
+            Circuit(n_in, gates)
+        assert str(info.value) == message
+        assert info.value.index == len(gates) - 1
+
+
+@given(_specs)
+def test_gate_line_is_the_old_format_line(spec):
+    g = _build(spec)
+    assume(g is not None)
     want = f"{g.kind} {' '.join(map(str, g.args))}"
     assert g.line == want
     assert g.line is g.line  # built once

@@ -328,6 +328,11 @@ class TestVerifyReplayConstruct:
         assert code == 2 and out == ""
         assert err == f"error: expected an integer, got {params[-1]!r}\n"
 
+    def test_construct_integer_too_long(self, run_cli):
+        code, out, err = run_cli("construct", "fanout", "7" * 5000)
+        assert code == 2 and out == ""
+        assert err == "error: integer too long (5000 digits)\n"
+
     @pytest.mark.parametrize(
         "name,header,gates",
         [
@@ -404,6 +409,11 @@ class TestFuzzCommand:
         code, out, err = run_cli("fuzz", option, value)
         assert code == 2 and out == ""
         assert err == f"error: expected an integer, got {value!r}\n"
+
+    def test_integer_too_long(self, run_cli):
+        code, out, err = run_cli("fuzz", "--seed", "-" + "7" * 5000)
+        assert code == 2 and out == ""
+        assert err == "error: integer too long (5000 digits)\n"
 
     def test_wires_above_enumeration_limit_rejected(self, run_cli, monkeypatch):
         import cnotcalc.fuzzing as fuzzing_mod

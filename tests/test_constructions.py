@@ -231,6 +231,13 @@ class TestHat:
             assert c.n_in == 0 and c.n_out == 4
             assert c.eval_state([]) == x
 
+    def test_rejects_what_is_not_a_bit(self):
+        # a truthy value is not a 1
+        with pytest.raises(ValueError, match="^bit 0 is '0', expected 0 or 1$"):
+            hat("01")
+        with pytest.raises(ValueError, match="^bit 0 is 2, expected 0 or 1$"):
+            hat([2, 0])
+
 
 class TestSwapBlockAndLiteral:
     def test_literal_state_map(self):

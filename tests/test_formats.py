@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cnotcalc.circuit import (
-    Circuit, CircuitError, circuit, cnot, init0, init1, notg, post0, post1, swap,
+    GATES, Circuit, CircuitError, Gate, circuit, cnot, init0, init1, notg, post0, post1, swap,
 )
 from cnotcalc.normalize import Clause, ClausalForm
 from cnotcalc.relation import AffineRelation
@@ -65,6 +65,24 @@ end
         with pytest.raises(FormatError, match=r"^line 8, column 1: gate 8 init1\(5\)"):
             parse_circuit(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("circuit x : 8 -> 8\ncnot 3 3\nend\n", "line 2, column 1: cnot(3, 3): control equals target"),
+            ("circuit x : 1 -> 1\nnot -1\nend\n", "line 2, column 1: init1(-1): negative wire index"),
+            ("circuit x : 2 -> 2\nswap 0 -2\nend\n", "line 2, column 1: swap(0, -2): negative wire index"),
+            # reported although line 2 has a width error: every distinct line
+            # is built before the widths are checked
+            ("circuit x : 1 -> 1\ncnot 0 1\npost1 -1\nend\n", "line 3, column 1: post1(-1): negative wire index"),
+            # wires 3 and 1 are known when line 4 is met: the direct path
+            ("circuit x : 4 -> 4\ncnot 3 1\n\ncnot 3 3\ncnot 3 3\nend\n", "line 4, column 1: cnot(3, 3): control equals target"),
+        ],
+    )
+    def test_gate_that_no_width_admits(self, text, message):
+        with pytest.raises(FormatError) as info:
+            parse_circuit(text)
+        assert str(info.value) == message
+
     def test_missing_end(self):
         with pytest.raises(FormatError, match="end"):
             parse_circuit("circuit x : 1 -> 1\nnot 0\n")
@@ -85,6 +103,40 @@ end
         with pytest.raises(FormatError) as info:
             parse_circuit(text)
         assert str(info.value) == "line 3, column 9: expected an integer, got 'z1'"
+
+
+_WIRE = st.sampled_from(range(-2, 8))  # uniform; st.integers favours 0
+
+
+@st.composite
+def built_circuits(draw):
+    """A circuit of gates from the four builders and from ``Gate(kind, args)``
+    over wires -2..7, keeping each gate that builds and fits its width."""
+    c = Circuit(draw(st.sampled_from(range(9))))
+    for kind in draw(st.lists(st.sampled_from(["cnot", "swap", "init1", "post1"]), max_size=12)):
+        builder, arity, _ = GATES[kind]
+        args = st.tuples(*[_WIRE] * arity)
+        try:
+            if draw(st.booleans()):
+                g = builder(*draw(args))
+            else:
+                g = Gate(kind, draw(st.one_of(args, st.lists(_WIRE, max_size=3).map(tuple))))
+            c = Circuit(c.n_in, c.gates + (g,))
+        except CircuitError:
+            pass
+    return c
+
+
+_random_circuits = st.builds(
+    lambda seed, n, depth: random_circuit(trial_rng(seed, 0), n, depth),
+    st.integers(0, 10**6), st.integers(0, 6), st.integers(0, 25),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(built_circuits(), _random_circuits))
+def test_every_circuit_round_trips(c):
+    assert parse_circuit(format_circuit(c))[1] == c
 
 
 def old_format_relation(r):
@@ -305,6 +357,24 @@ class TestStrictIntegers:
             parse(text)
         assert str(info.value) == f"{where}: expected an integer, got {token!r}"
 
+    LONG = "7" * 5000  # past the digits int() converts
+
+    @pytest.mark.parametrize(
+        "parse, text, where",
+        [
+            (parse_circuit, f"circuit x : 2 -> 2\ncnot 0 {LONG}\nend\n", "line 2, column 8"),
+            (parse_circuit, f"circuit x : -{LONG} -> 2\nend\n", "line 1, column 13"),
+            (parse_relation, f"graph 1 1\nparity x{LONG} y0 = 0\n", "line 2, column 8"),
+            (parse_synth_input, f"affine 1 1\nrow {LONG}\nshift 0\nend\n", "line 2, column 5"),
+            (parse_derivation, f"CNT2 {LONG} lr\n", "line 1, column 6"),
+        ],
+        ids=["circuit-gate", "circuit-header", "graph-term", "affine-row", "derivation"],
+    )
+    def test_too_long_with_its_location(self, parse, text, where):
+        with pytest.raises(FormatError) as info:
+            parse(text)
+        assert str(info.value) == f"{where}: integer too long (5000 digits)"
+
     def test_minus_sign_still_read(self):
         assert parse_derivation("CNT2 -1 lr\n") == [("CNT2", -1, "lr")]
 
@@ -377,7 +447,10 @@ def old_parse_circuit(text):
         if len(tokens) != 1 + _OLD_ARITY[kind]:
             raise FormatError(f"gate {kind} takes {_OLD_ARITY[kind]} argument(s)", lineno)
         args = [_int(t, lineno, body, i) for i, t in enumerate(tokens[1:], 1)]
-        built = _OLD_BUILDERS[kind](*args)
+        try:
+            built = _OLD_BUILDERS[kind](*args)
+        except CircuitError as e:  # a gate that no width admits
+            raise FormatError(str(e), lineno) from None
         built = built if isinstance(built, tuple) else (built,)
         gates.extend(built)
         origins += [lineno] * len(built)

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from cnotcalc.circuit import Circuit, Gate, circuit, cnot, init1
+from cnotcalc.circuit import Circuit, CircuitError, Gate, circuit, cnot, init1
 from cnotcalc.gf2 import BitVec, GF2Matrix
 from cnotcalc.normalize import ClausalForm, Clause
 from cnotcalc.rewrite import Derivation, RewriteRule, RuleReport
@@ -137,5 +137,8 @@ def test_gate_width_fields():
     assert (cnot(3, 7).need, cnot(3, 7).delta) == (8, 0)
     assert (init1(2).need, init1(2).delta) == (2, 1)
     assert Gate("post1", (2,)).need == 3 and Gate("post1", (2,)).delta == -1
-    never = [cnot(1, 1), cnot(-1, 0), Gate("init1", ()), Gate("cnot", (0, 1, 2)), Gate("h", (0,))]
-    assert all(g.need > 1 << 40 for g in never)
+    # no width admits these, so none of them builds
+    never = [(cnot, 1, 1), (cnot, -1, 0), (Gate, "init1", ()), (Gate, "cnot", (0, 1, 2)), (Gate, "h", (0,))]
+    for build, *args in never:
+        with pytest.raises(CircuitError):
+            build(*args)
