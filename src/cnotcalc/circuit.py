@@ -9,12 +9,13 @@ A circuit ``n_in -> n_out`` is an ordered list of gates over four primitives:
 
 Wires are absolute indices into the current register, so the width changes
 along the gate list.  Every ``Gate`` is legal at some width: building one
-with two equal wires, a negative wire or anything but the four primitives
-raises ``CircuitError``.  ``Circuit`` checks the widths along the whole
-trace when it is built and raises ``CircuitError`` at the first gate out of
-range, so every ``Circuit`` is a morphism ``n_in -> n_out``.  The derived
-``init0``/``post0``/``not`` gates expand to primitive sequences eagerly;
-``GATES`` lists every gate kind.
+with two equal wires, a negative wire, a wire that is not an ``int`` (a
+``bool`` included) or anything but the four primitives raises
+``CircuitError``.  ``Circuit`` takes an ``int`` input arity, checks the
+widths along the whole trace when it is built and raises ``CircuitError`` at
+the first gate out of range, so every ``Circuit`` is a morphism ``n_in ->
+n_out``.  The derived ``init0``/``post0``/``not`` gates expand to primitive
+sequences eagerly; ``GATES`` lists every gate kind.
 
 ``semantics`` maps a circuit to its :class:`AffineRelation` by symbolic
 execution: every wire carries an affine expression in the inputs and each
@@ -124,29 +125,39 @@ def _gate(kind: str, args: tuple, need: int, delta: int) -> Gate:
     return g
 
 
+def _illegal(kind: str, args: tuple, reason: str) -> CircuitError:
+    """The error of a builder given ``args``: a wire that is not an ``int``
+    (a bool or a float would print as a gate line that no parser reads
+    back), else ``reason``."""
+    if not all(type(a) is int for a in args):
+        reason = "wire indices must be ints"
+    return CircuitError(f"{kind}({', '.join(map(repr, args))}): {reason}")
+
+
 def cnot(control: int, target: int) -> Gate:
-    if control == target or control < 0 or target < 0:
+    if (type(control) is not int or type(target) is not int
+            or control == target or control < 0 or target < 0):
         reason = "control equals target" if control == target else "negative wire index"
-        raise CircuitError(f"cnot({control}, {target}): {reason}")
+        raise _illegal(CNOT, (control, target), reason)
     return _gate(CNOT, (control, target), (control if control > target else target) + 1, 0)
 
 
 def swap(a: int, b: int) -> Gate:
-    if a == b or a < 0 or b < 0:
+    if type(a) is not int or type(b) is not int or a == b or a < 0 or b < 0:
         reason = "swap of a wire with itself" if a == b else "negative wire index"
-        raise CircuitError(f"swap({a}, {b}): {reason}")
+        raise _illegal(SWAP, (a, b), reason)
     return _gate(SWAP, (a, b), (a if a > b else b) + 1, 0)
 
 
 def init1(pos: int) -> Gate:
-    if pos < 0:
-        raise CircuitError(f"init1({pos}): negative wire index")
+    if type(pos) is not int or pos < 0:
+        raise _illegal(INIT1, (pos,), "negative wire index")
     return _gate(INIT1, (pos,), pos, 1)
 
 
 def post1(pos: int) -> Gate:
-    if pos < 0:
-        raise CircuitError(f"post1({pos}): negative wire index")
+    if type(pos) is not int or pos < 0:
+        raise _illegal(POST1, (pos,), "negative wire index")
     return _gate(POST1, (pos,), pos + 1, -1)
 
 
@@ -196,6 +207,8 @@ class Circuit:
     __slots__ = ("n_in", "gates", "n_out")
 
     def __init__(self, n_in: int, gates: Iterable[Gate] = ()):
+        if type(n_in) is not int:
+            raise CircuitError(f"input arity must be an int, got {n_in!r}")
         if n_in < 0:
             raise CircuitError("negative input arity")
         object.__setattr__(self, "n_in", n_in)

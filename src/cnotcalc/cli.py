@@ -8,6 +8,17 @@ closes stdout before all of the output is written, as ``| head`` may.
 ``--json`` prints a stable JSON mirror of the report instead of plain text;
 errors stay one plain ``error:`` line on stderr.
 
+``COMMANDS`` is the one table of the command line, and ``_read_argv`` reads
+it.  A command line is a command name, then in any order its positionals,
+its options and ``--json``.  An option is written in full, as ``--opt VALUE``
+or ``--opt=VALUE``; given twice, the last value wins.  ``--`` ends the
+options, so every word after it is a positional.  A word that starts with
+``-`` and a digit, such as ``-1``, is a positional.  ``-h`` or ``--help``,
+alone or after a command, prints usage on stdout and exits 0.  Any other
+malformed command line (no command, an unknown command, a missing or extra
+positional, an unknown or abbreviated option, an option without its value, a
+missing required option) exits 2 with one ``error:`` line on stderr.
+
 The layers above ``circuit`` (``normalize``, ``synth``, ``rewrite``,
 ``fuzzing``, ``lawsuites``) are imported by the handlers that run them, so
 ``equal``, ``semantics``, ``eval`` and ``construct`` never load them.
@@ -20,9 +31,9 @@ returns the exit code and leaves the garbage collector as it found it.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import formats
 from .circuit import (
@@ -255,53 +266,108 @@ def _cmd_construct(args) -> int:
     return OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="cnotcalc",
-        description="circuit calculus for cnot gates with computational ancillae",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+# command -> (help line, positionals, options).  A positional is the name of
+# the argument it fills; one ending in "..." takes every word left.  An
+# option maps to (metavar, default), and the default None makes it required.
+# Every command also takes the flag --json.  The handler of ``name`` is the
+# function ``_cmd_<name>``, looked up when the command runs.
+COMMANDS = {
+    "eval": ("run a circuit on a basis state (BITS: wire 0 leftmost)",
+             ("file",), {"input": ("BITS", None)}),
+    "semantics": ("print the canonical constraint system", ("file",), {}),
+    "equal": ("decide semantic equality of two circuits", ("file1", "file2"), {}),
+    "normalize": ("canonical clausal circuit of an idempotent", ("file",), {}),
+    "synth": ("synthesize a circuit from a relation file", ("file",), {}),
+    "verify": ("check the axiom corpus and the law suites", (), {}),
+    "replay": ("replay a derivation file against a circuit", ("file", "derivation"), {}),
+    "fuzz": (f"random-circuit oracle and round-trip checks (N at most {ENUMERATION_LIMIT})",
+             (), {"wires": ("N", "5"), "depth": ("D", "30"), "seed": ("S", "0"),
+                  "trials": ("T", "1000")}),
+    "construct": ("print a built-in circuit: fanout, fanin, omega, plus, hat or clause",
+                  ("name", "params..."), {}),
+}
+HELP = ("-h", "--help")
 
-    def add(name, fn, help):
-        sp = sub.add_parser(name, help=help)
-        sp.add_argument("--json", action="store_true", help="emit a JSON report")
-        sp.set_defaults(fn=fn)
-        return sp
 
-    sp = add("eval", _cmd_eval, "run a circuit on a basis state")
-    sp.add_argument("file")
-    sp.add_argument("--input", required=True, metavar="BITS", help="wire 0 leftmost")
+def _synopsis(command: str) -> str:
+    _, positionals, options = COMMANDS[command]
+    words = [command]
+    for name in positionals:
+        words.append(f"[{name[:-3].upper()} ...]" if name.endswith("...") else name.upper())
+    for name, (metavar, default) in options.items():
+        words.append(f"--{name} {metavar}" if default is None else f"[--{name} {metavar}]")
+    return " ".join(words)
 
-    sp = add("semantics", _cmd_semantics, "print the canonical constraint system")
-    sp.add_argument("file")
 
-    sp = add("equal", _cmd_equal, "decide semantic equality of two circuits")
-    sp.add_argument("file1")
-    sp.add_argument("file2")
+def _usage(command: str | None) -> str:
+    if command is not None:
+        text = f"usage: cnotcalc {_synopsis(command)} [--json]\n\n{COMMANDS[command][0]}\n"
+        defaults = [f"--{name} {d}" for name, (_, d) in COMMANDS[command][2].items() if d]
+        return text + (f"\ndefaults: {', '.join(defaults)}\n" if defaults else "")
+    lines = ["usage: cnotcalc [-h]", "       cnotcalc COMMAND [ARGUMENT ...] [--json] [-h]",
+             "", "circuit calculus for cnot gates with computational ancillae", "",
+             "commands:"]
+    for command, (help_line, _, _) in COMMANDS.items():
+        lines += [f"  {_synopsis(command)}", f"      {help_line}"]
+    return "\n".join(lines) + "\n"
 
-    sp = add("normalize", _cmd_normalize, "canonical clausal circuit of an idempotent")
-    sp.add_argument("file")
 
-    sp = add("synth", _cmd_synth, "synthesize a circuit from a relation file")
-    sp.add_argument("file")
+def _is_option(word: str) -> bool:
+    # "-" alone and "-1" (a negative number) are positionals
+    return word[:1] == "-" and len(word) > 1 and not "0" <= word[1] <= "9"
 
-    add("verify", _cmd_verify, "check the axiom corpus and the law suites")
 
-    sp = add("replay", _cmd_replay, "replay a derivation file against a circuit")
-    sp.add_argument("file")
-    sp.add_argument("derivation")
+def _read_argv(argv: list[str]):
+    """(command, arguments) of a command line, or None once help is printed."""
+    if not argv:
+        raise CliInputError(f"no command given; commands: {', '.join(COMMANDS)}")
+    command, words = argv[0], iter(argv[1:])
+    if command in HELP:
+        print(_usage(None), end="")
+        return None
+    if command not in COMMANDS:
+        raise CliInputError(f"unknown command {command!r}; commands: {', '.join(COMMANDS)}")
+    _, positionals, options = COMMANDS[command]
 
-    sp = add("fuzz", _cmd_fuzz, "random-circuit oracle and round-trip checks")
-    sp.add_argument("--wires", default="5", help=f"at most {ENUMERATION_LIMIT}")
-    sp.add_argument("--depth", default="30")
-    sp.add_argument("--seed", default="0")
-    sp.add_argument("--trials", default="1000")
+    def bad(message):
+        return CliInputError(f"{command}: {message}; usage: cnotcalc {_synopsis(command)}")
 
-    sp = add("construct", _cmd_construct, "print a built-in circuit")
-    sp.add_argument("name", choices=["fanout", "fanin", "omega", "plus", "hat", "clause"])
-    sp.add_argument("params", nargs="*")
-
-    return p
+    values = {name: default for name, (_, default) in options.items()}
+    values["json"] = False
+    given = []
+    for word in words:
+        if word == "--":
+            given.extend(words)
+        elif word in HELP:
+            print(_usage(command), end="")
+            return None
+        elif not _is_option(word):
+            given.append(word)
+        elif word == "--json":
+            values["json"] = True
+        else:
+            name, eq, value = word[2:].partition("=")
+            if word[:2] != "--" or name not in options:
+                raise bad(f"unknown option {word!r}")
+            if not eq:
+                value = next(words, None)
+                if value is None or _is_option(value):
+                    raise bad(f"option --{name} needs a value")
+            values[name] = value
+    if positionals and positionals[-1].endswith("..."):
+        *fixed, rest = positionals
+        values[rest[:-3]] = given[len(fixed):]
+    else:
+        fixed = positionals
+        if len(given) > len(fixed):
+            raise bad(f"unexpected argument {given[len(fixed)]!r}")
+    if len(given) < len(fixed):
+        raise bad(f"missing {fixed[len(given)].upper()}")
+    values.update(zip(fixed, given))
+    for name, value in values.items():
+        if value is None:
+            raise bad(f"missing option --{name}")
+    return command, SimpleNamespace(**values)
 
 
 def run(argv) -> int:
@@ -324,11 +390,11 @@ def run(argv) -> int:
 
 
 def _dispatch(argv) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as e:
-        return USAGE if e.code not in (0, None) else OK
-    return args.fn(args)
+    parsed = _read_argv(list(argv))
+    if parsed is None:
+        return OK
+    command, args = parsed
+    return globals()[f"_cmd_{command}"](args)
 
 
 def main() -> None:

@@ -74,29 +74,6 @@ class AffineRelation:
         rows += [(1 << j) | (1 << (n + j)) for j in range(n)]
         return cls(n, n, rows)
 
-    @classmethod
-    def from_graph_points(
-        cls, n_in: int, n_out: int, points: Iterable[tuple[BitVec, BitVec]]
-    ) -> "AffineRelation":
-        """Least affine constraint system containing the given graph points.
-
-        The points must form an affine subspace of GF(2)^(n_in+n_out) for the
-        result's graph to equal them exactly; used as an independent
-        construction path in oracles.
-        """
-        nv = n_in + n_out
-        pts = []
-        for x, y in points:
-            if len(x) != n_in or len(y) != n_out:
-                raise ArityError("point arity mismatch")
-            pts.append(x.mask | (y.mask << n_in))
-        if not pts:
-            return cls.empty(n_in, n_out)
-        # A row (c | r) is valid iff c.p = r for every point p: solve the
-        # transposed system by row-reducing the point matrix augmented with 1.
-        aug = [p | (1 << nv) for p in pts]
-        return cls(n_in, n_out, null_basis(*rref_masks(aug, nv + 1), nv + 1))
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -232,35 +209,6 @@ class AffineRelation:
         for mask, col in zip(reduced, pivots):
             out |= ((mask >> m) & 1) << col
         return BitVec.from_mask(m, out)
-
-    def enumerate_graph(self) -> set[tuple[BitVec, BitVec]]:
-        """Every (x, y) pair of the graph, by brute-force membership test."""
-        n, m = self.n_in, self.n_out
-        if n + m > ENUMERATION_LIMIT:
-            raise ValueError(f"refusing to enumerate 2^{n + m} assignments")
-        rhs_bit = n + m
-        points = set()
-        for v in range(1 << (n + m)):
-            if all(
-                ((r & v).bit_count() & 1) == ((r >> rhs_bit) & 1)
-                for r in self._rows
-            ):
-                points.add(
-                    (BitVec.from_mask(n, v), BitVec.from_mask(m, v >> n))
-                )
-        return points
-
-    def enumerate_domain(self) -> set[BitVec]:
-        if self.n_in > ENUMERATION_LIMIT:
-            raise ValueError("domain too large to enumerate")
-        rows = self.domain_masks()
-        out = set()
-        for v in range(1 << self.n_in):
-            if all(
-                ((r & v).bit_count() & 1) == ((r >> self.n_in) & 1) for r in rows
-            ):
-                out.add(BitVec.from_mask(self.n_in, v))
-        return out
 
     def is_total(self) -> bool:
         return all(r == 0 for r in self.domain_masks())

@@ -601,6 +601,25 @@ def test_builders_refuse_what_no_width_admits():
         assert str(info.value) == message and info.value.index is None
 
 
+def test_builders_and_circuit_refuse_non_ints():
+    # a bool or a float would print as a line that parse_circuit refuses
+    cases = [
+        (cnot, (True, 0), "cnot(True, 0): wire indices must be ints"),
+        (cnot, (1.0, 0), "cnot(1.0, 0): wire indices must be ints"),
+        (cnot, (0, False), "cnot(0, False): wire indices must be ints"),
+        (swap, (0, "1"), "swap(0, '1'): wire indices must be ints"),
+        (swap, (2.0, 2.0), "swap(2.0, 2.0): wire indices must be ints"),
+        (init1, (True,), "init1(True): wire indices must be ints"),
+        (post1, (0.0,), "post1(0.0): wire indices must be ints"),
+        (Circuit, (True, [init1(0)]), "input arity must be an int, got True"),
+        (Circuit, (2.0, []), "input arity must be an int, got 2.0"),
+    ]
+    for build, args, message in cases:
+        with pytest.raises(CircuitError) as info:
+            build(*args)
+        assert str(info.value) == message and info.value.index is None
+
+
 def test_width_errors_keep_their_text():
     for n_in, gates, message in [
         (1, [cnot(0, 1)], "gate 0 cnot(0, 1): wire out of range at width 1"),

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cnotcalc
-from cnotcalc.cli import FAIL, OK, USAGE, run
+from cnotcalc.cli import COMMANDS, FAIL, OK, USAGE, run
 from cnotcalc.circuit import circuit, cnot, init0, swap
 from cnotcalc.formats import format_circuit
 
@@ -448,6 +448,113 @@ class TestFuzzCommand:
         assert "synthetic failure" in out and "circuit counterexample0" in out
 
 
+# malformed command lines and the start of the one error line each gives
+MALFORMED = [
+    ((), "error: no command given; commands: eval, semantics, equal, "),
+    (("bogus",), "error: unknown command 'bogus'; commands: eval, "),
+    (("--json", "verify"), "error: unknown command '--json'; "),
+    (("equal", "a"), "error: equal: missing FILE2; usage: cnotcalc equal FILE1 FILE2\n"),
+    (("semantics",), "error: semantics: missing FILE; "),
+    (("replay", "c"), "error: replay: missing DERIVATION; "),
+    (("construct",), "error: construct: missing NAME; "),
+    (("equal", "a", "b", "c"), "error: equal: unexpected argument 'c'; "),
+    (("verify", "x"), "error: verify: unexpected argument 'x'; usage: cnotcalc verify\n"),
+    (("fuzz", "--tri", "2"), "error: fuzz: unknown option '--tri'; "),
+    (("fuzz", "--trials=2", "--w", "3"), "error: fuzz: unknown option '--w'; "),
+    (("equal", "a", "b", "--bogus"), "error: equal: unknown option '--bogus'; "),
+    (("equal", "-x", "a", "b"), "error: equal: unknown option '-x'; "),
+    (("semantics", "f", "--json=1"), "error: semantics: unknown option '--json=1'; "),
+    (("fuzz", "--input", "1"), "error: fuzz: unknown option '--input'; "),
+    (("fuzz", "--trials"), "error: fuzz: option --trials needs a value; "),
+    (("fuzz", "--trials", "--json"), "error: fuzz: option --trials needs a value; "),
+    (("eval", "f", "--input"), "error: eval: option --input needs a value; "),
+    (("eval", "f"), "error: eval: missing option --input; usage: cnotcalc eval FILE --input BITS\n"),
+    (("construct", "nosuch"), "error: unknown construction 'nosuch'\n"),
+]
+
+
+class TestCommandLine:
+    """The command-line reader: ``COMMANDS`` read by one small loop."""
+
+    @pytest.mark.parametrize("argv, error", MALFORMED, ids=[" ".join(a) or "-" for a, _ in MALFORMED])
+    def test_malformed_exits_2_with_one_error_line(self, run_cli, argv, error):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (USAGE, "")
+        assert err.startswith(error) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_after_every_command(self, run_cli, command, flag):
+        # help wins over the missing positionals and options
+        code, out, err = run_cli(command, flag)
+        assert (code, err) == (OK, "")
+        assert out.startswith(f"usage: cnotcalc {command}") and COMMANDS[command][0] in out
+        assert run_cli(command, "x", "--json", flag) == (code, out, err)
+
+    def test_top_level_help(self, run_cli):
+        code, out, err = run_cli("-h")
+        assert (code, err) == (OK, "") and out == run_cli("--help")[1]
+        assert out.splitlines()[0] == "usage: cnotcalc [-h]"
+
+    def test_option_with_equals_and_last_value_wins(self, run_cli):
+        spaced = run_cli("fuzz", "--trials", "4", "--seed", "9")
+        assert spaced[0] == OK and spaced[1].startswith("4 trials passed")
+        assert run_cli("fuzz", "--trials=4", "--seed=9") == spaced
+        assert run_cli("fuzz", "--trials", "50", "--seed=1", "--trials=4", "--seed", "9") == spaced
+        code, out, _ = run_cli("fuzz", "--trials=0", "--wires=")
+        assert (code, out) == (USAGE, "")
+
+    def test_empty_option_value(self, run_cli, tmp_path):
+        from cnotcalc.circuit import omega
+
+        p = tmp_path / "omega.cnot"
+        p.write_text(format_circuit(omega(), name="omega"))
+        assert run_cli("eval", str(p), "--input=") == (OK, "undefined\n", "")
+        assert run_cli("eval", str(p), "--input", "") == (OK, "undefined\n", "")
+
+    @pytest.mark.parametrize("where", [1, 2, 4])
+    def test_json_anywhere_after_the_command(self, run_cli, fanout_file, where):
+        # before or after the file, after the option's value
+        argv = ["eval", fanout_file, "--input", "1"]
+        argv.insert(where, "--json")
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (OK, "")
+        assert json.loads(out) == {"command": "eval", "defined": True, "output": "11"}
+        assert run_cli(*argv, "--json") == (code, out, err)
+
+    def test_double_dash_ends_the_options(self, run_cli):
+        code, out, err = run_cli("semantics", "--", "--json")
+        assert (code, out) == (USAGE, "") and err.startswith("error: cannot read --json: ")
+        assert run_cli("construct", "--", "fanout", "-h")[2] == "error: expected an integer, got '-h'\n"
+        assert run_cli("construct", "fanout", "--", "2") == run_cli("construct", "fanout", "2")
+
+    @pytest.mark.parametrize("argv", [("omega", "-1", "2"), ("omega", "--", "-1", "2"), ("omega", "2", "-1")])
+    def test_negative_number_is_a_positional(self, run_cli, argv):
+        # it reaches the handler, which refuses it
+        assert run_cli("construct", *argv) == (USAGE, "", "error: negative arity\n")
+
+    def test_negative_option_value(self, run_cli):
+        assert run_cli("fuzz", "--seed", "-3", "--trials", "2")[1].endswith("seed=-3)\n")
+
+
+def _readme_commands() -> dict[str, str]:
+    """command -> synopsis, from the command block of README's "Command line"."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    synopses = [line.split("#", 1)[0].split(None, 1)[1].strip() for line in block.splitlines()]
+    return {synopsis.split()[0]: synopsis for synopsis in synopses}
+
+
+def test_table_help_and_readme_name_the_same_commands(run_cli):
+    # the docs cannot fall behind the command table
+    code, out, _ = run_cli("--help")
+    listing = out.split("\ncommands:\n", 1)[1].splitlines()
+    synopses = [line[2:] for line in listing if line[:2] == "  " and line[2] != " "]
+    helped = {synopsis.split()[0]: synopsis for synopsis in synopses}
+    assert code == OK and list(helped) == list(COMMANDS)
+    assert _readme_commands() == helped
+
+
 class TestInternalError:
     @pytest.mark.parametrize(
         "error", [RuntimeError("bad state\nsecond line"), RecursionError("maximum recursion depth exceeded")]
@@ -566,6 +673,9 @@ class TestProcess:
             (("normalize", "idempotent"), 0, "circuit clausal : 2 -> 2", None, ""),
             (("replay", "cnot_twice", "derivation"), 0, "circuit step0 : 2 -> 2", 6, ""),
             (("fuzz", "--trials", "1"), 0, "1 trials passed (wires<=5 depth=30 seed=0)", 1, ""),
+            # usage errors are one line too
+            (("equal", "swap"), 2, None, 0, "error: equal: missing FILE2; "),
+            (("bogus",), 2, None, 0, "error: unknown command 'bogus'; "),
         ],
     )
     def test_exit_code_and_output(self, circuit_files, argv, code, first_line, lines, error):

@@ -30,10 +30,11 @@ from cnotcalc.circuit import (
 )
 from cnotcalc.fuzzing import random_circuit, trial_rng
 from cnotcalc import lawsuites
+from oracles import enumerate_domain, from_graph_points
 
 
 def delta_graph(n):
-    return AffineRelation.from_graph_points(
+    return from_graph_points(
         n,
         2 * n,
         [
@@ -277,7 +278,7 @@ class TestClauseCircuit:
 
     def test_parity_domain(self):
         c = clause_circuit([0, 2], 1, 3)
-        dom = {tuple(x) for x in c.semantics().enumerate_domain()}
+        dom = {tuple(x) for x in enumerate_domain(c.semantics())}
         assert dom == {
             tuple(x) for x in all_bitvecs(3) if x[0] ^ x[2] == 1
         }

@@ -1,10 +1,10 @@
 """Every CLI command is a fresh process, so what ``import cnotcalc.cli``
 pulls in is paid on every command: keep ``dataclasses`` (and through it
-``inspect``) and ``json`` (needed only by ``--json``) off that path, and let
-each command load only the layers it runs.  The file formats sit below the
-layers that use them.  Importing cnotcalc as a library leaves the host's
-garbage collector and exit alone.  And the package's public names all
-exist, each the very object its module defines."""
+``inspect``), ``json`` (needed only by ``--json``) and ``argparse`` off that
+path, and let each command load only the layers it runs.  The file formats
+sit below the layers that use them.  Importing cnotcalc as a library leaves
+the host's garbage collector and exit alone.  And the package's public
+names all exist, each the very object its module defines."""
 
 import ast
 import os
@@ -81,6 +81,23 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
     *_, code, modules = _probe(RUN_PROBE, *args)
     assert code in ("0", "1")
     assert set(modules.split()) & LAYERS == loaded
+
+
+ARGV_PROBE = """
+import sys
+import cnotcalc.cli
+code = cnotcalc.cli.run(sys.argv[1:])
+print(code)
+print([m for m in ("argparse", "gettext", "locale") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("argv", [("equal", "circ", "circ"), ("--help",)])
+def test_reading_the_command_line_imports_no_argparse(tmp_path, argv):
+    # argparse with gettext and locale cost every process about 9 ms
+    (tmp_path / "circ").write_text(INPUTS["circ"])
+    *_, code, imported = _probe(ARGV_PROBE, *[str(tmp_path / a) if a in INPUTS else a for a in argv])
+    assert (code, imported) == ("0", "[]")
 
 
 SYNTH_ORDERS = {

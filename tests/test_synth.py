@@ -17,6 +17,7 @@ from cnotcalc.synth import (
     synth_total_graph,
 )
 from cnotcalc.fuzzing import random_circuit, trial_rng
+from oracles import from_graph_points
 
 
 WORKED_SPEC = AffineMapSpec(GF2Matrix([[1, 0, 1], [1, 0, 0]]), BitVec([0, 1]))
@@ -72,7 +73,7 @@ class TestSynth:
         assert c.semantics() == AffineRelation.empty(0, 0)
 
     def test_post_selection_relation(self):
-        bra1 = AffineRelation.from_graph_points(1, 0, [(BitVec([1]), BitVec([]))])
+        bra1 = from_graph_points(1, 0, [(BitVec([1]), BitVec([]))])
         c = synth(bra1)
         assert c.semantics() == bra1
         assert equal_circ(c, circuit(1, post1(0)))
