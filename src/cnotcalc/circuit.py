@@ -227,6 +227,8 @@ class Circuit:
     def __setattr__(self, *_):
         raise AttributeError("Circuit is immutable")
 
+    __delattr__ = __setattr__
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Circuit)

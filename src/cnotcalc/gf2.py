@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from .record import Record
+
 
 def _parity(x: int) -> int:
     return x.bit_count() & 1
@@ -23,7 +25,7 @@ def set_bits(mask: int):
         mask ^= low
 
 
-class BitVec:
+class BitVec(Record):
     """An immutable vector over GF(2), indexed 0..len-1."""
 
     __slots__ = ("_n", "_mask")
@@ -35,14 +37,15 @@ class BitVec:
             if b not in (0, 1):
                 raise ValueError(f"bit {i} is {b!r}, expected 0 or 1")
             mask |= b << i
-        self._n = len(bits)
-        self._mask = mask
+        self._init(len(bits), mask)
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "BitVec":
+        # each slot set directly: _init's loop would double the cost
         v = object.__new__(cls)
-        v._n = n
-        v._mask = mask & ((1 << n) - 1)
+        set_n, set_mask = cls._setters
+        set_n(v, n)
+        set_mask(v, mask & ((1 << n) - 1))
         return v
 
     @classmethod
@@ -69,21 +72,14 @@ class BitVec:
             raise ValueError(f"length mismatch: {self._n} vs {other._n}")
         return BitVec.from_mask(self._n, self._mask ^ other._mask)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVec)
-            and self._n == other._n
-            and self._mask == other._mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._n, self._mask))
-
     def __repr__(self) -> str:
         return f"BitVec([{', '.join(str(b) for b in self)}])"
 
+    def __reduce__(self):
+        return BitVec.from_mask, (self._n, self._mask)
 
-class GF2Matrix:
+
+class GF2Matrix(Record):
     """An immutable dense bit matrix; rows are int bitmasks (bit j = column j)."""
 
     __slots__ = ("rows", "cols", "_data")
@@ -104,19 +100,16 @@ class GF2Matrix:
             cols = width
         elif cols < width:
             raise ValueError(f"cols={cols} smaller than widest row ({width})")
-        self.rows = len(data)
-        self.cols = cols
-        self._data = tuple(data)
+        self._init(len(data), cols, tuple(data))
 
     @classmethod
     def from_masks(cls, masks: Iterable[int], cols: int) -> "GF2Matrix":
-        m = object.__new__(cls)
-        m._data = tuple(masks)
-        m.rows = len(m._data)
-        m.cols = cols
+        data = tuple(masks)
         full = (1 << cols) - 1
-        if any(mask & ~full for mask in m._data):
+        if any(mask & ~full for mask in data):
             raise ValueError("row mask wider than declared column count")
+        m = object.__new__(cls)
+        m._init(len(data), cols, data)
         return m
 
     @classmethod
@@ -142,20 +135,12 @@ class GF2Matrix:
             out |= _parity(m & v.mask) << i
         return BitVec.from_mask(self.rows, out)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GF2Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._data))
-
     def __repr__(self) -> str:
         body = "; ".join("".join(str(b) for b in row) for row in self.to_lists())
         return f"GF2Matrix({self.rows}x{self.cols}: {body})"
+
+    def __reduce__(self):
+        return GF2Matrix.from_masks, (self._data, self.cols)
 
 
 def rref_masks(masks: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:

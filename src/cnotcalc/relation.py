@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .gf2 import BitVec, null_basis, project_masks, rref_masks
+from .record import Record
 
 ENUMERATION_LIMIT = 20
 
@@ -31,7 +32,7 @@ def _canonical(masks: Iterable[int], nvars: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-class AffineRelation:
+class AffineRelation(Record):
     """Canonical affine partial isomorphism from GF(2)^n_in to GF(2)^n_out."""
 
     __slots__ = ("n_in", "n_out", "_rows")
@@ -39,9 +40,7 @@ class AffineRelation:
     def __init__(self, n_in: int, n_out: int, constraint_masks: Iterable[int]):
         if n_in < 0 or n_out < 0:
             raise ArityError("arities must be nonnegative")
-        self.n_in = n_in
-        self.n_out = n_out
-        self._rows = _canonical(constraint_masks, n_in + n_out)
+        self._init(n_in, n_out, _canonical(constraint_masks, n_in + n_out))
 
     # -- constructors ------------------------------------------------------
 
@@ -52,11 +51,15 @@ class AffineRelation:
     @classmethod
     def empty(cls, n_in: int, n_out: int) -> "AffineRelation":
         """The nowhere-defined relation; its one row ``0 = 1`` is already
-        canonical, so it skips the elimination."""
+        canonical, so it skips the elimination, and its fields are set
+        directly, without ``_init``'s loop."""
         if n_in < 0 or n_out < 0:
             raise ArityError("arities must be nonnegative")
         rel = object.__new__(cls)
-        rel.n_in, rel.n_out, rel._rows = n_in, n_out, (1 << (n_in + n_out),)
+        set_in, set_out, set_rows = cls._setters
+        set_in(rel, n_in)
+        set_out(rel, n_out)
+        set_rows(rel, (1 << (n_in + n_out),))
         return rel
 
     @classmethod
@@ -82,17 +85,6 @@ class AffineRelation:
 
     def is_empty(self) -> bool:
         return self._rows == (1 << (self.n_in + self.n_out),)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AffineRelation)
-            and self.n_in == other.n_in
-            and self.n_out == other.n_out
-            and self._rows == other._rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_in, self.n_out, self._rows))
 
     def __repr__(self) -> str:
         return f"AffineRelation({self.n_in}->{self.n_out}, {len(self._rows)} constraints)"

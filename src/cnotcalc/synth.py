@@ -9,15 +9,21 @@ project them onto |0>.  Both stages pick deterministic extensions, so
 synthesis is a canonical representative chooser: re-synthesizing the
 semantics of a synthesized circuit reproduces it gate for gate.
 
-Synthesis runs a fixed number of GF(2) eliminations, whatever the arity:
-the least point, the domain directions, their images and both extensions
-each come from one ``rref_masks`` call (or a single insertion pass), not
-from one elimination per variable.
+Both extensions are read off the canonical rows of ``r`` and ``r.dagger()``;
+past the partial isomorphism check, canonicalizing ``r.dagger()`` is the one
+elimination.  Every input and every output of a non-empty partial
+isomorphism is a pivot.  With the outputs first, row i reads
+y_i = a_i.x + c_i: the rows a_i and the shift c give the total map (zero on
+the domain's pivot columns, since the rows are reduced), and the rows past
+the m-th are the domain's equations.  With the inputs first, row j reads
+x_j = u_j.y + d_j, which erases input j.
 """
 
 from __future__ import annotations
 
-from .gf2 import BitVec, GF2Matrix, null_basis, rref_masks, set_bits
+# rref_masks is unused here; perfbench's install test asserts that this
+# module binds it, until that pin goes (ROADMAP 1B).
+from .gf2 import BitVec, GF2Matrix, rref_masks, set_bits  # noqa: F401
 from .relation import AffineRelation
 from .circuit import Circuit, circuit, cnot, init0, init1, notg, omega_nm, post0
 from .normalize import ClausalForm, clausal_to_circuit
@@ -75,78 +81,6 @@ def synth_total_graph(f: AffineMapSpec) -> Circuit:
     return circuit(n, *gates)
 
 
-def _lex_least_solution(rows: tuple[int, ...], nvars: int) -> int:
-    """Lexicographically least solution (variable 0 most significant) of a
-    consistent system; bit ``nvars`` of a row is its right-hand side.
-
-    With the solution directions in RREF (each pivot its lowest set bit),
-    clearing every pivot bit of a particular solution gives the least point:
-    any other point of the coset differs from it first at a pivot, where it
-    has a 1.
-    """
-    reduced, pivots = rref_masks(rows, nvars + 1)
-    point = 0
-    for mask, col in zip(reduced, pivots):
-        point |= ((mask >> nvars) & 1) << col
-    directions, _ = rref_masks(null_basis(reduced, pivots, nvars), nvars)
-    for d in directions:
-        if point & d & -d:
-            point ^= d
-    return point
-
-
-def _solve_linear_rows(basis: list[int], images: list[int], n: int, m: int) -> list[int]:
-    """Row masks t_o (o < m) with parity(t_o & basis[i]) == bit o of images[i],
-    free variables 0.
-
-    One elimination of the rows ``basis[i] | images[i] << n`` solves all m
-    systems at once: bit ``n + o`` of the row with pivot c is bit c of t_o.
-    """
-    reduced, pivots = rref_masks(
-        [b | (img << n) for b, img in zip(basis, images)], n + m
-    )
-    if pivots and pivots[-1] >= n:
-        raise RuntimeError("extension system must be consistent")
-    out = [0] * m
-    for mask, col in zip(reduced, pivots):
-        for o in set_bits(mask >> n):
-            out[o] |= 1 << col
-    return out
-
-
-def _complete_basis(vectors: list[int], n: int) -> list[int]:
-    """Extend an independent set to a basis with standard vectors: e_j for
-    every j that is not the highest set bit of some vector in the span.
-
-    This is the greedy choice (try e_0, e_1, ... in turn and keep each one
-    that is independent of what is kept so far): e_j is dependent exactly
-    when some vector of the span has its highest set bit at j, since e_0 ..
-    e_{j-1} are in the span by then.
-    """
-    leads: dict[int, int] = {}  # highest set bit -> vector
-    for v in vectors:
-        while v:
-            top = v.bit_length() - 1
-            if top not in leads:
-                leads[top] = v
-                break
-            v ^= leads[top]
-    return [1 << j for j in range(n) if j not in leads]
-
-
-def _map_rows(r: AffineRelation) -> list[int]:
-    """Rows a_i (i < n_out) with w_i = parity(a_i & v) for every homogeneous
-    solution (v, w) of the nonempty partial isomorphism ``r``: the image of
-    a domain direction v is the vector of those parities.
-
-    The canonical rows of ``r.dagger()`` have the output columns first.
-    Each output column is a pivot (``r`` is a partial isomorphism), and the
-    row reduced to it holds y_i, input terms and the right-hand side only.
-    """
-    n, m = r.n_in, r.n_out
-    return [(row >> m) & ((1 << n) - 1) for row in r.dagger().constraint_masks[:m]]
-
-
 def synth(r: AffineRelation) -> Circuit:
     """A circuit whose semantics is exactly ``r``.
 
@@ -164,41 +98,24 @@ def synth(r: AffineRelation) -> Circuit:
     if r.is_empty():
         return omega_nm(n, m)
 
-    point = _lex_least_solution(r.constraint_masks, n + m)
-    x0 = BitVec.from_mask(n, point)
-    y0 = BitVec.from_mask(m, point >> n)
+    # Inputs first, row j reads x_j = u_j.y + d_j; outputs first, row i
+    # reads y_i = a_i.x + c_i, and the rows past the m-th are the domain's.
+    rows = r.constraint_masks
+    back = r.dagger().constraint_masks
+    if ([row & -row for row in rows[:n]] != [1 << j for j in range(n)]
+            or [row & -row for row in back[:m]] != [1 << i for i in range(m)]):
+        raise RuntimeError("a partial isomorphism pivots on every input and output")
+    x_mask, y_mask = (1 << n) - 1, (1 << m) - 1
+    forward = AffineMapSpec(
+        GF2Matrix.from_masks([(row >> m) & x_mask for row in back[:m]], n),
+        BitVec.from_mask(m, sum((row >> (n + m)) << i for i, row in enumerate(back[:m]))),
+    )
+    domain = ClausalForm.from_masks(n, [row >> m for row in back[m:]])
 
-    dom_rows = r.domain_masks()
-    coef = [row & ((1 << n) - 1) for row in dom_rows]
-    v_basis = null_basis(*rref_masks(coef, n), n)
-    a_rows = _map_rows(r)
-    w_basis = [
-        sum(((a & v).bit_count() & 1) << i for i, a in enumerate(a_rows))
-        for v in v_basis
-    ]
-
-    # Total extension F of the map: domain directions to their images,
-    # completion directions to zero.
-    fwd_basis = v_basis + _complete_basis(v_basis, n)
-    fwd_images = w_basis + [0] * (len(fwd_basis) - len(v_basis))
-    t_rows = _solve_linear_rows(fwd_basis, fwd_images, n, m)
-    linear = GF2Matrix.from_masks(t_rows, n)
-    shift = linear.mul_vec(x0) ^ y0
-    forward = AffineMapSpec(linear, shift)
-
-    # Total extension G of the partial inverse, for uncomputing the inputs.
-    bwd_basis = w_basis + _complete_basis(w_basis, m)
-    bwd_images = v_basis + [0] * (len(bwd_basis) - len(w_basis))
-    u_rows = _solve_linear_rows(bwd_basis, bwd_images, m, n)
-    u_matrix = GF2Matrix.from_masks(u_rows, m)
-    g_shift = u_matrix.mul_vec(y0) ^ x0
-
-    domain_stage = clausal_to_circuit(ClausalForm.from_masks(n, dom_rows))
-    graph_stage = synth_total_graph(forward)
     erase: list = []
-    for j, row in enumerate(u_rows):
-        erase.extend(cnot(n + i, j) for i in set_bits(row))
-        if g_shift[j]:
+    for j, row in enumerate(rows[:n]):
+        erase.extend(cnot(n + i, j) for i in set_bits((row >> n) & y_mask))
+        if row >> (n + m):
             erase.append(notg(j))
     erase += [post0(0) for _ in range(n)]
-    return circuit(n, domain_stage.gates, graph_stage.gates, erase)
+    return circuit(n, clausal_to_circuit(domain).gates, synth_total_graph(forward).gates, erase)

@@ -2,15 +2,19 @@
 points, and the graph and domain of a relation found by trying every
 assignment.  They share no code path with ``AffineRelation``'s operations
 beyond the canonical form itself, so they check those operations
-independently.
+independently.  ``old_synth`` is synthesis as it was, one elimination per
+variable, which ``synth`` must match gate for gate.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from cnotcalc.gf2 import BitVec, null_basis, rref_masks
+from cnotcalc.circuit import Circuit, circuit, cnot, notg, omega_nm, post0
+from cnotcalc.gf2 import BitVec, GF2Matrix, null_basis, rref_masks, set_bits
+from cnotcalc.normalize import ClausalForm, clausal_to_circuit
 from cnotcalc.relation import ENUMERATION_LIMIT, AffineRelation, ArityError
+from cnotcalc.synth import AffineMapSpec, synth_total_graph
 
 
 def from_graph_points(
@@ -61,3 +65,94 @@ def enumerate_domain(rel: AffineRelation) -> set[BitVec]:
     if rel.n_in > ENUMERATION_LIMIT:
         raise ValueError("domain too large to enumerate")
     return {BitVec.from_mask(rel.n_in, v) for v in _solutions(rel.domain_masks(), rel.n_in)}
+
+
+# -- synthesis as it was: a least point, a basis of the domain's directions
+# and their images, two completed bases and two linear solves --------------
+
+
+def loop_lex_least_solution(rows, nvars: int) -> int:
+    """Lexicographically least solution (variable 0 most significant) of a
+    consistent system, rhs at bit ``nvars``: pin variables 0, 1, ... in turn
+    to 0 when the system allows it."""
+    work = list(rows)
+    fixed = 0
+    for j in range(nvars):
+        trial = work + [1 << j]
+        _, pivots = rref_masks(trial, nvars + 1)
+        if nvars in pivots:
+            fixed |= 1 << j
+            work.append((1 << j) | (1 << nvars))
+        else:
+            work = trial
+    return fixed
+
+
+def loop_solve_linear_rows(basis, images, n: int, m: int) -> list[int]:
+    """Row masks t_o (o < m) with parity(t_o & basis[i]) == bit o of
+    images[i], free variables 0: one elimination per output bit o."""
+    out = []
+    for o in range(m):
+        aug = [b | (((img >> o) & 1) << n) for b, img in zip(basis, images)]
+        reduced, pivots = rref_masks(aug, n + 1)
+        if n in pivots:
+            raise RuntimeError("extension system must be consistent")
+        t = 0
+        for mask, col in zip(reduced, pivots):
+            if (mask >> n) & 1:
+                t |= 1 << col
+        out.append(t)
+    return out
+
+
+def loop_complete_basis(vectors, n: int) -> list[int]:
+    """The standard vectors that extend an independent set to a basis: try
+    e_0, e_1, ... in turn, one elimination each."""
+    added = []
+    span = list(vectors)
+    for j in range(n):
+        trial = span + [1 << j]
+        _, pivots = rref_masks(trial, n)
+        if len(pivots) == len(span) + 1:
+            span = trial
+            added.append(1 << j)
+    return added
+
+
+def old_synth(r: AffineRelation) -> Circuit:
+    """The circuit synthesis gave before it read both extensions off the
+    canonical rows: restrict to the domain, compute the image of the total
+    extension F (domain directions to their images, completion directions to
+    zero) on ancillae, and erase the inputs with the total extension G of
+    the partial inverse.  ``r`` must be a partial isomorphism; the images of
+    the directions come from ``r.apply``."""
+    if not r.is_partial_iso():
+        raise ValueError("not a partial isomorphism")
+    n, m = r.n_in, r.n_out
+    if r.is_empty():
+        return omega_nm(n, m)
+    point = loop_lex_least_solution(r.constraint_masks, n + m)
+    x0, y0 = BitVec.from_mask(n, point), BitVec.from_mask(m, point >> n)
+    dom_rows = r.domain_masks()
+    coef = [row & ((1 << n) - 1) for row in dom_rows]
+    v_basis = null_basis(*rref_masks(coef, n), n)
+    w_basis = [(r.apply(x0 ^ BitVec.from_mask(n, v)) ^ y0).mask for v in v_basis]
+
+    fwd_basis = v_basis + loop_complete_basis(v_basis, n)
+    fwd_images = w_basis + [0] * (len(fwd_basis) - len(v_basis))
+    linear = GF2Matrix.from_masks(loop_solve_linear_rows(fwd_basis, fwd_images, n, m), n)
+    forward = AffineMapSpec(linear, linear.mul_vec(x0) ^ y0)
+
+    bwd_basis = w_basis + loop_complete_basis(w_basis, m)
+    bwd_images = v_basis + [0] * (len(bwd_basis) - len(w_basis))
+    u_rows = loop_solve_linear_rows(bwd_basis, bwd_images, m, n)
+    g_shift = GF2Matrix.from_masks(u_rows, m).mul_vec(y0) ^ x0
+
+    erase: list = []
+    for j, row in enumerate(u_rows):
+        erase.extend(cnot(n + i, j) for i in set_bits(row))
+        if g_shift[j]:
+            erase.append(notg(j))
+    erase += [post0(0) for _ in range(n)]
+    domain_stage = clausal_to_circuit(ClausalForm.from_masks(n, dom_rows))
+    return circuit(n, domain_stage.gates, synth_total_graph(forward).gates, erase)

@@ -1,5 +1,6 @@
 """The immutable value types: equality, hash, repr text, no assignment,
-keyword construction and argument checks, as frozen dataclasses had them."""
+keyword construction and argument checks, as frozen dataclasses had them.
+The GF(2) values and relations keep their own repr text."""
 
 import copy
 import pickle
@@ -9,6 +10,7 @@ import pytest
 from cnotcalc.circuit import Circuit, CircuitError, Gate, circuit, cnot, init1
 from cnotcalc.gf2 import BitVec, GF2Matrix
 from cnotcalc.normalize import ClausalForm, Clause
+from cnotcalc.relation import AffineRelation
 from cnotcalc.rewrite import Derivation, RewriteRule, RuleReport
 from cnotcalc.synth import AffineMapSpec
 
@@ -50,6 +52,19 @@ CASES = [
         RuleReport("CNT1", True, False),
         "RuleReport(name='CNT1', semantic_ok=True, state_map_ok=True)",
     ),
+    (BitVec([1, 0, 1]), BitVec(bits=(1, 0, 1)), BitVec([1, 0, 0]), "BitVec([1, 0, 1])"),
+    (
+        GF2Matrix([[1, 0], [1, 1]]),
+        GF2Matrix(rows_of_bits=[[1, 0], [1, 1]], cols=2),
+        GF2Matrix([[1, 0], [1, 1]], cols=3),
+        "GF2Matrix(2x2: 10; 11)",
+    ),
+    (
+        AffineRelation.identity(1),
+        AffineRelation(n_in=1, n_out=1, constraint_masks=[0b11, 0b11]),
+        AffineRelation.empty(1, 1),
+        "AffineRelation(1->1, 1 constraints)",
+    ),
 ]
 
 
@@ -61,6 +76,9 @@ FIELDS = {
     Derivation: ("start", "steps"),
     RuleReport: ("name", "semantic_ok", "state_map_ok"),
     AffineMapSpec: ("linear", "shift"),
+    BitVec: ("_n", "_mask"),
+    GF2Matrix: ("rows", "cols", "_data"),
+    AffineRelation: ("n_in", "n_out", "_rows"),
 }
 
 
@@ -100,6 +118,37 @@ def test_circuit_copy_deepcopy_and_pickle(c):
     for again in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
         assert again == c and hash(again) == hash(c) and type(again) is Circuit
         assert again.n_out == c.n_out and repr(again) == repr(c)
+
+
+@pytest.mark.parametrize("value", [BitVec.from_mask(3, 5), GF2Matrix.from_masks([1, 3], 2),
+                                   AffineRelation.empty(1, 2)], ids=repr)
+def test_fast_paths_build_immutable_values(value):
+    for name in FIELDS[type(value)]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert pickle.loads(pickle.dumps(value)) == value and copy.deepcopy(value) == value
+
+
+def test_circuit_refuses_assignment_and_deletion():
+    c = circuit(2, cnot(0, 1))
+    for name in ("n_in", "gates", "n_out"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
+        with pytest.raises(AttributeError):
+            delattr(c, name)
+    assert c == C and c.n_out == 2
+
+
+def test_a_relation_in_a_set_stays_found():
+    held = {AffineRelation.identity(1)}
+    for name, junk in (("_rows", ()), ("n_in", 5)):
+        with pytest.raises(AttributeError):
+            setattr(next(iter(held)), name, junk)
+    assert AffineRelation.identity(1) in held
+    m = GF2Matrix([[1]])
+    with pytest.raises(AttributeError):
+        m.rows = 9
+    assert m.rows == 1
 
 
 def test_affine_map_spec():
