@@ -25,9 +25,11 @@ post-selection contributes one domain constraint.  Canonical relations make
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Optional, Sequence
 
 from .gf2 import BitVec
+from .record import Record
 from .relation import AffineRelation, ArityError
 
 CNOT = "cnot"
@@ -201,7 +203,7 @@ def _flatten(items: Iterable) -> list[Gate]:
     return out
 
 
-class Circuit:
+class Circuit(Record):
     """An immutable gate list, legal at every step, with fixed input arity."""
 
     __slots__ = ("n_in", "gates", "n_out")
@@ -211,9 +213,7 @@ class Circuit:
             raise CircuitError(f"input arity must be an int, got {n_in!r}")
         if n_in < 0:
             raise CircuitError("negative input arity")
-        object.__setattr__(self, "n_in", n_in)
         gates = tuple(gates)
-        object.__setattr__(self, "gates", gates)
         width = n_in
         for i, g in enumerate(gates):
             if g.need > width:
@@ -222,25 +222,10 @@ class Circuit:
                     f"gate {i} {g}: {where} out of range at width {width}", i
                 )
             width += g.delta
-        object.__setattr__(self, "n_out", width)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Circuit is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Circuit)
-            and self.n_in == other.n_in
-            and self.gates == other.gates
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_in, self.gates))
+        self._init(n_in, gates, width)
 
     def __reduce__(self):
-        # rebuild through __init__: the slots refuse assignment
+        # n_out is derived: rebuild through __init__
         return Circuit, (self.n_in, self.gates)
 
     def __repr__(self) -> str:
@@ -307,7 +292,7 @@ class Circuit:
         n = self.n_in
         one = 1 << n  # constant-term bit of a wire expression
         wires = [1 << i for i in range(n)]
-        dom_rows: list[int] = []
+        domain: list[int] = []
         for g in self.gates:
             k, a = g.kind, g.args
             if k == CNOT:
@@ -321,14 +306,8 @@ class Circuit:
                 e = wires.pop(a[0])
                 if not e:
                     return AffineRelation.empty(n, self.n_out)
-                # constraint: linear part of e equals 1 xor its constant term
-                dom_rows.append((e & (one - 1)) | ((1 ^ (e >> n)) << n))
-        m = len(wires)
-        rhs = 1 << (n + m)
-        rows = [(r & (one - 1)) | (rhs if r & one else 0) for r in dom_rows]
-        for i, e in enumerate(wires):
-            rows.append((e & (one - 1)) | (1 << (n + i)) | (rhs if e & one else 0))
-        rel = AffineRelation(n, m, rows)
+                domain.append(e ^ one)  # the row of e(x) = 1
+        rel = AffineRelation.from_map(n, wires, domain)
         if not rel.is_partial_iso():
             raise RuntimeError("circuit semantics must be a partial isomorphism")
         return rel
@@ -368,6 +347,15 @@ def permutation_circuit(perm: Sequence[int]) -> Circuit:
 # -- named constructions -----------------------------------------------------
 
 
+def _arity(n: int) -> None:
+    """Raise ``ArityError`` unless ``n`` is an arity that some gate list
+    can have: not negative and at most ``sys.maxsize``."""
+    if n < 0:
+        raise ArityError("negative arity")
+    if n > sys.maxsize:
+        raise ArityError(f"arity too large ({len(str(n))} digits)")
+
+
 def fanout(n: int) -> Circuit:
     """Copy map n -> 2n with outputs ordered (copy1 wires, copy2 wires).
 
@@ -375,8 +363,7 @@ def fanout(n: int) -> Circuit:
     the inputs, then one cnot from input i onto ancilla i; 5n primitive
     gates.  ``fanout(1)`` is the single-wire copy ``init0 0; cnot 1 0``.
     """
-    if n < 0:
-        raise ArityError("negative arity")
+    _arity(n)
     return circuit(n, [init0(0)] * n, [cnot(n + i, i) for i in range(n)])
 
 
@@ -391,12 +378,9 @@ def omega() -> Circuit:
 
 def omega_nm(n: int, m: int) -> Circuit:
     """The degenerate circuit n -> m."""
-    if n < 0 or m < 0:
-        raise ArityError("negative arity")
-    gates = [post1(0) for _ in range(n)]
-    gates += list(omega().gates)
-    gates += [init1(i) for i in range(m)]
-    return Circuit(n, gates)
+    _arity(n)
+    _arity(m)
+    return Circuit(n, [post1(0)] * n + list(omega().gates) + [init1(i) for i in range(m)])
 
 
 def plus_map(n: int) -> Circuit:
@@ -405,8 +389,7 @@ def plus_map(n: int) -> Circuit:
     In closed form: for each i, cnots from b_i and then a_i onto c_i;
     2n gates.  ``plus_map(1)`` is ``cnot 1 2; cnot 0 2``.
     """
-    if n < 0:
-        raise ArityError("negative arity")
+    _arity(n)
     return circuit(3 * n, [(cnot(n + i, 2 * n + i), cnot(i, 2 * n + i)) for i in range(n)])
 
 

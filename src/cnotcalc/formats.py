@@ -362,10 +362,8 @@ def parse_synth_input(text: str) -> AffineRelation:
     if kind == "system":
         return AffineRelation.restriction_on(sizes[0], _system_rows(sizes[0], body))
     n, m = sizes
-    # x -> (x, T x + s) on the solutions of the parity lines, as one system
-    # over x, the copy of x, T x + s and the right-hand side at bit 2n + m.
-    rhs = 2 * n + m
-    rows: list[int] = []
+    # x -> (x, T x + s) on the solutions of the parity lines
+    domain: list[int] = []
     map_rows: list[int] = []
     shift = None
     terms = {"": (0, n, "input wire")}
@@ -378,19 +376,16 @@ def parse_synth_input(text: str) -> AffineRelation:
                 raise FormatError("repeated 'shift' line", lineno)
             shift = bits
         elif tokens[0] == "parity":
-            r = _parity_mask(tokens, terms, lineno, line)
-            rows.append((r & ((1 << n) - 1)) | (r >> n) << rhs)
+            domain.append(_parity_mask(tokens, terms, lineno, line))
         else:
             raise FormatError(f"unexpected line {tokens[0]!r}", lineno)
     if len(map_rows) != m:
         raise FormatError(f"expected {m} 'row' lines, found {len(map_rows)}", header_line)
     if shift is None:
         raise FormatError("missing 'shift' line", header_line)
-    rows += [(1 << j) | (1 << (n + j)) for j in range(n)]
-    rows += [
-        a | 1 << (2 * n + i) | ((shift >> i) & 1) << rhs for i, a in enumerate(map_rows)
-    ]
-    return AffineRelation(n, n + m, rows)
+    forms = [1 << j for j in range(n)]
+    forms += [a | (shift >> i & 1) << n for i, a in enumerate(map_rows)]
+    return AffineRelation.from_map(n, forms, domain)
 
 
 def _bits_mask(tokens: list[str], count: int, lineno: int, line: str) -> int:

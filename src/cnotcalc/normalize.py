@@ -3,7 +3,8 @@
 A restriction idempotent on n wires is the identity on an affine subspace of
 GF(2)^n, i.e. the solution set of parity equations.  Its canonical clausal
 form lists one clause per equation, with the coefficient matrix in reduced
-row echelon form; the unsatisfiable system is the single clause (emptyset, 1).
+row echelon form as relations are canonicalized; an unsatisfiable system
+canonicalizes to the row 0 = 1, the single clause ``UNSAT`` = (emptyset, 1).
 Emitting the clause circuits in order gives a gate-list-identical canonical
 circuit for every semantic class of idempotents.
 """
@@ -12,10 +13,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .gf2 import rref_masks, set_bits
+# rref_masks is unused here; perfbench's install test asserts that this
+# module binds it, until that pin goes (ROADMAP 1B).
+from .gf2 import rref_masks, set_bits  # noqa: F401
 from .circuit import Circuit, clause_circuit
 from .record import Record
-from .relation import AffineRelation
+from .relation import AffineRelation, _canonical
 
 
 class NotIdempotentError(ValueError):
@@ -54,16 +57,13 @@ class ClausalForm(Record):
 
     @classmethod
     def from_masks(cls, n: int, rows) -> "ClausalForm":
-        """Rows are int bitmasks with the rhs at bit ``n``."""
-        return cls(n, _clauses_from_masks(rows, n))
+        """Rows are int bitmasks with the rhs at bit ``n``; the row 0 = 1
+        reads as ``UNSAT``."""
+        low = (1 << n) - 1
+        return cls(n, [Clause(set_bits(r & low), (r >> n) & 1) for r in rows])
 
     def masks(self) -> list[int]:
         return [c.mask(self.n) for c in self.clauses]
-
-
-def _clauses_from_masks(rows: Iterable[int], n: int) -> tuple[Clause, ...]:
-    low = (1 << n) - 1
-    return tuple(Clause(set_bits(r & low), (r >> n) & 1) for r in rows)
 
 
 UNSAT = Clause(frozenset(), 1)
@@ -75,14 +75,9 @@ def gaussian_eliminate(cf: ClausalForm) -> ClausalForm:
     Every elementary step is one of the clause-level moves that preserve the
     solution set: swapping two clauses or replacing {c, c'} by {c, c+c'};
     ``gaussian_eliminate_steps`` records the sequence.  The reduced clauses
-    are the unique RREF, computed here by ``rref_masks``; a pivot in the rhs
-    column is the clause 0 = 1.
+    are the unique RREF, computed here by the canonicalizer of relations.
     """
-    n = cf.n
-    rows, pivots = rref_masks(cf.masks(), n + 1)
-    if n in pivots:
-        return ClausalForm(n, (UNSAT,))
-    return ClausalForm(n, _clauses_from_masks(rows, n))
+    return ClausalForm.from_masks(cf.n, _canonical(cf.masks(), cf.n))
 
 
 def gaussian_eliminate_steps(cf: ClausalForm) -> tuple[ClausalForm, list[tuple]]:
@@ -90,8 +85,8 @@ def gaussian_eliminate_steps(cf: ClausalForm) -> tuple[ClausalForm, list[tuple]]
 
     Steps are ("swap", i, j) - exchange clauses i and j - and ("add", i, j) -
     replace clause j by clause i + clause j.  Dropping zero clauses and the
-    collapse of an inconsistent system to (emptyset, 1) happen afterwards and
-    are not recorded as moves.
+    collapse of an inconsistent system to ``UNSAT`` happen afterwards, in
+    the canonicalizer of relations, and are not recorded as moves.
     """
     n = cf.n
     work = list(cf.masks())
@@ -110,10 +105,7 @@ def gaussian_eliminate_steps(cf: ClausalForm) -> tuple[ClausalForm, list[tuple]]
                 work[i] ^= work[r]
                 steps.append(("add", r, i))
         r += 1
-    rows = [m for m in work if m]
-    if any(m == (1 << n) for m in rows):
-        return ClausalForm(n, (UNSAT,)), steps
-    return ClausalForm(n, _clauses_from_masks(rows, n)), steps
+    return ClausalForm.from_masks(n, _canonical(work, n)), steps
 
 
 def idempotent_to_clausal(r: AffineRelation) -> ClausalForm:
@@ -130,8 +122,6 @@ def idempotent_to_clausal(r: AffineRelation) -> ClausalForm:
     rows = r.domain_masks()
     if r != AffineRelation.restriction_on(n, rows):
         raise NotIdempotentError("relation differs from its restriction")
-    if rows == (1 << n,):
-        return ClausalForm(n, (UNSAT,))
     return ClausalForm.from_masks(n, rows)
 
 

@@ -9,11 +9,15 @@ coefficient, and bit ``n + m`` the right-hand side.
 The system is kept in reduced row echelon form with the single row ``0 = 1``
 standing for the empty (nowhere-defined) relation, so structural equality of
 two relations decides equality of their graphs.
+
+Apart from a graph file's raw rows, every relation built is the graph of an
+affine map on an affine subspace, written by ``from_map`` from affine forms
+over the n inputs (coefficient j at bit j, the constant at bit n).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .gf2 import BitVec, null_basis, project_masks, rref_masks
 from .record import Record
@@ -45,8 +49,21 @@ class AffineRelation(Record):
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_map(cls, n: int, forms: Sequence[int], domain: Iterable[int] = ()) -> "AffineRelation":
+        """The graph of x -> (f_0(x), f_1(x), ...) on the solutions of the
+        ``domain`` rows: one row per domain row, then one per output.  Bits
+        of a form or a domain row above its constant (bit n) are dropped."""
+        if n < 0:
+            raise ArityError("arities must be nonnegative")
+        m = len(forms)
+        low, rhs = (1 << n) - 1, n + m
+        rows = [(d & low) | ((d >> n) & 1) << rhs for d in domain]
+        rows += [(f & low) | 1 << (n + i) | ((f >> n) & 1) << rhs for i, f in enumerate(forms)]
+        return cls(n, m, rows)
+
+    @classmethod
     def identity(cls, n: int) -> "AffineRelation":
-        return cls(n, n, [(1 << j) | (1 << (n + j)) for j in range(n)])
+        return cls.from_map(n, [1 << j for j in range(n)])
 
     @classmethod
     def empty(cls, n_in: int, n_out: int) -> "AffineRelation":
@@ -65,17 +82,13 @@ class AffineRelation(Record):
     @classmethod
     def permutation(cls, perm: list[int]) -> "AffineRelation":
         """Graph {(x, x permuted)}: output i carries input perm[i]."""
-        n = len(perm)
-        return cls(n, n, [(1 << perm[i]) | (1 << (n + i)) for i in range(n)])
+        return cls.from_map(len(perm), [1 << j for j in perm])
 
     @classmethod
     def restriction_on(cls, n: int, domain_rows: Iterable[int]) -> "AffineRelation":
         """The identity on n wires restricted to the solutions of
-        ``domain_rows`` (input coefficients, rhs at bit n)."""
-        low = (1 << n) - 1
-        rows = [(r & low) | ((r >> n) & 1) << (2 * n) for r in domain_rows]
-        rows += [(1 << j) | (1 << (n + j)) for j in range(n)]
-        return cls(n, n, rows)
+        ``domain_rows``."""
+        return cls.from_map(n, [1 << j for j in range(n)], domain_rows)
 
     # -- structure ---------------------------------------------------------
 

@@ -60,13 +60,10 @@ class AffineMapSpec(Record):
     def graph_relation(self) -> AffineRelation:
         """The graph {(x, (x, f(x)))} as a relation n -> n+m: output j
         copies input j, and output n + i is row i of the map plus its shift."""
-        n, m = self.n_in, self.n_out
-        rows = [(1 << j) | (1 << (n + j)) for j in range(n)]
-        rows += [
-            a | 1 << (2 * n + i) | self.shift[i] << (2 * n + m)
-            for i, a in enumerate(self.linear.row_masks)
-        ]
-        return AffineRelation(n, n + m, rows)
+        n = self.n_in
+        forms = [1 << j for j in range(n)]
+        forms += [a | self.shift[i] << n for i, a in enumerate(self.linear.row_masks)]
+        return AffineRelation.from_map(n, forms)
 
 
 def synth_total_graph(f: AffineMapSpec) -> Circuit:

@@ -3,7 +3,9 @@ points, and the graph and domain of a relation found by trying every
 assignment.  They share no code path with ``AffineRelation``'s operations
 beyond the canonical form itself, so they check those operations
 independently.  ``old_synth`` is synthesis as it was, one elimination per
-variable, which ``synth`` must match gate for gate.
+variable, which ``synth`` must match gate for gate.  The ``layout_*``
+functions and ``old_semantics`` write the rows of a map's graph bit by bit,
+as each constructor did before ``AffineRelation.from_map`` wrote them all.
 """
 
 from __future__ import annotations
@@ -156,3 +158,64 @@ def old_synth(r: AffineRelation) -> Circuit:
     erase += [post0(0) for _ in range(n)]
     domain_stage = clausal_to_circuit(ClausalForm.from_masks(n, dom_rows))
     return circuit(n, domain_stage.gates, synth_total_graph(forward).gates, erase)
+
+
+# -- the graph of a map on a domain, laid out by each constructor itself:
+# inputs at bits 0..n-1, outputs above them, then the right-hand side --------
+
+
+def layout_identity(n: int) -> AffineRelation:
+    return AffineRelation(n, n, [(1 << j) | (1 << (n + j)) for j in range(n)])
+
+
+def layout_permutation(perm: list[int]) -> AffineRelation:
+    n = len(perm)
+    return AffineRelation(n, n, [(1 << perm[i]) | (1 << (n + i)) for i in range(n)])
+
+
+def layout_graph_relation(spec: AffineMapSpec) -> AffineRelation:
+    n, m = spec.n_in, spec.n_out
+    rows = [(1 << j) | (1 << (n + j)) for j in range(n)]
+    rows += [
+        a | 1 << (2 * n + i) | spec.shift[i] << (2 * n + m)
+        for i, a in enumerate(spec.linear.row_masks)
+    ]
+    return AffineRelation(n, n + m, rows)
+
+
+def layout_affine_block(n: int, map_rows: list[int], shift: int, parities: list[int]) -> AffineRelation:
+    """An ``affine`` block's relation: ``map_rows`` and ``shift`` as masks,
+    each parity line a mask with its rhs at bit ``n``."""
+    m = len(map_rows)
+    rhs = 2 * n + m
+    rows = [(r & ((1 << n) - 1)) | (r >> n) << rhs for r in parities]
+    rows += [(1 << j) | (1 << (n + j)) for j in range(n)]
+    rows += [a | 1 << (2 * n + i) | ((shift >> i) & 1) << rhs for i, a in enumerate(map_rows)]
+    return AffineRelation(n, n + m, rows)
+
+
+def old_semantics(c: Circuit) -> AffineRelation:
+    """``Circuit.semantics`` without its early exit: every post-selection
+    adds a domain row, and one canonical form is taken at the end."""
+    n = c.n_in
+    one = 1 << n
+    wires = [1 << i for i in range(n)]
+    dom_rows = []
+    for g in c.gates:
+        k, a = g.kind, g.args
+        if k == "cnot":
+            wires[a[1]] ^= wires[a[0]]
+        elif k == "swap":
+            i, j = a
+            wires[i], wires[j] = wires[j], wires[i]
+        elif k == "init1":
+            wires.insert(a[0], one)
+        else:
+            e = wires.pop(a[0])
+            dom_rows.append((e & (one - 1)) | ((1 ^ (e >> n)) << n))
+    m = len(wires)
+    rhs = 1 << (n + m)
+    rows = [(r & (one - 1)) | (rhs if r & one else 0) for r in dom_rows]
+    for i, e in enumerate(wires):
+        rows.append((e & (one - 1)) | (1 << (n + i)) | (rhs if e & one else 0))
+    return AffineRelation(n, m, rows)

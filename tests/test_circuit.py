@@ -25,6 +25,7 @@ from cnotcalc.circuit import (
     swap,
 )
 from cnotcalc.fuzzing import random_circuit, trial_rng
+from oracles import old_semantics
 
 
 def seeded(count, salt):
@@ -288,33 +289,6 @@ class TestSemanticsPastEnumeration:
         for p in pivots:
             x = BitVec.from_mask(n, witness.mask ^ (1 << p))
             assert c.eval_state(x) is None and rel.apply(x) is None
-
-
-def old_semantics(c):
-    """``Circuit.semantics`` without its early exit: every post-selection
-    adds a domain row, and one canonical form is taken at the end."""
-    n = c.n_in
-    one = 1 << n
-    wires = [1 << i for i in range(n)]
-    dom_rows = []
-    for g in c.gates:
-        k, a = g.kind, g.args
-        if k == "cnot":
-            wires[a[1]] ^= wires[a[0]]
-        elif k == "swap":
-            i, j = a
-            wires[i], wires[j] = wires[j], wires[i]
-        elif k == "init1":
-            wires.insert(a[0], one)
-        else:
-            e = wires.pop(a[0])
-            dom_rows.append((e & (one - 1)) | ((1 ^ (e >> n)) << n))
-    m = len(wires)
-    rhs = 1 << (n + m)
-    rows = [(r & (one - 1)) | (rhs if r & one else 0) for r in dom_rows]
-    for i, e in enumerate(wires):
-        rows.append((e & (one - 1)) | (1 << (n + i)) | (rhs if e & one else 0))
-    return AffineRelation(n, m, rows)
 
 
 @st.composite

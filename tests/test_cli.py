@@ -334,6 +334,15 @@ class TestVerifyReplayConstruct:
         assert err == "error: integer too long (5000 digits)\n"
 
     @pytest.mark.parametrize(
+        "params", [["fanout", "9" * 20], ["fanin", "9" * 20], ["plus", "9" * 20],
+                   ["omega", "9" * 20, "2"], ["omega", "2", "1" + "0" * 19]]
+    )
+    def test_construct_arity_above_maxsize(self, run_cli, params):
+        # no gate list has more than sys.maxsize wires, so the arity is
+        # refused before anything is allocated
+        assert run_cli("construct", *params) == (USAGE, "", "error: arity too large (20 digits)\n")
+
+    @pytest.mark.parametrize(
         "name,header,gates",
         [
             ("fanout", "1200 -> 2400", 5 * 1200),

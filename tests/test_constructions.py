@@ -1,5 +1,7 @@
 """The named circuit families and their defining laws."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -116,6 +118,13 @@ class TestClosedForms:
         for build in (fanout, plus_map):
             with pytest.raises(ArityError):
                 build(-1)
+
+    def test_arity_above_maxsize(self):
+        big = sys.maxsize + 1
+        builds = [fanout, fanin, plus_map, lambda n: omega_nm(n, 0), lambda n: omega_nm(0, n)]
+        for build in builds:
+            with pytest.raises(ArityError, match=rf"^arity too large \({len(str(big))} digits\)$"):
+                build(big)
 
 
 class TestFanout:

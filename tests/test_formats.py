@@ -24,7 +24,7 @@ from cnotcalc.formats import (
 from cnotcalc.fuzzing import random_circuit, trial_rng
 from cnotcalc.gf2 import BitVec, GF2Matrix
 from cnotcalc.synth import AffineMapSpec, synth_total_graph
-from oracles import enumerate_graph
+from oracles import enumerate_graph, layout_affine_block
 
 
 class TestCircuitFormat:
@@ -237,11 +237,11 @@ class TestSystemFormat:
 
 
 @st.composite
-def affine_files(draw):
+def affine_files(draw, width=10):
     """(n, m, matrix rows, shift, parity lines) of an ``affine`` file with
-    n, m <= 10 and 0-4 parity lines, each a tuple of distinct wires and an
-    rhs; small n makes some sets of parity lines inconsistent."""
-    n, m = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    n, m <= ``width`` and 0-4 parity lines, each a tuple of distinct wires
+    and an rhs; small n makes some sets of parity lines inconsistent."""
+    n, m = draw(st.integers(0, width)), draw(st.integers(0, width))
 
     def bits(k):
         return st.lists(st.integers(0, 1), min_size=k, max_size=k)
@@ -253,6 +253,18 @@ def affine_files(draw):
         st.integers(0, 1),
     )
     return n, m, matrix, draw(bits(m)), draw(st.lists(parity, max_size=4))
+
+
+def affine_text(case):
+    n, m, matrix, shift, parities = case
+    text = f"affine {n} {m}\n"
+    text += "".join("row " + " ".join(map(str, row)) + "\n" for row in matrix)
+    text += "shift " + " ".join(map(str, shift)) + "\n"
+    text += "".join(
+        " ".join(["parity", *map(str, wires), "=", str(rhs)]) + "\n"
+        for wires, rhs in parities
+    )
+    return text + "end\n"
 
 
 class TestSynthInput:
@@ -299,17 +311,19 @@ end
         """One system for the affine block equals the restriction to the
         parity lines composed with the graph of the map."""
         n, m, matrix, shift, parities = case
-        text = f"affine {n} {m}\n"
-        text += "".join("row " + " ".join(map(str, row)) + "\n" for row in matrix)
-        text += "shift " + " ".join(map(str, shift)) + "\n"
-        text += "".join(
-            " ".join(["parity", *map(str, wires), "=", str(rhs)]) + "\n"
-            for wires, rhs in parities
-        )
         spec = AffineMapSpec(GF2Matrix(matrix, cols=n), BitVec(shift))
         dom = [sum(1 << w for w in wires) | rhs << n for wires, rhs in parities]
         want = AffineRelation.restriction_on(n, dom).compose(spec.graph_relation())
-        assert parse_synth_input(text + "end\n") == want
+        assert parse_synth_input(affine_text(case)) == want
+
+    @settings(deadline=None)
+    @given(affine_files(width=40))
+    def test_affine_block_matches_its_old_layout(self, case):
+        n, m, matrix, shift, parities = case
+        map_rows = [sum(b << j for j, b in enumerate(row)) for row in matrix]
+        dom = [sum(1 << w for w in wires) | rhs << n for wires, rhs in parities]
+        want = layout_affine_block(n, map_rows, sum(b << i for i, b in enumerate(shift)), dom)
+        assert parse_synth_input(affine_text(case)) == want
 
     @settings(deadline=None)
     @given(affine_files())

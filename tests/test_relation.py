@@ -7,7 +7,7 @@ from cnotcalc.gf2 import BitVec
 from cnotcalc.relation import AffineRelation, ArityError, all_bitvecs
 from cnotcalc.fuzzing import random_circuit, trial_rng
 from test_gf2 import column_scan_project
-from oracles import enumerate_graph, from_graph_points
+from oracles import enumerate_graph, from_graph_points, layout_identity, layout_permutation
 
 
 def rel_from_pairs(n, m, pairs):
@@ -470,6 +470,57 @@ class TestBlockShiftsMatchRemap:
         # bits above the rhs (bit n) are dropped, as the remap dropped them
         rows = data.draw(st.lists(st.integers(0, (1 << (n + 3)) - 1), max_size=n + 2))
         assert AffineRelation.restriction_on(n, rows) == old_restriction_on(n, rows)
+
+
+class TestFromMap:
+    """``from_map`` against the row layouts the constructors wrote
+    themselves, and against the map it is given, at widths past the
+    enumeration cap.  ``restriction_on`` is checked against
+    ``old_restriction_on`` in ``TestBlockShiftsMatchRemap``."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_identity_and_permutation(self, data):
+        n = data.draw(widths)
+        perm = data.draw(st.permutations(range(n)))
+        assert AffineRelation.identity(n) == layout_identity(n)
+        assert AffineRelation.permutation(perm) == layout_permutation(perm)
+        assert AffineRelation.from_map(n, [1 << j for j in perm]) == layout_permutation(perm)
+
+    def test_negative_arity(self):
+        for build in (lambda: AffineRelation.from_map(-1, []), lambda: AffineRelation.identity(-1),
+                      lambda: AffineRelation.restriction_on(-1, [1])):
+            with pytest.raises(ArityError, match="arities must be nonnegative"):
+                build()
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_graph_of_the_map_on_the_domain(self, data):
+        """Bits above a row's constant are dropped.  On a point of the
+        domain, on that point moved along each row's coefficients and on
+        random points, ``apply`` gives the forms' values exactly where every
+        domain row is 0."""
+        n, m = data.draw(widths), data.draw(widths)
+        forms = data.draw(st.lists(st.integers(0, (1 << (n + 3)) - 1), min_size=m, max_size=m))
+        point = data.draw(st.integers(0, (1 << n) - 1))
+        coefs = data.draw(st.lists(st.integers(0, (1 << (n + 3)) - 1), max_size=n + 2))
+        domain = [c ^ (((c & point).bit_count() ^ (c >> n)) & 1) << n for c in coefs]
+        r = AffineRelation.from_map(n, forms, domain)
+        assert (r.n_in, r.n_out) == (n, m) and not r.is_empty()
+        keep = (1 << (n + 1)) - 1
+        assert r == AffineRelation.from_map(n, [f & keep for f in forms], [d & keep for d in domain])
+
+        def value(row, x):  # the affine form at x, constant at bit n
+            return ((row & x).bit_count() ^ (row >> n)) & 1
+
+        low = (1 << n) - 1
+        xs = [point] + [point ^ (c & low) for c in coefs]
+        xs += data.draw(st.lists(st.integers(0, low), max_size=4))
+        for x in xs:
+            defined = all(value(d, x) == 0 for d in domain)
+            want = sum(value(f, x) << i for i, f in enumerate(forms)) if defined else None
+            got = r.apply(BitVec.from_mask(n, x))
+            assert (got.mask if got is not None else None) == want
 
 
 @st.composite

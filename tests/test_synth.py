@@ -8,7 +8,7 @@ from cnotcalc.relation import AffineRelation, all_bitvecs
 from cnotcalc.circuit import circuit, equal_circ, omega_nm, post1
 from cnotcalc.synth import AffineMapSpec, NotPartialIsoError, synth, synth_total_graph
 from cnotcalc.fuzzing import random_circuit, trial_rng
-from oracles import from_graph_points, old_synth
+from oracles import from_graph_points, layout_graph_relation, old_synth
 
 
 WORKED_SPEC = AffineMapSpec(GF2Matrix([[1, 0, 1], [1, 0, 0]]), BitVec([0, 1]))
@@ -116,15 +116,22 @@ def vectors(n):
 
 
 @st.composite
+def specs(draw):
+    """Total maps x -> T x + s of 0-40 inputs and 0-24 outputs."""
+    n, m = draw(st.integers(0, 40)), draw(st.integers(0, 24))
+    return AffineMapSpec(
+        GF2Matrix.from_masks(draw(st.lists(vectors(n), min_size=m, max_size=m)), n),
+        BitVec.from_mask(m, draw(st.integers(0, (1 << m) - 1))),
+    )
+
+
+@st.composite
 def partial_isos(draw):
     """Graphs x -> (x, T x + s) of total maps, restricted to a random
     non-empty affine subspace, and sometimes turned around (partial, with
     the copy of x as the output)."""
-    n, m = draw(st.integers(0, 40)), draw(st.integers(0, 24))
-    spec = AffineMapSpec(
-        GF2Matrix.from_masks(draw(st.lists(vectors(n), min_size=m, max_size=m)), n),
-        BitVec.from_mask(m, draw(st.integers(0, (1 << m) - 1))),
-    )
+    spec = draw(specs())
+    n, m = spec.n_in, spec.n_out
     rel = spec.graph_relation()
     point = draw(st.integers(0, (1 << n) - 1))
     dom = [c | (_parity(c & point) << (2 * n + m)) for c in draw(st.lists(vectors(n), max_size=n))]
@@ -136,6 +143,24 @@ random_relations = st.randoms(use_true_random=False).map(
     lambda rng: random_circuit(rng, rng.randrange(8), rng.randrange(1, 60)).semantics()
 )
 relations = st.one_of(partial_isos(), random_relations, random_relations.map(AffineRelation.dagger))
+
+
+@settings(deadline=None)
+@given(specs())
+def test_graph_relation_matches_its_old_layout(spec):
+    assert spec.graph_relation() == layout_graph_relation(spec)
+
+
+@settings(deadline=None)
+@given(partial_isos())
+def test_from_map_rebuilds_a_partial_iso_from_its_converse_rows(r):
+    """The rows synth reads off ``r.dagger()``, shifted down past the
+    outputs, are the forms of the map (the first n_out) and the domain (the
+    rest), as ``from_map`` takes them."""
+    n, m = r.n_in, r.n_out
+    assert not r.is_empty()
+    forms = [row >> m for row in r.dagger().constraint_masks]
+    assert AffineRelation.from_map(n, forms[:m], forms[m:]) == r
 
 
 @settings(deadline=None)

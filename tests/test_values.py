@@ -1,6 +1,6 @@
 """The immutable value types: equality, hash, repr text, no assignment,
 keyword construction and argument checks, as frozen dataclasses had them.
-The GF(2) values and relations keep their own repr text."""
+The GF(2) values, relations and circuits keep their own repr text."""
 
 import copy
 import pickle
@@ -59,6 +59,7 @@ CASES = [
         GF2Matrix([[1, 0], [1, 1]], cols=3),
         "GF2Matrix(2x2: 10; 11)",
     ),
+    (C, Circuit(n_in=2, gates=[cnot(0, 1)]), D, "Circuit(2->2, [cnot(0, 1)])"),
     (
         AffineRelation.identity(1),
         AffineRelation(n_in=1, n_out=1, constraint_masks=[0b11, 0b11]),
@@ -79,6 +80,7 @@ FIELDS = {
     BitVec: ("_n", "_mask"),
     GF2Matrix: ("rows", "cols", "_data"),
     AffineRelation: ("n_in", "n_out", "_rows"),
+    Circuit: ("n_in", "gates", "n_out"),
 }
 
 
