@@ -53,7 +53,7 @@ class _GateFields:
     __slots__ = ("kind", "args", "need", "delta", "_line")
 
 
-class Gate(_GateFields):
+class Gate(_GateFields, Record, fields=("kind", "args")):
     """One gate: its kind and wire arguments, compared and hashed as the
     pair (kind, args).
 
@@ -79,25 +79,8 @@ class Gate(_GateFields):
             return GATES[kind][0](*args)
         raise CircuitError(f"no gate {kind!r} with arguments {args!r}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind == other.kind and self.args == other.args
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.args))
-
     def __repr__(self) -> str:
         return f"{self.kind}({', '.join(map(str, self.args))})"
-
-    def __reduce__(self):
-        return Gate, (self.kind, self.args)
 
     @property
     def line(self) -> str:
@@ -329,19 +312,26 @@ def equal_circ(c: Circuit, d: Circuit) -> bool:
     return c.semantics() == d.semantics()
 
 
+def swap_network(layout: Sequence, target: Sequence) -> list[Gate]:
+    """The swaps that rearrange ``layout`` into ``target``, a reordering of
+    its entries: for each position in turn, the swap that brings the entry
+    it wants into place, if it is not there already."""
+    layout = list(layout)
+    gates = []
+    for pos, want in enumerate(target):
+        if layout[pos] != want:
+            src = layout.index(want)
+            gates.append(swap(pos, src))
+            layout[pos], layout[src] = want, layout[pos]
+    return gates
+
+
 def permutation_circuit(perm: Sequence[int]) -> Circuit:
     """A swap network sending input wire perm[i] to output position i."""
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise CircuitError(f"{perm!r} is not a permutation")
-    gates = []
-    layout = list(range(n))  # layout[pos] = input wire currently at pos
-    for pos in range(n):
-        src = layout.index(perm[pos])
-        if src != pos:
-            gates.append(swap(pos, src))
-            layout[pos], layout[src] = layout[src], layout[pos]
-    return Circuit(n, gates)
+    return Circuit(n, swap_network(range(n), perm))
 
 
 # -- named constructions -----------------------------------------------------
@@ -412,14 +402,27 @@ def literal(i: int, n: int) -> Circuit:
     return Circuit(n + 1, (cnot(i, 0),))
 
 
+def wire_set(wires: Iterable[int]) -> set[int]:
+    """The set of ``wires``; ``ArityError`` for the first one that occurs
+    twice.  Over GF(2) a repeated wire cancels (x + x = 0), so a parity as
+    written is not the one over the set of its wires."""
+    seen: set[int] = set()
+    for w in wires:
+        if w in seen:
+            raise ArityError(f"repeated wire {w}")
+        seen.add(w)
+    return seen
+
+
 def clause_circuit(support: Iterable[int], rhs: int, n: int) -> Circuit:
     """Restriction of the identity on n wires to sum(x_i for i in support) = rhs.
 
     A |0> clause wire collects the parity through one literal per support
     wire, in increasing order, and is consumed by the ancilla matching rhs:
-    ``|support| + 5`` gates for rhs 1 and ``|support| + 8`` for rhs 0.
+    ``|support| + 5`` gates for rhs 1 and ``|support| + 8`` for rhs 0.  A
+    support wire given twice raises ``ArityError``, as ``wire_set`` does.
     """
-    support = sorted(set(support))
+    support = sorted(wire_set(support))
     if support and not (0 <= support[0] and support[-1] < n):
         raise ArityError(f"support {support} out of range for {n} wires")
     if rhs not in (0, 1):

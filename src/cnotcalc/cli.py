@@ -134,13 +134,9 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    from .synth import NotPartialIsoError, synth
+    from .synth import synth
 
-    rel = formats.parse_synth_input(_read(args.file))
-    try:
-        c = synth(rel)
-    except NotPartialIsoError as e:
-        raise CliInputError(str(e)) from None
+    c = synth(formats.parse_synth_input(_read(args.file)))
     text = formats.format_circuit(c, name="synth").rstrip("\n")
     _emit({"command": "synth", "circuit": text.splitlines()}, args.json, text)
     return OK
@@ -168,13 +164,9 @@ def _cmd_replay(args) -> int:
 
     _, c = _load_circuit(args.file)
     steps = formats.parse_derivation(_read(args.derivation))
-    try:
-        intermediates = replay(Derivation(c, tuple(steps)))
-    except ValueError as e:
-        raise CliInputError(str(e)) from None
     blocks = [
         formats.format_circuit(ci, name=f"step{i}").rstrip("\n")
-        for i, ci in enumerate(intermediates)
+        for i, ci in enumerate(replay(Derivation(c, tuple(steps))))
     ]
     text = "\n".join(blocks)
     _emit({"command": "replay", "steps": len(steps), "circuits": blocks}, args.json, text)
@@ -247,15 +239,7 @@ def _build_construct(name: str, params: list[str]):
         if len(params) < 2:
             raise CliInputError("construct clause takes: <n> <rhs> [wire ...]")
         n, rhs = num(0), num(1)
-        wires = [num(i) for i in range(2, len(params))]
-        # over GF(2) a repeated wire cancels (x1 + x1 = 0), so the clause as
-        # written is not the one that the set of its wires cuts out
-        seen: set[int] = set()
-        for wire in wires:
-            if wire in seen:
-                raise CliInputError(f"repeated wire {wire}")
-            seen.add(wire)
-        return clause_circuit(wires, rhs, n)
+        return clause_circuit([num(i) for i in range(2, len(params))], rhs, n)
     raise CliInputError(f"unknown construction {name!r}")
 
 

@@ -16,6 +16,7 @@ from .circuit import (
     plus_map,
 )
 from .fuzzing import random_circuit, trial_rng
+from .gf2 import BitVec
 
 
 def block_swap(n: int, m: int) -> Circuit:
@@ -113,16 +114,10 @@ def _para_table(n: int) -> dict[tuple[int, int, int], int]:
     for a in range(1 << n):
         for b in range(1 << n):
             for c in range(1 << n):
-                bits = []
-                for block in (a, b, c):
-                    bits.extend((block >> i) & 1 for i in range(n))
-                out = adder.eval_state(bits)
+                out = adder.eval_state(BitVec.from_mask(3 * n, a | b << n | c << 2 * n))
                 if out is None:
                     raise RuntimeError("parity accumulator must be total")
-                third = 0
-                for i in range(n):
-                    third |= out[2 * n + i] << i
-                table[(a, b, c)] = third
+                table[(a, b, c)] = out.mask >> 2 * n
     return table
 
 

@@ -16,7 +16,7 @@ from typing import Iterable
 # rref_masks is unused here; perfbench's install test asserts that this
 # module binds it, until that pin goes (ROADMAP 1B).
 from .gf2 import rref_masks, set_bits  # noqa: F401
-from .circuit import Circuit, clause_circuit
+from .circuit import Circuit, clause_circuit, wire_set
 from .record import Record
 from .relation import AffineRelation, _canonical
 
@@ -26,12 +26,13 @@ class NotIdempotentError(ValueError):
 
 
 class Clause(Record):
-    """One parity constraint: sum(x_i for i in support) = rhs."""
+    """One parity constraint: sum(x_i for i in support) = rhs; a support
+    wire given twice raises ``ArityError``, as ``wire_set`` does."""
 
     __slots__ = ("support", "rhs")
 
     def __init__(self, support: Iterable[int], rhs: int):
-        support = frozenset(support)
+        support = frozenset(wire_set(support))
         if rhs not in (0, 1):
             raise ValueError("rhs must be a bit")
         if any(i < 0 for i in support):

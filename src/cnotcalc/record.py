@@ -2,11 +2,14 @@
 
 ``Record`` gives its subclasses what a frozen dataclass would: equality and
 hash over the fields, ``Name(field=value, ...)`` repr text and no
-assignment after construction.  The fields are the names in the subclass's
-``__slots__``, two or more, in order; each subclass's ``__init__`` checks
-its arguments and stores them with ``_init``.  It exists so that importing
-the package does not import ``dataclasses`` and generate code for every
-class.
+assignment after construction.  The fields are two or more slot names, in
+order: those of the subclass's ``__slots__``, unless the class statement
+names them with ``fields=(...)``.  Only ``circuit.Gate`` does: its slots
+live in a plain base class, so that a gate is built there and then given
+its class, and only two of them are compared.  Each other subclass's
+``__init__`` checks its arguments and stores them with ``_init``.  It
+exists so that importing the package does not import ``dataclasses`` and
+generate code for every class.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from operator import attrgetter
 class Record:
     __slots__ = ()
 
-    def __init_subclass__(cls):
-        # The tuple of the field values, and each slot's own setter, which
-        # the refusing __setattr__ does not guard.
-        cls._values = staticmethod(attrgetter(*cls.__slots__))
-        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
+    def __init_subclass__(cls, fields=None):
+        # The field names, the tuple of their values, and each slot's own
+        # setter, which the refusing __setattr__ does not guard.
+        cls._fields = fields = cls.__slots__ if fields is None else fields
+        cls._values = staticmethod(attrgetter(*fields))
+        cls._setters = tuple([getattr(cls, name).__set__ for name in fields])
 
     def _init(self, *values) -> None:
         for set_field, value in zip(self._setters, values):
@@ -37,7 +41,7 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -82,6 +82,8 @@ class AffineRelation(Record):
     @classmethod
     def permutation(cls, perm: list[int]) -> "AffineRelation":
         """Graph {(x, x permuted)}: output i carries input perm[i]."""
+        if sorted(perm) != list(range(len(perm))):
+            raise ArityError(f"{perm!r} is not a permutation")
         return cls.from_map(len(perm), [1 << j for j in perm])
 
     @classmethod

@@ -33,6 +33,7 @@ from .circuit import (
     post0,
     post1,
     swap,
+    swap_network,
     clause_circuit,
     fanin,
     fanout,
@@ -384,12 +385,7 @@ def apply_at(
     for q in range(len(src_final)):
         idx = circ_final.index(phi[src_final[q]])
         want[idx] = phi_dst[dst_final[q]]
-    for pos in range(len(want)):
-        if layout[pos] != want[pos]:
-            j = layout.index(want[pos])
-            emitted.append(swap(pos, j))
-            layout[pos], layout[j] = layout[j], layout[pos]
-
+    emitted += swap_network(layout, want)
     return Circuit(c.n_in, prefix + tuple(emitted) + suffix)
 
 

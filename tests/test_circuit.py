@@ -23,6 +23,7 @@ from cnotcalc.circuit import (
     post0,
     post1,
     swap,
+    swap_network,
 )
 from cnotcalc.fuzzing import random_circuit, trial_rng
 from oracles import old_semantics
@@ -624,3 +625,16 @@ def test_format_circuit_uses_the_gate_lines():
     old += [f"{g.kind} {' '.join(map(str, g.args))}" for g in c.gates]
     assert format_circuit(c) == "\n".join(old + ["end"]) + "\n"
     assert format_circuit(c) == format_circuit(c)
+
+
+@given(st.data())
+def test_swap_network_rearranges_the_layout_into_the_target(data):
+    layout = data.draw(st.permutations(range(data.draw(st.integers(0, 9)))))
+    target = data.draw(st.permutations(layout))
+    gates = swap_network(layout, target)
+    assert len(gates) < max(len(layout), 1)
+    wires = list(layout)
+    for g in gates:
+        i, j = g.args
+        wires[i], wires[j] = wires[j], wires[i]
+    assert wires == target

@@ -307,6 +307,12 @@ class TestClauseCircuit:
         # 4-gate post0
         assert len(c.gates) == len(support) + (5 if rhs else 8)
 
+    @pytest.mark.parametrize("support, wire", [([0, 0], 0), ([2, 0, 3, 2, 0], 2), ([5, 5], 5)])
+    def test_repeated_wire_refused_before_range_and_rhs(self, support, wire):
+        # x0 + x0 = 0 over GF(2): the support [0, 0] is not the clause x0 = rhs
+        with pytest.raises(ArityError, match=f"^repeated wire {wire}$"):
+            clause_circuit(support, 7, 1)
+
     def test_cli_clause_is_linear_in_support(self, capsys):
         assert run(["construct", "clause", "128", "1", *map(str, range(0, 128, 2))]) == 0
         lines = capsys.readouterr().out.splitlines()

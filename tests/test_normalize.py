@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cnotcalc.relation import AffineRelation
+from cnotcalc.relation import AffineRelation, ArityError
 from cnotcalc.circuit import (
     circuit,
     clause_circuit,
@@ -282,3 +282,13 @@ def test_from_masks_by_set_bits_matches_column_scan(data):
     # bits above the rhs (bit n) are dropped, as the column scan dropped them
     rows = data.draw(st.lists(st.integers(0, (1 << (n + 3)) - 1), max_size=12))
     assert ClausalForm.from_masks(n, rows) == old_clauses_from_masks(rows, n)
+
+
+def test_clause_refuses_a_repeated_wire():
+    # x0 + x0 = 0 over GF(2): the support [0, 0] is not the clause x0 = 1
+    with pytest.raises(ArityError, match="^repeated wire 0$"):
+        Clause([0, 0], 1)
+    with pytest.raises(ArityError, match="^repeated wire 2$"):
+        Clause(iter([2, 0, 3, 2, 0]), 0)
+    # a set cannot repeat a wire, so it is taken as it is
+    assert Clause({1, 0}, 1) == Clause(frozenset({0, 1}), 1) == Clause([1, 0], 1)

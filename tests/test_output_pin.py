@@ -3,16 +3,27 @@
 ``synth``, ``normalize`` and ``construct`` choose one circuit among many
 equal ones; which one is behaviour too, so a change that keeps every
 semantics but reorders or rewrites gates shows here.  The relations that
-``semantics`` prints and that ``synth`` reads are pinned as a second digest.
+``semantics`` prints and that ``synth`` reads are pinned as a second digest,
+and the circuits ``apply_at`` rewrites to as a third.
 """
 
 import hashlib
 import random
 
-from cnotcalc.circuit import clause_circuit, fanout, hat, omega_nm, plus_map
+from cnotcalc import rewrite
+from cnotcalc.circuit import (
+    clause_circuit,
+    fanout,
+    hat,
+    identity_circuit,
+    omega_nm,
+    plus_map,
+    swap_network,
+)
 from cnotcalc.formats import format_circuit, format_relation, parse_synth_input
 from cnotcalc.fuzzing import random_circuit, trial_rng
 from cnotcalc.normalize import normalize_idempotent
+from cnotcalc.rewrite import all_rules, apply_at
 from cnotcalc.synth import synth
 
 
@@ -118,3 +129,58 @@ def test_printed_relations_pinned():
         count += 1
     assert count == 200 + 180
     assert h.hexdigest() == RELATION_DIGEST
+
+
+def rewrite_hosts():
+    """For every rule and direction, three seeded hosts around the side it
+    rewrites: a post-free random prefix on 0-2 wires more than the side
+    takes, the side on a run of the prefix's output wires with identity
+    wires below and above it, then a random suffix."""
+    for r, rule in enumerate(all_rules()):
+        for direction in ("lr", "rl"):
+            side = rule.lhs if direction == "lr" else rule.rhs
+            for i in range(3):
+                rng = trial_rng(29, 6 * r + 3 * (direction == "rl") + i)
+                prefix = random_circuit(
+                    rng, side.n_in + rng.randrange(3), rng.randrange(8), allow_post=False
+                )
+                below = rng.randrange(prefix.n_out - side.n_in + 1)
+                above = prefix.n_out - side.n_in - below
+                middle = identity_circuit(below).tensor(side).tensor(identity_circuit(above))
+                suffix = random_circuit(rng, middle.n_out, rng.randrange(8))
+                yield rule, direction, prefix.compose(middle).compose(suffix)
+
+
+def rewrites():
+    """(rule name, direction, offset, result) of ``apply_at`` at every
+    offset of every host where the rule applies."""
+    for rule, direction, host in rewrite_hosts():
+        for k in range(len(host.gates) + 1):
+            out = apply_at(host, rule, k, direction)
+            if out is not None:
+                yield rule.name, direction, k, out
+
+
+# sha256 of the offsets and format_circuit text of rewrites(), as the code
+# printed them when apply_at ran its own swap network
+REWRITE_DIGEST = "6baeb945646da83b3f9cccce0bc0bb312726baff630fdd8cd995deb4a1c988d5"
+
+
+def test_rewrites_pinned(monkeypatch):
+    networks = []  # per result, whether its swap network emits a gate
+
+    def counted(layout, target):
+        gates = swap_network(layout, target)
+        networks.append(bool(gates))
+        return gates
+
+    monkeypatch.setattr(rewrite, "swap_network", counted)
+    h = hashlib.sha256()
+    count = 0
+    for name, direction, k, out in rewrites():
+        h.update(f"{name} {direction} {k}\n".encode())
+        h.update(format_circuit(out).encode())
+        count += 1
+    assert count == len(networks) == 337
+    assert sum(networks) == 45
+    assert h.hexdigest() == REWRITE_DIGEST

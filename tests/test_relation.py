@@ -487,6 +487,12 @@ class TestFromMap:
         assert AffineRelation.permutation(perm) == layout_permutation(perm)
         assert AffineRelation.from_map(n, [1 << j for j in perm]) == layout_permutation(perm)
 
+    @pytest.mark.parametrize("perm", [[0, 0], [1], [0, 2], [1, 1, 0], [-1, 0]])
+    def test_permutation_refuses_a_non_permutation(self, perm):
+        # [0, 0] would be a 2 -> 2 relation that is no partial isomorphism
+        with pytest.raises(ArityError, match="is not a permutation"):
+            AffineRelation.permutation(perm)
+
     def test_negative_arity(self):
         for build in (lambda: AffineRelation.from_map(-1, []), lambda: AffineRelation.identity(-1),
                       lambda: AffineRelation.restriction_on(-1, [1])):

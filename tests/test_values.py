@@ -177,7 +177,7 @@ def test_sequences_become_tuples():
     d = Derivation(C, [["CNT2", 0, "lr"], ("CNT6", 1, "rl")])
     assert d.steps == (("CNT2", 0, "lr"), ("CNT6", 1, "rl"))
     assert isinstance(ClausalForm(1, [Clause((), 0)]).clauses, tuple)
-    assert Clause([0, 0, 1], 1).support == frozenset({0, 1})
+    assert Clause([1, 0], 1).support == frozenset({0, 1})
 
 
 def test_rule_report_ok():
