@@ -6,7 +6,10 @@ stderr, no traceback), and 141 (128 + SIGPIPE, the status a shell shows
 for a process that SIGPIPE ended), with nothing on stderr, when the reader
 closes stdout before all of the output is written, as ``| head`` may.
 ``--json`` prints a stable JSON mirror of the report instead of plain text;
-errors stay one plain ``error:`` line on stderr.
+errors stay one plain ``error:`` line on stderr.  A command holds at once
+its circuits, their distinct gate lines, one window of input and one printed
+block: ``replay`` writes each step as it formats it, once every step has
+been checked, and the ``--json`` report is built only under ``--json``.
 
 ``COMMANDS`` is the one table of the command line, and ``_read_argv`` reads
 it.  A command line is a command name, then in any order its positionals,
@@ -74,13 +77,28 @@ def _parse_bits(text: str) -> BitVec:
     return BitVec(int(ch) for ch in text)
 
 
-def _emit(report: dict, as_json: bool, text: str) -> None:
-    if as_json:
+def _emit(args, text: str, report) -> None:
+    """Write ``text``, which ends in a line feed or is empty, or under
+    ``--json`` the JSON of the dict ``report()``, built only then."""
+    if args.json:
         import json  # only --json needs it; spare every other process the import
 
-        print(json.dumps(report, sort_keys=True))
+        print(json.dumps(report(), sort_keys=True))
     elif text:
-        print(text)
+        _write(text)
+
+
+_SLICE = 1 << 14
+
+
+def _write(text: str) -> None:
+    """Write ``text``, which ends in a line feed, to stdout in slices and
+    the last line feed alone: an unbuffered stdout drops what a closed pipe
+    cuts short, and only the next write fails."""
+    end = len(text) - 1
+    for i in range(0, end, _SLICE):
+        sys.stdout.write(text[i : min(i + _SLICE, end)])
+    sys.stdout.write("\n")
 
 
 def _cmd_eval(args) -> int:
@@ -90,18 +108,16 @@ def _cmd_eval(args) -> int:
         raise CliInputError(f"circuit takes {c.n_in} bits, got {len(x)}")
     y = c.eval_state(x)
     out = "undefined" if y is None else "".join(str(b) for b in y)
-    _emit(
-        {"command": "eval", "defined": y is not None, "output": None if y is None else out},
-        args.json,
-        out,
-    )
+    _emit(args, f"{out}\n" if out else "", lambda: {
+        "command": "eval", "defined": y is not None, "output": None if y is None else out,
+    })
     return OK
 
 
 def _cmd_semantics(args) -> int:
     _, c = _load_circuit(args.file)
-    text = formats.format_relation(c.semantics()).rstrip("\n")
-    _emit({"command": "semantics", "relation": text.splitlines()}, args.json, text)
+    text = formats.format_relation(c.semantics())
+    _emit(args, text, lambda: {"command": "semantics", "relation": text.splitlines()})
     return OK
 
 
@@ -116,7 +132,7 @@ def _cmd_equal(args) -> int:
             f"arity mismatch: {c.n_in}->{c.n_out} vs {d.n_in}->{d.n_out}"
         )
     same = c.semantics() == d.semantics()
-    _emit({"command": "equal", "equal": same}, args.json, "equal" if same else "unequal")
+    _emit(args, "equal\n" if same else "unequal\n", lambda: {"command": "equal", "equal": same})
     return OK if same else FAIL
 
 
@@ -128,8 +144,8 @@ def _cmd_normalize(args) -> int:
         cf = idempotent_to_clausal(c.semantics())
     except NotIdempotentError as e:
         raise CliInputError(f"not a restriction idempotent: {e}") from None
-    text = formats.format_circuit(clausal_to_circuit(cf), name="clausal").rstrip("\n")
-    _emit({"command": "normalize", "circuit": text.splitlines()}, args.json, text)
+    text = formats.format_circuit(clausal_to_circuit(cf), name="clausal")
+    _emit(args, text, lambda: {"command": "normalize", "circuit": text.splitlines()})
     return OK
 
 
@@ -137,8 +153,8 @@ def _cmd_synth(args) -> int:
     from .synth import synth
 
     c = synth(formats.parse_synth_input(_read(args.file)))
-    text = formats.format_circuit(c, name="synth").rstrip("\n")
-    _emit({"command": "synth", "circuit": text.splitlines()}, args.json, text)
+    text = formats.format_circuit(c, name="synth")
+    _emit(args, text, lambda: {"command": "synth", "circuit": text.splitlines()})
     return OK
 
 
@@ -154,8 +170,8 @@ def _cmd_verify(args) -> int:
     for name, passed in lawsuites.run_all():
         ok &= passed
         lines.append(f"{'PASS' if passed else 'FAIL'}  law {name}")
-    text = "\n".join(lines + ["all checks passed" if ok else "FAILURES detected"])
-    _emit({"command": "verify", "ok": ok, "report": lines}, args.json, text)
+    text = "\n".join(lines + ["all checks passed" if ok else "FAILURES detected", ""])
+    _emit(args, text, lambda: {"command": "verify", "ok": ok, "report": lines})
     return OK if ok else FAIL
 
 
@@ -164,12 +180,16 @@ def _cmd_replay(args) -> int:
 
     _, c = _load_circuit(args.file)
     steps = formats.parse_derivation(_read(args.derivation))
-    blocks = [
-        formats.format_circuit(ci, name=f"step{i}").rstrip("\n")
-        for i, ci in enumerate(replay(Derivation(c, tuple(steps))))
-    ]
-    text = "\n".join(blocks)
-    _emit({"command": "replay", "steps": len(steps), "circuits": blocks}, args.json, text)
+    # every step is checked before the first block is printed
+    circuits = enumerate(replay(Derivation(c, tuple(steps))))
+    if args.json:
+        blocks = [
+            formats.format_circuit(ci, name=f"step{i}").rstrip("\n") for i, ci in circuits
+        ]
+        _emit(args, "", lambda: {"command": "replay", "steps": len(steps), "circuits": blocks})
+    else:
+        for i, ci in circuits:  # one block held at a time
+            _write(formats.format_circuit(ci, name=f"step{i}"))
     return OK
 
 
@@ -187,26 +207,24 @@ def _cmd_fuzz(args) -> int:
         raise CliInputError(f"--wires must be at most {ENUMERATION_LIMIT}, got {wires}")
     ran, failure = fuzz(wires, depth, seed, trials)
     if failure is None:
-        text = f"{ran} trials passed (wires<={wires} depth={depth} seed={seed})"
         _emit(
-            {"command": "fuzz", "ok": True, "trials": ran, "seed": seed},
-            args.json,
-            text,
+            args,
+            f"{ran} trials passed (wires<={wires} depth={depth} seed={seed})\n",
+            lambda: {"command": "fuzz", "ok": True, "trials": ran, "seed": seed},
         )
         return OK
     index, c, message = failure
-    body = formats.format_circuit(c, name=f"counterexample{index}").rstrip("\n")
-    text = f"trial {index}: {message}\n{body}"
+    body = formats.format_circuit(c, name=f"counterexample{index}")
     _emit(
-        {
+        args,
+        f"trial {index}: {message}\n{body}",
+        lambda: {
             "command": "fuzz",
             "ok": False,
             "trial": index,
             "message": message,
             "circuit": body.splitlines(),
         },
-        args.json,
-        text,
     )
     return FAIL
 
@@ -245,8 +263,8 @@ def _build_construct(name: str, params: list[str]):
 
 def _cmd_construct(args) -> int:
     c = _build_construct(args.name, args.params)
-    text = formats.format_circuit(c, name=args.name).rstrip("\n")
-    _emit({"command": "construct", "circuit": text.splitlines()}, args.json, text)
+    text = formats.format_circuit(c, name=args.name)
+    _emit(args, text, lambda: {"command": "construct", "circuit": text.splitlines()})
     return OK
 
 

@@ -5,12 +5,14 @@ All formats are UTF-8, one item per line.  A comment runs from ``#`` to the
 end of its line, and lines end where ``str.splitlines`` splits them: at line
 feeds, carriage returns, form feeds, U+2028 and the like.  Circuits print
 with primitive gates only; the parser additionally accepts the
-``init0``/``post0``/``not`` macros and expands them.
+``init0``/``post0``/``not`` macros and expands them.  Every reader takes
+its lines one window at a time from ``_bodies`` and stops at ``end``.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain, filterfalse
 from typing import TYPE_CHECKING, Optional
 
 from .circuit import GATES, Circuit, CircuitError, Gate, circuit, cnot, init1, post1, swap
@@ -35,20 +37,35 @@ class FormatError(ValueError):
 _COMMENT = "#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*"
 
 
-def _bodies(text: str) -> list[str]:
-    """The content of each line, comment removed and stripped."""
-    if "#" in text:
-        # A comment becomes a space, not nothing: deleting the one in
-        # "\r#c\n" would join two line breaks into one "\r\n".
-        text = re.sub(_COMMENT, " ", text)
-    return list(map(str.strip, text.splitlines()))
+# A reader holds one window of a file's lines at a time: the text up to the
+# first line feed after this many characters.
+_WINDOW = 1 << 14
+
+
+def _bodies(text: str):
+    """(number of its first line, the content of each of its lines, comment
+    removed and stripped) for each window of ``text`` in turn.  A window
+    ends just after a line feed, or at the end of the text, so it never
+    splits a ``\r\n`` and ``str.splitlines`` sees whole lines."""
+    first, start = 1, 0
+    while start < len(text):
+        stop = text.find("\n", start + _WINDOW - 1) + 1 or len(text)
+        window = text[start:stop]
+        if "#" in window:
+            # A comment becomes a space, not nothing: deleting the one in
+            # "\r#c\n" would join two line breaks into one "\r\n".
+            window = re.sub(_COMMENT, " ", window)
+        bodies = list(map(str.strip, window.splitlines()))
+        yield first, bodies
+        first, start = first + len(bodies), stop
 
 
 def _logical_lines(text: str):
     """(line number, stripped content) for non-empty, non-comment lines."""
-    for i, body in enumerate(_bodies(text), start=1):
-        if body:
-            yield i, body
+    for first, bodies in _bodies(text):
+        for i, body in enumerate(bodies, first):
+            if body:
+                yield i, body
 
 
 # A decimal integer as the formats write it.  ``int()`` alone would also
@@ -100,8 +117,8 @@ def _column_of(body: str, token_index: int) -> int:
 def format_circuit(c: Circuit, name: str = "main") -> str:
     lines = [f"circuit {name} : {c.n_in} -> {c.n_out}"]
     lines += [g._line or g.line for g in c.gates]  # each gate formats itself once
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    lines += ("end", "")  # the last line feed without a copy of the text
+    return "\n".join(lines)
 
 
 # The primitive gates by their number of wires, for the direct path of
@@ -120,15 +137,19 @@ def parse_circuit(
     for the empty body of blank and comment-only lines.  Calls that parse
     several files of one command pass the same dict, so a line met in an
     earlier file is not parsed again.  It holds only lines that parsed.
+    Besides the memo, the call holds the gate lines' entries and one window.
     """
     if memo is None:
         memo = {}
     memo[""] = ()
-    bodies = _bodies(text)
-    start = next((i for i, body in enumerate(bodies) if body), None)
-    if start is None:
+    windows = _bodies(text)
+    for first, bodies in windows:
+        start = next((i for i, body in enumerate(bodies) if body), None)
+        if start is not None:
+            break
+    else:
         raise FormatError("empty circuit file", 1)
-    header, lineno = bodies[start], start + 1
+    header, lineno = bodies[start], first + start
     tokens = header.split()
     if (
         len(tokens) != 6
@@ -141,72 +162,78 @@ def parse_circuit(
         )
     name = tokens[1]
     n_in, n_out = _arities(tokens, (3, 5), lineno, header)
-    try:
-        stop = bodies.index("end", start + 1)
-    except ValueError:
-        stop = None
-    gate_bodies = bodies[start + 1 : stop]
-    # Only the distinct bodies not yet in the memo are tokenized and built:
-    # n wires allow only about 2 n^2 distinct lines, so long circuits repeat
-    # many of them.  Gates are immutable, so repeated lines share them.  In
-    # first-occurrence order, the first bad body is the first bad line.
+    # Only the bodies not yet in the memo are tokenized and built, each at
+    # its first occurrence, since ``filterfalse`` asks the memo as the loop
+    # goes: n wires allow only about 2 n^2 distinct lines, so long circuits
+    # repeat many of them, and a window whose bodies are all in the memo
+    # runs no Python-level loop.  Gates are immutable, so repeated lines
+    # share them.  In file order, the first bad body is the first bad line.
     # ``wires`` maps the wire numbers met so far, as ``str`` writes them, to
     # their ints.  A primitive line whose numbers are all in it takes the
     # direct path, where only its builder checks anything; any other line,
     # and so every error but a builder's, takes the general path below.
     wires: dict[str, int] = {}
     wire = wires.get
+    entries: list = []  # what each gate line builds, in file order
+    begin = start + 1
+    for first, bodies in chain([(first, bodies)], windows):
+        try:
+            stop = bodies.index("end", begin)
+        except ValueError:
+            stop = None
+        part = bodies[begin:stop]
+        try:
+            for body in filterfalse(memo.__contains__, part):
+                tokens = body.split()
+                if len(tokens) == 3:
+                    builder, a, b = _TWO_WIRES.get(tokens[0]), wire(tokens[1]), wire(tokens[2])
+                    if builder is not None and a is not None and b is not None:
+                        memo[body] = builder(a, b)
+                        continue
+                elif len(tokens) == 2:
+                    builder, a = _ONE_WIRE.get(tokens[0]), wire(tokens[1])
+                    if builder is not None and a is not None:
+                        memo[body] = builder(a)
+                        continue
+                kind = tokens[0]
+                builder, arity, _ = GATES.get(kind, (None, None, None))
+                if builder is None or len(tokens) != 1 + arity:
+                    at = first + bodies.index(body, begin)
+                    if builder is None:
+                        raise FormatError(f"unknown gate {kind!r}", at)
+                    raise FormatError(f"gate {kind} takes {arity} argument(s)", at)
+                try:
+                    args = list(map(int, tokens[1:]))
+                except ValueError:
+                    args = None
+                # On ASCII text with no '+' or '_', int() reads exactly INTEGER.
+                if args is None or not body.isascii() or "+" in body or "_" in body:
+                    at = first + bodies.index(body, begin)
+                    args = [_int(t, at, body, i) for i, t in enumerate(tokens[1:], 1)]
+                for t, k in zip(tokens[1:], args):
+                    if str(k) == t:
+                        wires[t] = k
+                memo[body] = builder(*args)
+        except CircuitError as e:  # a gate that no width admits
+            raise FormatError(str(e), first + bodies.index(body, begin)) from None
+        entries += map(memo.__getitem__, part)
+        if stop is not None:
+            break
+        begin = 0
+    else:
+        last = max(i for i, _ in _logical_lines(text))
+        raise FormatError("missing 'end' terminator", last)
     try:
-        for body in dict.fromkeys(gate_bodies):
-            if body in memo:
-                continue
-            tokens = body.split()
-            if len(tokens) == 3:
-                builder, a, b = _TWO_WIRES.get(tokens[0]), wire(tokens[1]), wire(tokens[2])
-                if builder is not None and a is not None and b is not None:
-                    memo[body] = builder(a, b)
-                    continue
-            elif len(tokens) == 2:
-                builder, a = _ONE_WIRE.get(tokens[0]), wire(tokens[1])
-                if builder is not None and a is not None:
-                    memo[body] = builder(a)
-                    continue
-            kind = tokens[0]
-            builder, arity, _ = GATES.get(kind, (None, None, None))
-            if builder is None or len(tokens) != 1 + arity:
-                lineno = bodies.index(body, start + 1) + 1
-                if builder is None:
-                    raise FormatError(f"unknown gate {kind!r}", lineno)
-                raise FormatError(f"gate {kind} takes {arity} argument(s)", lineno)
-            try:
-                args = list(map(int, tokens[1:]))
-            except ValueError:
-                args = None
-            # On ASCII text with no '+' or '_', int() reads exactly INTEGER.
-            if args is None or not body.isascii() or "+" in body or "_" in body:
-                lineno = bodies.index(body, start + 1) + 1
-                args = [_int(t, lineno, body, i) for i, t in enumerate(tokens[1:], 1)]
-            for t, k in zip(tokens[1:], args):
-                if str(k) == t:
-                    wires[t] = k
-            memo[body] = builder(*args)
-    except CircuitError as e:  # a gate that no width admits
-        raise FormatError(str(e), bodies.index(body, start + 1) + 1) from None
-    if stop is None:
-        last = max(i for i, body in enumerate(bodies) if body)
-        raise FormatError("missing 'end' terminator", last + 1)
-    gates = list(map(memo.__getitem__, gate_bodies))
-    try:
-        if tuple in map(type, gates):  # a macro or a blank line: flatten
-            c = circuit(n_in, *gates)
+        if tuple in map(type, entries):  # a macro or a blank line: flatten
+            c = circuit(n_in, *entries)
         else:
-            c = Circuit(n_in, gates)
+            c = Circuit(n_in, entries)
     except CircuitError as e:
-        raise FormatError(str(e), start + 2 + _line_of_gate(gates, e.index)) from None
+        raise FormatError(str(e), lineno + 1 + _line_of_gate(entries, e.index)) from None
     if c.n_out != n_out:
         raise FormatError(
             f"header declares {n_in} -> {n_out} but gates yield {c.n_out} outputs",
-            start + 1,
+            lineno,
         )
     return name, c
 

@@ -107,46 +107,46 @@ def copy_suite(seed: int = 0) -> list[tuple[str, bool]]:
 # -- torsor laws ---------------------------------------------------------------
 
 
-def _para_table(n: int) -> dict[tuple[int, int, int], int]:
-    """(a, b, c) -> third output block of the parity accumulator, as masks."""
+def _para_table(n: int) -> list[int]:
+    """The third output block of the parity accumulator, as a mask, at the
+    index ``a | b << n | c << 2n`` of its input blocks a, b and c."""
     adder = plus_map(n)
-    table = {}
-    for a in range(1 << n):
-        for b in range(1 << n):
-            for c in range(1 << n):
-                out = adder.eval_state(BitVec.from_mask(3 * n, a | b << n | c << 2 * n))
-                if out is None:
-                    raise RuntimeError("parity accumulator must be total")
-                table[(a, b, c)] = out.mask >> 2 * n
+    table = []
+    for abc in range(1 << 3 * n):
+        out = adder.eval_state(BitVec.from_mask(3 * n, abc))
+        if out is None:
+            raise RuntimeError("parity accumulator must be total")
+        table.append(out.mask >> 2 * n)
     return table
 
 
 def torsor_laws(n: int) -> bool:
     """Para-associativity, para-identity, commutativity, characteristic 2."""
     p = _para_table(n)
-    space = range(1 << n)
+    N = 1 << n
+    space = range(N)
     for a in space:
         for b in space:
-            if p[(a, b, b)] != a or p[(b, b, a)] != a:
+            if p[a + b * N + b * N * N] != a or p[b + b * N + a * N * N] != a:
                 return False
-            if p[(a, b, a)] != b:
+            if p[a + b * N + a * N * N] != b:
                 return False
             for c in space:
-                if p[(a, b, c)] != p[(c, b, a)]:
+                if p[a + b * N + c * N * N] != p[c + b * N + a * N * N]:
                     return False
-    # five-variable laws via table lookups
+    # the five-variable laws, each a comparison of slices over e
     for a in space:
         for b in space:
+            ab = p[a + b * N :: N * N]  # c -> p(a, b, c)
             for c in space:
-                abc = p[(a, b, c)]
+                abc = ab[c]
                 for d in space:
-                    dcb = p[(d, c, b)]
-                    for e in space:
-                        first = p[(abc, d, e)]
-                        if first != p[(a, dcb, e)]:
-                            return False
-                        if first != p[(a, b, p[(c, d, e)])]:
-                            return False
+                    dcb = p[d + c * N + b * N * N]
+                    first = p[abc + d * N :: N * N]  # e -> p(p(a, b, c), d, e)
+                    if first != p[a + dcb * N :: N * N]:
+                        return False
+                    if first != [ab[x] for x in p[c + d * N :: N * N]]:
+                        return False
     return True
 
 

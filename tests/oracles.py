@@ -6,13 +6,21 @@ independently.  ``old_synth`` is synthesis as it was, one elimination per
 variable, which ``synth`` must match gate for gate.  The ``layout_*``
 functions and ``old_semantics`` write the rows of a map's graph bit by bit,
 as each constructor did before ``AffineRelation.from_map`` wrote them all.
+``old_parse_circuit`` is the circuit parser as it was before it read a file
+one window of lines at a time: every line at once, comments blanked.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import re
+from typing import Iterable, Optional
 
-from cnotcalc.circuit import Circuit, circuit, cnot, notg, omega_nm, post0
+from cnotcalc.circuit import (
+    GATES, Circuit, CircuitError, Gate, circuit, cnot, notg, omega_nm, post0,
+)
+from cnotcalc.formats import (
+    _COMMENT, _ONE_WIRE, _TWO_WIRES, FormatError, _arities, _int, _line_of_gate,
+)
 from cnotcalc.gf2 import BitVec, GF2Matrix, null_basis, rref_masks, set_bits
 from cnotcalc.normalize import ClausalForm, clausal_to_circuit
 from cnotcalc.relation import ENUMERATION_LIMIT, AffineRelation, ArityError
@@ -219,3 +227,113 @@ def old_semantics(c: Circuit) -> AffineRelation:
     for i, e in enumerate(wires):
         rows.append((e & (one - 1)) | (1 << (n + i)) | (rhs if e & one else 0))
     return AffineRelation(n, m, rows)
+
+
+def _bodies(text: str) -> list[str]:
+    """The content of each line, comment removed and stripped."""
+    if "#" in text:
+        # A comment becomes a space, not nothing: deleting the one in
+        # "\r#c\n" would join two line breaks into one "\r\n".
+        text = re.sub(_COMMENT, " ", text)
+    return list(map(str.strip, text.splitlines()))
+
+
+def old_parse_circuit(
+    text: str, memo: Optional[dict[str, Gate | tuple[Gate, ...]]] = None
+) -> tuple[str, Circuit]:
+    """(name, circuit) of a circuit file.
+
+    ``memo`` maps gate-line bodies to what they build: the ``Gate`` of a
+    primitive line, the tuple of gates of a macro line, and the empty tuple
+    for the empty body of blank and comment-only lines.  Calls that parse
+    several files of one command pass the same dict, so a line met in an
+    earlier file is not parsed again.  It holds only lines that parsed.
+    """
+    if memo is None:
+        memo = {}
+    memo[""] = ()
+    bodies = _bodies(text)
+    start = next((i for i, body in enumerate(bodies) if body), None)
+    if start is None:
+        raise FormatError("empty circuit file", 1)
+    header, lineno = bodies[start], start + 1
+    tokens = header.split()
+    if (
+        len(tokens) != 6
+        or tokens[0] != "circuit"
+        or tokens[2] != ":"
+        or tokens[4] != "->"
+    ):
+        raise FormatError(
+            "expected header 'circuit <name> : <n_in> -> <n_out>'", lineno
+        )
+    name = tokens[1]
+    n_in, n_out = _arities(tokens, (3, 5), lineno, header)
+    try:
+        stop = bodies.index("end", start + 1)
+    except ValueError:
+        stop = None
+    gate_bodies = bodies[start + 1 : stop]
+    # Only the distinct bodies not yet in the memo are tokenized and built:
+    # n wires allow only about 2 n^2 distinct lines, so long circuits repeat
+    # many of them.  Gates are immutable, so repeated lines share them.  In
+    # first-occurrence order, the first bad body is the first bad line.
+    # ``wires`` maps the wire numbers met so far, as ``str`` writes them, to
+    # their ints.  A primitive line whose numbers are all in it takes the
+    # direct path, where only its builder checks anything; any other line,
+    # and so every error but a builder's, takes the general path below.
+    wires: dict[str, int] = {}
+    wire = wires.get
+    try:
+        for body in dict.fromkeys(gate_bodies):
+            if body in memo:
+                continue
+            tokens = body.split()
+            if len(tokens) == 3:
+                builder, a, b = _TWO_WIRES.get(tokens[0]), wire(tokens[1]), wire(tokens[2])
+                if builder is not None and a is not None and b is not None:
+                    memo[body] = builder(a, b)
+                    continue
+            elif len(tokens) == 2:
+                builder, a = _ONE_WIRE.get(tokens[0]), wire(tokens[1])
+                if builder is not None and a is not None:
+                    memo[body] = builder(a)
+                    continue
+            kind = tokens[0]
+            builder, arity, _ = GATES.get(kind, (None, None, None))
+            if builder is None or len(tokens) != 1 + arity:
+                lineno = bodies.index(body, start + 1) + 1
+                if builder is None:
+                    raise FormatError(f"unknown gate {kind!r}", lineno)
+                raise FormatError(f"gate {kind} takes {arity} argument(s)", lineno)
+            try:
+                args = list(map(int, tokens[1:]))
+            except ValueError:
+                args = None
+            # On ASCII text with no '+' or '_', int() reads exactly INTEGER.
+            if args is None or not body.isascii() or "+" in body or "_" in body:
+                lineno = bodies.index(body, start + 1) + 1
+                args = [_int(t, lineno, body, i) for i, t in enumerate(tokens[1:], 1)]
+            for t, k in zip(tokens[1:], args):
+                if str(k) == t:
+                    wires[t] = k
+            memo[body] = builder(*args)
+    except CircuitError as e:  # a gate that no width admits
+        raise FormatError(str(e), bodies.index(body, start + 1) + 1) from None
+    if stop is None:
+        last = max(i for i, body in enumerate(bodies) if body)
+        raise FormatError("missing 'end' terminator", last + 1)
+    gates = list(map(memo.__getitem__, gate_bodies))
+    try:
+        if tuple in map(type, gates):  # a macro or a blank line: flatten
+            c = circuit(n_in, *gates)
+        else:
+            c = Circuit(n_in, gates)
+    except CircuitError as e:
+        raise FormatError(str(e), start + 2 + _line_of_gate(gates, e.index)) from None
+    if c.n_out != n_out:
+        raise FormatError(
+            f"header declares {n_in} -> {n_out} but gates yield {c.n_out} outputs",
+            start + 1,
+        )
+    return name, c

@@ -219,6 +219,27 @@ class TestPlusMap:
     def test_torsor_laws(self, n):
         assert lawsuites.torsor_laws(n)
 
+    # Each planted table breaks one law and keeps the laws checked before
+    # it: one entry flipped for a three-variable law, and for the
+    # five-variable laws an entry on three distinct blocks with its mirror.
+    @pytest.mark.parametrize(
+        "flipped",
+        [
+            [(1, 2, 2)],  # p(a, b, b) = a
+            [(2, 2, 1)],  # p(b, b, a) = a
+            [(1, 2, 1)],  # p(a, b, a) = b
+            [(1, 2, 3)],  # p(a, b, c) = p(c, b, a)
+            [(1, 2, 3), (3, 2, 1)],  # para-associativity
+        ],
+    )
+    def test_planted_wrong_table_fails(self, monkeypatch, flipped):
+        n = 2
+        table = lawsuites._para_table(n)
+        for a, b, c in flipped:
+            table[a | b << n | c << 2 * n] ^= 1
+        monkeypatch.setattr(lawsuites, "_para_table", lambda arity: table)
+        assert not lawsuites.torsor_laws(n)
+
     def test_plus_naturality(self):
         assert lawsuites.plus_naturality(seed=6, trials=12)
 

@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
+import oracles
+from cnotcalc import formats
+
 from cnotcalc.circuit import (
     GATES, Circuit, CircuitError, Gate, circuit, cnot, init0, init1, notg, post0, post1, swap,
 )
@@ -714,3 +717,66 @@ class TestBulkParserMatchesOld:
         assert outcome(parse_circuit, b, memo) == outcome(old_parse_circuit, b)
         assert outcome(parse_circuit, a, memo) == outcome(old_parse_circuit, a)
 
+
+
+# Line ends that str.splitlines splits at, a comment ends at, and a window
+# of the reader never ends after, save "\n".
+_LINE_ENDS = ["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\u2028"]
+
+
+@st.composite
+def rejoined_files(draw, pool=()):
+    """(text, body lines) of ``circuit_files``, its lines joined again with
+    any of ``_LINE_ENDS``, and at times a gate out of range followed by a
+    line that no width admits."""
+    text, bodies = draw(circuit_files(pool))
+    lines = text.splitlines()
+    if draw(PERCENT) < 25:
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = [draw(st.sampled_from(["cnot 0 9", "post1 9", "init1 9"])),
+                        draw(st.sampled_from(["cnot 2 2", "swap 1 1", ""]))]
+    ends = draw(st.lists(st.sampled_from(_LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[:-1]  # no line end after the last line
+    return text, bodies
+
+
+class TestWindowedReaderMatchesOld:
+    """``parse_circuit`` reads a window of lines at a time, cut just after a
+    line feed; at any window size it gives what the parser that read every
+    line at once gave, errors at the same line and column."""
+
+    WINDOWS = [1, 2, 7, 64, formats._WINDOW]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rejoined_files())
+    @example(("\n\n# c\r\n  \ncircuit x : 1 -> 1\nnot 0 # c\r\nend\n", []))
+    @example(("circuit x : 2 -> 2\ncnot 0 1\ncnot +1 0\nend\n", []))
+    @example(("circuit x : 2 -> 2\ncnot 0 1_0\nend\n", []))
+    @example(("circuit x : 2 -> 2\r\ncnot 0 9\ncnot 1 1\nend\n", []))
+    @example(("circuit x : 2 -> 2\ncnot 0 9\nend\n", []))
+    @example(("circuit x : 2 -> 2\ncnot 0 1\n\n# no end\n\n", []))
+    @example(("circuit x : 2 -> 2\nend\nfoo\ncnot 0 0\n", []))
+    @example(("circuit x : 2 -> 2\u2028cnot 0 1\x0bswap 0 1\x0cfoo\rend", []))
+    def test_one_file(self, file):
+        text, _ = file
+        expected = outcome(oracles.old_parse_circuit, text)
+        for window in self.WINDOWS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(formats, "_WINDOW", window)
+                assert outcome(parse_circuit, text) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_two_files_through_one_memo(self, data):
+        a, a_lines = data.draw(rejoined_files())
+        b, _ = data.draw(rejoined_files(pool=a_lines))
+        old_memo = {}
+        expected = [outcome(oracles.old_parse_circuit, t, old_memo) for t in (a, b, a)]
+        for window in self.WINDOWS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(formats, "_WINDOW", window)
+                memo = {}
+                assert [outcome(parse_circuit, t, memo) for t in (a, b, a)] == expected
+                assert memo == old_memo

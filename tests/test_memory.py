@@ -1,0 +1,70 @@
+"""What a command holds at once, measured with ``tracemalloc``.
+
+The parser holds the distinct gate lines, the entries of the gate lines and
+one window of text, not every line of the file; a plain command holds one
+printed block, not its output several times over.  Output goes to a sink on
+the null device, since pytest's capture would keep all of it.
+"""
+
+import os
+import random
+import sys
+import tracemalloc
+
+import pytest
+
+from cnotcalc import cli, rewrite
+from cnotcalc.circuit import Circuit, cnot, fanout, swap
+from cnotcalc.formats import format_circuit, parse_circuit
+
+
+def peak_of(call) -> int:
+    """The most memory that ``call()`` has allocated and not yet freed at
+    any one time."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def sink(monkeypatch):
+    with open(os.devnull, "w") as null:
+        monkeypatch.setattr(sys, "stdout", null)
+        yield
+
+
+def random_gates(rng: random.Random, wires: int, count: int) -> list:
+    gates = []
+    for _ in range(count):
+        a, b = rng.sample(range(wires), 2)
+        gates.append((cnot if rng.randrange(4) else swap)(a, b))
+    return gates
+
+
+def test_parse_holds_one_window_of_lines():
+    text = format_circuit(Circuit(64, random_gates(random.Random(5), 64, 100_000)))
+    parse_circuit(text)  # the comment pattern and the builders warmed up
+    assert peak_of(lambda: parse_circuit(text)) < 4 * len(text)
+
+
+def test_replay_holds_one_block(tmp_path, monkeypatch, sink):
+    rng = random.Random(7)
+    circuits = [Circuit(16, random_gates(rng, 16, 4000)) for _ in range(20)]
+    longest = max(len(format_circuit(c, name=f"step{i}")) for i, c in enumerate(circuits))
+    monkeypatch.setattr(rewrite, "replay", lambda derivation: circuits)
+    (tmp_path / "c").write_text("circuit c : 16 -> 16\ncnot 0 1\nend\n")
+    (tmp_path / "d").write_text("# every step is in the patched replay\n")
+    argv = ["replay", str(tmp_path / "c"), str(tmp_path / "d")]
+    assert cli.run(argv) == 0
+    assert peak_of(lambda: cli.run(argv)) < 3 * longest
+
+
+def test_construct_holds_one_block(monkeypatch, sink):
+    built = fanout(3000)
+    printed = len(format_circuit(built, name="fanout"))
+    monkeypatch.setattr(cli, "fanout", lambda n: built)
+    assert cli.run(["construct", "fanout", "3000"]) == 0
+    assert peak_of(lambda: cli.run(["construct", "fanout", "3000"])) < 4 * printed

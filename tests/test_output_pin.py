@@ -4,15 +4,18 @@
 equal ones; which one is behaviour too, so a change that keeps every
 semantics but reorders or rewrites gates shows here.  The relations that
 ``semantics`` prints and that ``synth`` reads are pinned as a second digest,
-and the circuits ``apply_at`` rewrites to as a third.
+the circuits ``apply_at`` rewrites to as a third, and what the command line
+prints, its errors included, as a fourth.
 """
 
 import hashlib
 import random
 
-from cnotcalc import rewrite
+from cnotcalc import cli, rewrite
 from cnotcalc.circuit import (
+    Circuit,
     clause_circuit,
+    cnot,
     fanout,
     hat,
     identity_circuit,
@@ -184,3 +187,78 @@ def test_rewrites_pinned(monkeypatch):
     assert count == len(networks) == 337
     assert sum(networks) == 45
     assert h.hexdigest() == REWRITE_DIGEST
+
+
+def cli_files():
+    """Seeded input files by name: random circuits, one of 3,000 gates with
+    a bad line past the reader's first window, an idempotent, the synth
+    inputs, and a derivation of three steps."""
+    rng = trial_rng(31, 0)
+    host = random_circuit(rng, 6, 300, allow_post=False)
+    total = random_circuit(rng, 5, 40, allow_post=False)
+    partial = random_circuit(rng, 4, 60)
+    long_lines = format_circuit(random_circuit(rng, 8, 3000)).splitlines()
+    pair, m = [cnot(0, 1), cnot(0, 1)], total.n_out
+    graph, system, affine = list(synth_inputs())[3:6]
+    return {
+        "host": format_circuit(Circuit(6, pair * 3 + list(host.gates)), name="host"),
+        "total": format_circuit(total, name="t"),
+        "total_again": "# the same\n" + format_circuit(total.compose(Circuit(m, pair))),
+        "total_other": format_circuit(total.compose(Circuit(m, pair[:1])), name="u"),
+        "partial": format_circuit(partial, name="p"),
+        "idempotent": format_circuit(partial.compose(partial.dagger()), name="i"),
+        "late_error": "\n".join(long_lines[:2500] + ["cnot 0 x"] + long_lines[2500:]),
+        "no_end": "circuit x : 2 -> 2\ncnot 0 1\n\n# no end\n",
+        "nothing": "circuit z : 0 -> 0\nend\n",
+        "graph": graph,
+        "system": system,
+        "affine": affine,
+        "derivation": "CNT2 0 lr\nCNT2 0 lr\n# last\nCNT2 0 lr\n",
+        "bad_step": "CNT2 0 lr\nCNT2 99999 lr\n",
+        "bad_rule": "CNT2 0 lr\nnosuch 0 lr\n",
+    }
+
+
+def cli_commands():
+    """About forty command lines, file arguments by name."""
+    plain = [
+        ("replay", "host", "derivation"),
+        *(("construct", *params) for params in [
+            ("fanout", "5"), ("fanin", "4"), ("omega",), ("omega", "2", "3"), ("plus", "3"),
+            ("hat", "0110"), ("clause", "5", "1", "0", "2", "4"),
+        ]),
+        ("synth", "graph"), ("synth", "system"), ("synth", "affine"),
+        ("normalize", "idempotent"), ("semantics", "partial"), ("semantics", "total"),
+        ("eval", "total", "--input", "10110"), ("eval", "nothing", "--input", ""),
+        ("equal", "total", "total_again"),
+        ("equal", "total", "total_other"), ("fuzz", "--trials", "3"),
+    ]
+    yield from plain
+    for argv in plain:
+        yield (*argv, "--json")
+    yield from [
+        ("semantics", "late_error"), ("equal", "total", "late_error"), ("semantics", "no_end"),
+        ("replay", "host", "bad_step"), ("replay", "host", "bad_rule"),
+        ("normalize", "total_other"),
+    ]
+
+
+# sha256 of the argv, exit code, stdout and stderr of cli_commands(), as
+# the code printed them when replay joined its blocks before printing
+CLI_DIGEST = "6ad41ec53adcce6b78d40b45274969ae2591f6a75403cdf1dee9eb19b0a953e6"
+
+
+def test_command_output_pinned(tmp_path, capsys):
+    paths = {}
+    for name, text in cli_files().items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    h = hashlib.sha256()
+    count = 0
+    for argv in cli_commands():
+        code = cli.run([str(paths.get(arg, arg)) for arg in argv])
+        out, err = capsys.readouterr()
+        h.update(f"{argv} {code}\n{out}\n{err}\n".encode())
+        count += 1
+    assert count == 2 * 19 + 6
+    assert h.hexdigest() == CLI_DIGEST
