@@ -26,7 +26,7 @@ post-selection contributes one domain constraint.  Canonical relations make
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .gf2 import BitVec
 from .record import Record
@@ -50,7 +50,7 @@ class CircuitError(ValueError):
 class _GateFields:
     """The storage of a :class:`Gate`, writable while the gate is built."""
 
-    __slots__ = ("kind", "args", "need", "delta", "_line")
+    __slots__ = ("kind", "a", "b", "need", "delta", "_line")
 
 
 class Gate(_GateFields, Record, fields=("kind", "args")):
@@ -60,11 +60,13 @@ class Gate(_GateFields, Record, fields=("kind", "args")):
     A gate is one of the four generators, legal at some width: the
     builders ``cnot``, ``swap``, ``init1`` and ``post1`` raise
     ``CircuitError`` for anything else, and ``Gate(kind, args)`` accepts
-    only a primitive kind with a tuple of as many ints as it takes.
-    ``need`` is the least register width at which the gate is legal and
-    ``delta`` its change in width, so a gate list validates with one
-    comparison and one addition per gate.  ``line``, the gate's line in the
-    circuit file format, is built on first use and kept.
+    only a primitive kind with a tuple of as many ints as it takes.  The
+    wires sit in two slots, ``a`` and ``b`` (``b`` is None for ``init1``
+    and ``post1``), so a gate is one object of 80 bytes; ``args`` builds
+    their tuple when asked.  ``need`` is the least register width at which
+    the gate is legal and ``delta`` its change in width, so a gate list
+    validates with one comparison and one addition per gate.  ``line``, the
+    gate's line in the circuit file format, is built on first use and kept.
     """
 
     __slots__ = ()
@@ -79,6 +81,10 @@ class Gate(_GateFields, Record, fields=("kind", "args")):
             return GATES[kind][0](*args)
         raise CircuitError(f"no gate {kind!r} with arguments {args!r}")
 
+    @property
+    def args(self) -> tuple[int, ...]:
+        return (self.a,) if self.b is None else (self.a, self.b)
+
     def __repr__(self) -> str:
         return f"{self.kind}({', '.join(map(str, self.args))})"
 
@@ -86,23 +92,29 @@ class Gate(_GateFields, Record, fields=("kind", "args")):
     def line(self) -> str:
         text = self._line
         if text is None:
-            text = f"{self.kind} {' '.join(map(str, self.args))}"
+            if self.b is None:
+                text = f"{self.kind} {self.a}"
+            else:
+                text = f"{self.kind} {self.a} {self.b}"
             object.__setattr__(self, "_line", text)
         return text
 
     def shifted(self, offset: int) -> "Gate":
-        return GATES[self.kind][0](*(a + offset for a in self.args))
+        if self.b is None:
+            return GATES[self.kind][0](self.a + offset)
+        return GATES[self.kind][0](self.a + offset, self.b + offset)
 
 
 _new = object.__new__
 
 
-def _gate(kind: str, args: tuple, need: int, delta: int) -> Gate:
+def _gate(kind: str, a: int, b: Optional[int], need: int, delta: int) -> Gate:
     # Fill a plain _GateFields, then make it a Gate: two to three times
     # cheaper than object.__setattr__ per field.
     g = _new(_GateFields)
     g.kind = kind
-    g.args = args
+    g.a = a
+    g.b = b
     g.need = need
     g.delta = delta
     g._line = None
@@ -124,26 +136,26 @@ def cnot(control: int, target: int) -> Gate:
             or control == target or control < 0 or target < 0):
         reason = "control equals target" if control == target else "negative wire index"
         raise _illegal(CNOT, (control, target), reason)
-    return _gate(CNOT, (control, target), (control if control > target else target) + 1, 0)
+    return _gate(CNOT, control, target, (control if control > target else target) + 1, 0)
 
 
 def swap(a: int, b: int) -> Gate:
     if type(a) is not int or type(b) is not int or a == b or a < 0 or b < 0:
         reason = "swap of a wire with itself" if a == b else "negative wire index"
         raise _illegal(SWAP, (a, b), reason)
-    return _gate(SWAP, (a, b), (a if a > b else b) + 1, 0)
+    return _gate(SWAP, a, b, (a if a > b else b) + 1, 0)
 
 
 def init1(pos: int) -> Gate:
     if type(pos) is not int or pos < 0:
         raise _illegal(INIT1, (pos,), "negative wire index")
-    return _gate(INIT1, (pos,), pos, 1)
+    return _gate(INIT1, pos, None, pos, 1)
 
 
 def post1(pos: int) -> Gate:
     if type(pos) is not int or pos < 0:
         raise _illegal(POST1, (pos,), "negative wire index")
-    return _gate(POST1, (pos,), pos + 1, -1)
+    return _gate(POST1, pos, None, pos + 1, -1)
 
 
 def init0(pos: int) -> tuple[Gate, ...]:
@@ -174,16 +186,6 @@ GATES = {
     "post0": (post0, 1, -1),
 }
 _PRIMITIVES = (CNOT, SWAP, INIT1, POST1)
-
-
-def _flatten(items: Iterable) -> list[Gate]:
-    out: list[Gate] = []
-    for item in items:
-        if isinstance(item, Gate):
-            out.append(item)
-        else:
-            out.extend(_flatten(item))
-    return out
 
 
 class Circuit(Record):
@@ -236,9 +238,9 @@ class Circuit(Record):
         flipped = []
         for g in reversed(self.gates):
             if g.kind == INIT1:
-                flipped.append(post1(g.args[0]))
+                flipped.append(post1(g.a))
             elif g.kind == POST1:
-                flipped.append(init1(g.args[0]))
+                flipped.append(init1(g.a))
             else:
                 flipped.append(g)
         return Circuit(self.n_out, flipped)
@@ -251,18 +253,18 @@ class Circuit(Record):
         if len(bits) != self.n_in:
             raise ArityError(f"input of length {len(bits)} for arity {self.n_in}")
         for g in self.gates:
-            k, a = g.kind, g.args
+            k, i = g.kind, g.a
             if k == CNOT:
-                bits[a[1]] ^= bits[a[0]]
+                bits[g.b] ^= bits[i]
             elif k == SWAP:
-                i, j = a
+                j = g.b
                 bits[i], bits[j] = bits[j], bits[i]
             elif k == INIT1:
-                bits.insert(a[0], 1)
+                bits.insert(i, 1)
             else:
-                if bits[a[0]] != 1:
+                if bits[i] != 1:
                     return None
-                del bits[a[0]]
+                del bits[i]
         return BitVec(bits)
 
     def semantics(self) -> AffineRelation:
@@ -277,16 +279,16 @@ class Circuit(Record):
         wires = [1 << i for i in range(n)]
         domain: list[int] = []
         for g in self.gates:
-            k, a = g.kind, g.args
+            k, i = g.kind, g.a
             if k == CNOT:
-                wires[a[1]] ^= wires[a[0]]
+                wires[g.b] ^= wires[i]
             elif k == SWAP:
-                i, j = a
+                j = g.b
                 wires[i], wires[j] = wires[j], wires[i]
             elif k == INIT1:
-                wires.insert(a[0], one)
+                wires.insert(i, one)
             else:
-                e = wires.pop(a[0])
+                e = wires.pop(i)
                 if not e:
                     return AffineRelation.empty(n, self.n_out)
                 domain.append(e ^ one)  # the row of e(x) = 1
@@ -298,7 +300,15 @@ class Circuit(Record):
 
 def circuit(n_in: int, *items) -> Circuit:
     """Build a circuit from gates and nested gate sequences (macros)."""
-    return Circuit(n_in, _flatten(items))
+    return Circuit(n_in, _gates_of(items))
+
+
+def _gates_of(items: Iterable) -> Iterator[Gate]:
+    for item in items:
+        if isinstance(item, Gate):
+            yield item
+        else:
+            yield from _gates_of(item)
 
 
 def identity_circuit(n: int) -> Circuit:

@@ -6,10 +6,13 @@ stderr, no traceback), and 141 (128 + SIGPIPE, the status a shell shows
 for a process that SIGPIPE ended), with nothing on stderr, when the reader
 closes stdout before all of the output is written, as ``| head`` may.
 ``--json`` prints a stable JSON mirror of the report instead of plain text;
-errors stay one plain ``error:`` line on stderr.  A command holds at once
-its circuits, their distinct gate lines, one window of input and one printed
-block: ``replay`` writes each step as it formats it, once every step has
-been checked, and the ``--json`` report is built only under ``--json``.
+errors stay one plain ``error:`` line on stderr.  Files are handed to the
+readers of ``formats`` open, in chunks of 16 KiB, so no file's text is held
+whole.  A command holds at once its circuits, their distinct gate lines, one
+window of input and one printed block: ``equal`` keeps of its first circuit
+only the relation once it reads the second, ``replay`` writes each step as
+it formats it, once every step has been checked, and the ``--json`` report
+is built only under ``--json``.
 
 ``COMMANDS`` is the one table of the command line, and ``_read_argv`` reads
 it.  A command line is a command name, then in any order its positionals,
@@ -67,8 +70,38 @@ def _read(path: str) -> str:
         raise CliInputError(f"cannot read {path}: {e}") from None
 
 
+_CHUNK = 1 << 14
+
+
+def _parse(path: str, parse, *args):
+    """``parse(chunks, *args)``, where ``chunks`` yields the text of the
+    file at ``path`` in pieces of ``_CHUNK`` characters as it is read.
+
+    The rest of the file is read once ``parse`` returns or fails, so a byte
+    that is not UTF-8 anywhere in the file is the error, as when the file
+    was read whole.  Its offset is then found by reading the file whole.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as e:
+        raise CliInputError(f"cannot read {path}: {e}") from None
+    with fh:
+        chunks = iter(lambda: fh.read(_CHUNK), "")
+        try:
+            try:
+                return parse(chunks, *args)
+            finally:
+                for _ in chunks:
+                    pass
+        except UnicodeDecodeError:
+            _read(path)  # raises the error with its offset in the file
+            raise
+        except OSError as e:
+            raise CliInputError(f"cannot read {path}: {e}") from None
+
+
 def _load_circuit(path: str, memo=None):
-    return formats.parse_circuit(_read(path), memo)
+    return _parse(path, formats.parse_circuit, memo)
 
 
 def _parse_bits(text: str) -> BitVec:
@@ -126,12 +159,15 @@ def _cmd_equal(args) -> int:
     # of the first, so most of its lines are parsed already
     memo: dict[str, Gate | tuple[Gate, ...]] = {}
     _, c = _load_circuit(args.file1, memo)
+    n_in, n_out = c.n_in, c.n_out
+    first = c.semantics()
+    del c  # the second circuit is read without the first one's gate list
     _, d = _load_circuit(args.file2, memo)
-    if (c.n_in, c.n_out) != (d.n_in, d.n_out):
+    if (n_in, n_out) != (d.n_in, d.n_out):
         raise CliInputError(
-            f"arity mismatch: {c.n_in}->{c.n_out} vs {d.n_in}->{d.n_out}"
+            f"arity mismatch: {n_in}->{n_out} vs {d.n_in}->{d.n_out}"
         )
-    same = c.semantics() == d.semantics()
+    same = first == d.semantics()
     _emit(args, "equal\n" if same else "unequal\n", lambda: {"command": "equal", "equal": same})
     return OK if same else FAIL
 
@@ -152,7 +188,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_synth(args) -> int:
     from .synth import synth
 
-    c = synth(formats.parse_synth_input(_read(args.file)))
+    c = synth(_parse(args.file, formats.parse_synth_input))
     text = formats.format_circuit(c, name="synth")
     _emit(args, text, lambda: {"command": "synth", "circuit": text.splitlines()})
     return OK
@@ -179,7 +215,7 @@ def _cmd_replay(args) -> int:
     from .rewrite import Derivation, replay
 
     _, c = _load_circuit(args.file)
-    steps = formats.parse_derivation(_read(args.derivation))
+    steps = _parse(args.derivation, formats.parse_derivation)
     # every step is checked before the first block is printed
     circuits = enumerate(replay(Derivation(c, tuple(steps))))
     if args.json:

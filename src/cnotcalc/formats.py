@@ -6,7 +6,9 @@ end of its line, and lines end where ``str.splitlines`` splits them: at line
 feeds, carriage returns, form feeds, U+2028 and the like.  Circuits print
 with primitive gates only; the parser additionally accepts the
 ``init0``/``post0``/``not`` macros and expands them.  Every reader takes
-its lines one window at a time from ``_bodies`` and stops at ``end``.
+a file's text whole or as the chunks that reading the file gives, takes its
+lines one window at a time from ``_bodies`` as the chunks arrive, and stops
+at ``end``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 from itertools import chain, filterfalse
 from typing import TYPE_CHECKING, Optional
 
-from .circuit import GATES, Circuit, CircuitError, Gate, circuit, cnot, init1, post1, swap
+from .circuit import GATES, Circuit, CircuitError, Gate, cnot, init1, post1, swap
 from .gf2 import set_bits
 from .relation import AffineRelation
 
@@ -42,27 +44,52 @@ _COMMENT = "#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*"
 _WINDOW = 1 << 14
 
 
-def _bodies(text: str):
+def _windows(source):
+    """Each window of the text of ``source``, a ``str`` or an iterable of
+    ``str`` chunks such as an open file read in pieces, as the chunks
+    arrive.  A window ends just after the first line feed that makes it at
+    least ``_WINDOW`` characters long, or at the end of the text, so it
+    never splits a ``\r\n`` and ``str.splitlines`` sees whole lines.  What
+    is held is the window and the chunks that arrived after it."""
+    held: list[str] = []  # the chunks since the last window
+    size = 0
+    for chunk in (source,) if isinstance(source, str) else source:
+        held.append(chunk)
+        size += len(chunk)
+        # A window can end only at a line feed at least _WINDOW - 1
+        # characters in, and so in this chunk: else keep the chunk as it is.
+        if size < _WINDOW or "\n" not in chunk:
+            continue
+        text = "".join(held)
+        start = 0
+        while stop := text.find("\n", start + _WINDOW - 1) + 1:
+            yield text[start:stop]
+            start = stop
+        held = [text[start:]]
+        size = len(held[0])
+    text = "".join(held)
+    if text:
+        yield text
+
+
+def _bodies(source):
     """(number of its first line, the content of each of its lines, comment
-    removed and stripped) for each window of ``text`` in turn.  A window
-    ends just after a line feed, or at the end of the text, so it never
-    splits a ``\r\n`` and ``str.splitlines`` sees whole lines."""
-    first, start = 1, 0
-    while start < len(text):
-        stop = text.find("\n", start + _WINDOW - 1) + 1 or len(text)
-        window = text[start:stop]
+    removed and stripped) for each window of ``source`` in turn."""
+    first = 1
+    for window in _windows(source):
         if "#" in window:
             # A comment becomes a space, not nothing: deleting the one in
             # "\r#c\n" would join two line breaks into one "\r\n".
             window = re.sub(_COMMENT, " ", window)
         bodies = list(map(str.strip, window.splitlines()))
         yield first, bodies
-        first, start = first + len(bodies), stop
+        first += len(bodies)
 
 
-def _logical_lines(text: str):
-    """(line number, stripped content) for non-empty, non-comment lines."""
-    for first, bodies in _bodies(text):
+def _logical_lines(source):
+    """(line number, stripped content) for the non-empty, non-comment lines
+    of ``source``, as ``_windows`` takes it."""
+    for first, bodies in _bodies(source):
         for i, body in enumerate(bodies, first):
             if body:
                 yield i, body
@@ -128,21 +155,24 @@ _TWO_WIRES = {"cnot": cnot, "swap": swap}
 
 
 def parse_circuit(
-    text: str, memo: Optional[dict[str, Gate | tuple[Gate, ...]]] = None
+    source, memo: Optional[dict[str, Gate | tuple[Gate, ...]]] = None
 ) -> tuple[str, Circuit]:
-    """(name, circuit) of a circuit file.
+    """(name, circuit) of a circuit file, its text or its chunks of text as
+    ``_windows`` takes them.
 
     ``memo`` maps gate-line bodies to what they build: the ``Gate`` of a
     primitive line, the tuple of gates of a macro line, and the empty tuple
     for the empty body of blank and comment-only lines.  Calls that parse
     several files of one command pass the same dict, so a line met in an
     earlier file is not parsed again.  It holds only lines that parsed.
-    Besides the memo, the call holds the gate lines' entries and one window.
+    Besides the memo, the call holds one window and the list of the gates
+    read so far, with the line and number of gates of each line that builds
+    other than one gate.
     """
     if memo is None:
         memo = {}
     memo[""] = ()
-    windows = _bodies(text)
+    windows = _bodies(source)
     for first, bodies in windows:
         start = next((i for i, body in enumerate(bodies) if body), None)
         if start is not None:
@@ -174,7 +204,9 @@ def parse_circuit(
     # and so every error but a builder's, takes the general path below.
     wires: dict[str, int] = {}
     wire = wires.get
-    entries: list = []  # what each gate line builds, in file order
+    gates: list[Gate] = []
+    others: list[int] = []  # line, number of gates, of each blank or macro line
+    last = lineno  # the last non-empty line so far
     begin = start + 1
     for first, bodies in chain([(first, bodies)], windows):
         try:
@@ -216,20 +248,26 @@ def parse_circuit(
                 memo[body] = builder(*args)
         except CircuitError as e:  # a gate that no width admits
             raise FormatError(str(e), first + bodies.index(body, begin)) from None
-        entries += map(memo.__getitem__, part)
+        built = list(map(memo.__getitem__, part))
+        if tuple not in map(type, built):
+            gates += built
+        else:  # a macro or a blank line: add each line's gates, if any
+            for at, entry in enumerate(built, first + begin):
+                if type(entry) is tuple:
+                    gates += entry
+                    others.extend((at, len(entry)))
+                else:
+                    gates.append(entry)
         if stop is not None:
             break
+        last = next((first + i for i in range(len(bodies) - 1, begin - 1, -1) if bodies[i]), last)
         begin = 0
     else:
-        last = max(i for i, _ in _logical_lines(text))
         raise FormatError("missing 'end' terminator", last)
     try:
-        if tuple in map(type, entries):  # a macro or a blank line: flatten
-            c = circuit(n_in, *entries)
-        else:
-            c = Circuit(n_in, entries)
+        c = Circuit(n_in, gates)
     except CircuitError as e:
-        raise FormatError(str(e), lineno + 1 + _line_of_gate(entries, e.index)) from None
+        raise FormatError(str(e), _line_of_gate(lineno + 1, others, e.index)) from None
     if c.n_out != n_out:
         raise FormatError(
             f"header declares {n_in} -> {n_out} but gates yield {c.n_out} outputs",
@@ -238,14 +276,19 @@ def parse_circuit(
     return name, c
 
 
-def _line_of_gate(entries: list, index: int) -> int:
-    """The position in ``entries``, the memo entries of a file's gate lines,
-    of the line that builds gate ``index``: a macro line builds all its
-    gates, a blank or comment line none."""
-    for j, entry in enumerate(entries):
-        index -= 1 if type(entry) is Gate else len(entry)
-        if index < 0:
-            return j
+def _line_of_gate(line: int, others: list[int], index: int) -> int:
+    """The line that builds gate ``index`` of a circuit whose gate lines
+    start at ``line``: each gate line builds one gate, save those whose
+    line and number of gates ``others`` lists in turn."""
+    gate = 0  # the index of the first gate of ``line``
+    for at, count in zip(others[::2], others[1::2]):
+        if index < gate + at - line:
+            break
+        gate += at - line
+        if index < gate + count:
+            return at
+        gate, line = gate + count, at + 1
+    return line + index - gate
 
 
 # -- the readers shared by graph, system and affine files ---------------------

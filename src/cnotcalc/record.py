@@ -6,7 +6,8 @@ assignment after construction.  The fields are two or more slot names, in
 order: those of the subclass's ``__slots__``, unless the class statement
 names them with ``fields=(...)``.  Only ``circuit.Gate`` does: its slots
 live in a plain base class, so that a gate is built there and then given
-its class, and only two of them are compared.  Each other subclass's
+its class, and it is compared by its kind and ``args``, a property over
+its two wire slots.  Each other subclass's
 ``__init__`` checks its arguments and stores them with ``_init``.  It
 exists so that importing the package does not import ``dataclasses`` and
 generate code for every class.

@@ -277,20 +277,20 @@ def _replay_ids(gates, start_width: int, first_fresh: int):
     events = []
     touched = set()
     for g in gates:
-        k, a = g.kind, g.args
+        k, a, b = g.kind, g.a, g.b
         if k == CNOT or k == SWAP:
-            i, j = layout[a[0]], layout[a[1]]
+            i, j = layout[a], layout[b]
             events.append((k, i, j))
             touched.update((i, j))
             if k == SWAP:
-                layout[a[0]], layout[a[1]] = layout[a[1]], layout[a[0]]
+                layout[a], layout[b] = j, i
         elif k == INIT1:
             events.append((INIT1, fresh))
             touched.add(fresh)
-            layout.insert(a[0], fresh)
+            layout.insert(a, fresh)
             fresh += 1
         else:
-            wire = layout.pop(a[0])
+            wire = layout.pop(a)
             events.append((POST1, wire))
             touched.add(wire)
     return events, layout, touched

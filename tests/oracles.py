@@ -19,7 +19,7 @@ from cnotcalc.circuit import (
     GATES, Circuit, CircuitError, Gate, circuit, cnot, notg, omega_nm, post0,
 )
 from cnotcalc.formats import (
-    _COMMENT, _ONE_WIRE, _TWO_WIRES, FormatError, _arities, _int, _line_of_gate,
+    _COMMENT, _ONE_WIRE, _TWO_WIRES, FormatError, _arities, _int,
 )
 from cnotcalc.gf2 import BitVec, GF2Matrix, null_basis, rref_masks, set_bits
 from cnotcalc.normalize import ClausalForm, clausal_to_circuit
@@ -236,6 +236,16 @@ def _bodies(text: str) -> list[str]:
         # "\r#c\n" would join two line breaks into one "\r\n".
         text = re.sub(_COMMENT, " ", text)
     return list(map(str.strip, text.splitlines()))
+
+
+def _line_of_gate(entries: list, index: int) -> int:
+    """The position in ``entries``, the memo entries of a file's gate lines,
+    of the line that builds gate ``index``: a macro line builds all its
+    gates, a blank or comment line none."""
+    for j, entry in enumerate(entries):
+        index -= 1 if type(entry) is Gate else len(entry)
+        if index < 0:
+            return j
 
 
 def old_parse_circuit(

@@ -146,6 +146,55 @@ class TestEqual:
         )
 
 
+class TestUndecodableFile:
+    """A file is read in chunks and parsed as they arrive, yet a byte that
+    is not UTF-8 anywhere in it is the error, at its offset in the file, as
+    when the file was read whole: also where the parse has already stopped."""
+
+    GATES = "cnot 0 1\n" * 5000  # 45,000 bytes, more than two 16 KiB chunks
+    FILES = {
+        "past the first chunk": f"circuit x : 2 -> 2\n{GATES}# \xff\n{GATES}end\n",
+        "after end": f"circuit x : 2 -> 2\ncnot 0 1\nend\n{GATES}# \xff\n",
+        "after a bad line": f"circuit x : 2 -> 2\nfoo 1\n{GATES}\xff\n{GATES}end\n",
+    }
+
+    @staticmethod
+    def write(path, text):
+        data = text.encode("utf-8").replace("\xff".encode("utf-8"), b"\xff")
+        path.write_bytes(data)
+        return data.index(b"\xff")
+
+    @pytest.mark.parametrize("place", FILES)
+    @pytest.mark.parametrize("first", [True, False], ids=["semantics", "equal"])
+    def test_circuit_file(self, run_cli, tmp_path, place, first):
+        bad, ok = tmp_path / "bad.cnot", tmp_path / "ok.cnot"
+        at = self.write(bad, self.FILES[place])
+        ok.write_text("circuit y : 2 -> 2\ncnot 0 1\nend\n")
+        argv = ["semantics", str(bad)] if first else ["equal", str(ok), str(bad)]
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff"
+            f" in position {at}: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize("command, text", [
+        ("synth", "graph 1 1\nparity x0 y0 = 0\nend\n" + "#\n" * 40_000 + "\xff\n"),
+        ("synth", "graph 1 1\nparity x0 z0 = 0\nend\n\xff\n"),
+        ("replay", "CNT2 0 lr\nCNT2 zero lr\n" + "#\n" * 40_000 + "\xff\n"),
+    ], ids=["synth after end", "synth after a bad line", "replay after a bad line"])
+    def test_other_files(self, run_cli, tmp_path, fanout_file, command, text):
+        bad = tmp_path / "bad"
+        at = self.write(bad, text)
+        argv = [command, str(bad)] if command == "synth" else [command, fanout_file, str(bad)]
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff"
+            f" in position {at}: invalid start byte\n"
+        )
+
+
 class TestNormalizeSynth:
     def test_normalize_identity(self, run_cli, tmp_path):
         p = tmp_path / "id.cnot"

@@ -1,5 +1,7 @@
 """Text formats: round trips and error reporting."""
 
+import io
+
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
@@ -780,3 +782,53 @@ class TestWindowedReaderMatchesOld:
                 memo = {}
                 assert [outcome(parse_circuit, t, memo) for t in (a, b, a)] == expected
                 assert memo == old_memo
+
+    # Sizes of the chunks that a reader is handed a file's text in.
+    CHUNKS = [1, 2, 7, 64, 1 << 14]
+
+    @staticmethod
+    def opened(text: str) -> io.TextIOWrapper:
+        """``text`` as a file that is opened for reading as UTF-8 reads it,
+        line ends translated."""
+        return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+    @classmethod
+    def file_chunks(cls, text: str, size: int) -> list[str]:
+        """What reading the opened file ``size`` characters at a time gives."""
+        fh = cls.opened(text)
+        return list(iter(lambda: fh.read(size), ""))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rejoined_files())
+    @example(("circuit x : 1 -> 1\r\nnot 0 # c\r\n\r\nend\r\n", []))
+    @example(("circuit x : 2 -> 2\r\ncnot 0 9\r\ncnot 1 1\rend\n", []))
+    @example(("circuit x : 2 -> 2\ncnot 0 1\r\n\r# no end\r\n", []))
+    @example(("circuit x : 2 -> 2\nend\nfoo\ncnot 0 0\n", []))
+    def test_one_file_in_chunks(self, file):
+        text, _ = file
+        for size in self.CHUNKS:
+            raw = [text[i : i + size] for i in range(0, len(text), size)]
+            read = self.opened(text).read()
+            for whole, chunks in [(text, raw), (read, self.file_chunks(text, size))]:
+                expected = outcome(oracles.old_parse_circuit, whole)
+                for window in self.WINDOWS:
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(formats, "_WINDOW", window)
+                        assert outcome(parse_circuit, iter(chunks)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_two_files_in_chunks_through_one_memo(self, data):
+        a, a_lines = data.draw(rejoined_files())
+        b, _ = data.draw(rejoined_files(pool=a_lines))
+        size = data.draw(st.sampled_from(self.CHUNKS))
+        window = data.draw(st.sampled_from(self.WINDOWS))
+        old_memo = {}
+        files = [self.opened(t).read() for t in (a, b, a)]
+        expected = [outcome(oracles.old_parse_circuit, t, old_memo) for t in files]
+        memo = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_WINDOW", window)
+            got = [outcome(parse_circuit, iter(self.file_chunks(t, size)), memo) for t in (a, b, a)]
+        assert got == expected
+        assert memo == old_memo

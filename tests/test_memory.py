@@ -1,7 +1,8 @@
 """What a command holds at once, measured with ``tracemalloc``.
 
-The parser holds the distinct gate lines, the entries of the gate lines and
-one window of text, not every line of the file; a plain command holds one
+A gate is one small object.  The parser holds the distinct gate lines, the
+list of gates and one window of text, not every line of the file, and
+``equal`` holds one circuit's gates at a time; a plain command holds one
 printed block, not its output several times over.  Output goes to a sink on
 the null device, since pytest's capture would keep all of it.
 """
@@ -48,6 +49,40 @@ def test_parse_holds_one_window_of_lines():
     text = format_circuit(Circuit(64, random_gates(random.Random(5), 64, 100_000)))
     parse_circuit(text)  # the comment pattern and the builders warmed up
     assert peak_of(lambda: parse_circuit(text)) < 4 * len(text)
+
+
+def test_parse_with_macros_and_comments_holds_one_window_of_lines():
+    lines = format_circuit(Circuit(64, random_gates(random.Random(5), 64, 100_000))).splitlines()
+    lines.insert(1, "not 3")
+    for at in range(len(lines) - 1, 0, -100):
+        lines.insert(at, "# a comment")
+    text = "\n".join(lines) + "\n"
+    assert parse_circuit(text)[1].n_out == 64
+    assert peak_of(lambda: parse_circuit(text)) < 4 * len(text)
+
+
+def test_a_gate_is_one_small_object():
+    pairs = [(a, b) for a in range(100) for b in range(101) if a != b]
+    held = [None] * len(pairs)
+
+    def build():
+        for i, (a, b) in enumerate(pairs):
+            held[i] = cnot(a, b)
+
+    assert peak_of(build) < 100 * len(pairs)
+    assert len(set(held)) == len(pairs)
+
+
+def test_equal_holds_one_circuit_at_a_time(tmp_path, sink):
+    rng = random.Random(11)
+    paths = []
+    for name in "ab":
+        paths.append(tmp_path / name)
+        paths[-1].write_text(format_circuit(Circuit(64, random_gates(rng, 64, 100_000))))
+    size = max(p.stat().st_size for p in paths)
+    argv = ["equal", *map(str, paths)]
+    assert cli.run(argv) == 1
+    assert peak_of(lambda: cli.run(argv)) < 3.5 * size
 
 
 def test_replay_holds_one_block(tmp_path, monkeypatch, sink):
