@@ -6,28 +6,27 @@ stderr, no traceback), and 141 (128 + SIGPIPE, the status a shell shows
 for a process that SIGPIPE ended), with nothing on stderr, when the reader
 closes stdout before all of the output is written, as ``| head`` may.
 ``--json`` prints a stable JSON mirror of the report instead of plain text;
-errors stay one plain ``error:`` line on stderr.  Files are handed to the
-readers of ``formats`` open, in chunks of 16 KiB, so no file's text is held
-whole.  A command holds at once its circuits, their distinct gate lines, one
-window of input and one printed block: ``equal`` keeps of its first circuit
-only the relation once it reads the second, ``replay`` writes each step as
-it formats it, once every step has been checked, and the ``--json`` report
-is built only under ``--json``.
+errors stay one plain ``error:`` line on stderr.  A command holds at once
+its circuits, their distinct gate lines, one window of input and one
+printed block: ``commandio`` hands files to the readers open, in chunks,
+``equal`` keeps of its first circuit only the relation once it reads the
+second, ``replay`` writes each step as it formats it, once every step has
+been checked, and the ``--json`` report is built only under ``--json``.
 
-``COMMANDS`` is the one table of the command line, and ``_read_argv`` reads
-it.  A command line is a command name, then in any order its positionals,
-its options and ``--json``.  An option is written in full, as ``--opt VALUE``
-or ``--opt=VALUE``; given twice, the last value wins.  ``--`` ends the
-options, so every word after it is a positional.  A word that starts with
-``-`` and a digit, such as ``-1``, is a positional.  ``-h`` or ``--help``,
-alone or after a command, prints usage on stdout and exits 0.  Any other
-malformed command line (no command, an unknown command, a missing or extra
-positional, an unknown or abbreviated option, an option without its value, a
-missing required option) exits 2 with one ``error:`` line on stderr.
+``COMMANDS``, the one table of the command line, and ``_read_argv``, which
+reads it, are the grammar in ``commandline``.  A malformed command line
+exits 2 with one ``error:`` line on stderr; ``-h`` or ``--help`` exits 0.
 
-The layers above ``circuit`` (``normalize``, ``synth``, ``rewrite``,
-``fuzzing``, ``lawsuites``) are imported by the handlers that run them, so
-``equal``, ``semantics``, ``eval`` and ``construct`` never load them.
+The package compiles in small units, each module one concept of at most
+2,000 tokens: without a bytecode cache every process compiles each module
+it loads, and what the parser allocates for the largest one stays in the
+process's resident memory.  Every command loads ``commandline``,
+``commandio``, ``formats`` (with ``lexing`` and ``relation_formats``),
+``circuit`` (with ``gates``), ``relation``, ``gf2`` and ``record``.  The
+layers above ``circuit`` (``normalize``, ``synth``, ``rewrite`` with its
+``identities``, ``fuzzing``, ``lawsuites``) are imported by the handlers
+that run them, so ``equal``, ``semantics``, ``eval`` and ``construct``
+never load them.
 
 ``main`` is the process entry point of ``cnotcalc`` and ``python -m
 cnotcalc.cli``; once the command is done it freezes the heap, so interpreter
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 import os
 import sys
-from types import SimpleNamespace
 
 from . import formats
 from .circuit import (
@@ -52,86 +50,11 @@ from .circuit import (
     omega_nm,
     plus_map,
 )
-from .gf2 import BitVec
+from .commandio import _emit, _load_circuit, _parse, _parse_bits, _write
+from .commandline import COMMANDS, CliInputError, _read_argv  # noqa: F401  (COMMANDS: bound here too)
 from .relation import ENUMERATION_LIMIT
 
 OK, FAIL, USAGE, INTERNAL, BROKEN_PIPE = 0, 1, 2, 3, 141
-
-
-class CliInputError(Exception):
-    pass
-
-
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as e:
-        raise CliInputError(f"cannot read {path}: {e}") from None
-
-
-_CHUNK = 1 << 14
-
-
-def _parse(path: str, parse, *args):
-    """``parse(chunks, *args)``, where ``chunks`` yields the text of the
-    file at ``path`` in pieces of ``_CHUNK`` characters as it is read.
-
-    The rest of the file is read once ``parse`` returns or fails, so a byte
-    that is not UTF-8 anywhere in the file is the error, as when the file
-    was read whole.  Its offset is then found by reading the file whole.
-    """
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as e:
-        raise CliInputError(f"cannot read {path}: {e}") from None
-    with fh:
-        chunks = iter(lambda: fh.read(_CHUNK), "")
-        try:
-            try:
-                return parse(chunks, *args)
-            finally:
-                for _ in chunks:
-                    pass
-        except UnicodeDecodeError:
-            _read(path)  # raises the error with its offset in the file
-            raise
-        except OSError as e:
-            raise CliInputError(f"cannot read {path}: {e}") from None
-
-
-def _load_circuit(path: str, memo=None):
-    return _parse(path, formats.parse_circuit, memo)
-
-
-def _parse_bits(text: str) -> BitVec:
-    if text and any(ch not in "01" for ch in text):
-        raise CliInputError(f"input must be a string of 0/1 bits, got {text!r}")
-    return BitVec(int(ch) for ch in text)
-
-
-def _emit(args, text: str, report) -> None:
-    """Write ``text``, which ends in a line feed or is empty, or under
-    ``--json`` the JSON of the dict ``report()``, built only then."""
-    if args.json:
-        import json  # only --json needs it; spare every other process the import
-
-        print(json.dumps(report(), sort_keys=True))
-    elif text:
-        _write(text)
-
-
-_SLICE = 1 << 14
-
-
-def _write(text: str) -> None:
-    """Write ``text``, which ends in a line feed, to stdout in slices and
-    the last line feed alone: an unbuffered stdout drops what a closed pipe
-    cuts short, and only the next write fails."""
-    end = len(text) - 1
-    for i in range(0, end, _SLICE):
-        sys.stdout.write(text[i : min(i + _SLICE, end)])
-    sys.stdout.write("\n")
 
 
 def _cmd_eval(args) -> int:
@@ -302,110 +225,6 @@ def _cmd_construct(args) -> int:
     text = formats.format_circuit(c, name=args.name)
     _emit(args, text, lambda: {"command": "construct", "circuit": text.splitlines()})
     return OK
-
-
-# command -> (help line, positionals, options).  A positional is the name of
-# the argument it fills; one ending in "..." takes every word left.  An
-# option maps to (metavar, default), and the default None makes it required.
-# Every command also takes the flag --json.  The handler of ``name`` is the
-# function ``_cmd_<name>``, looked up when the command runs.
-COMMANDS = {
-    "eval": ("run a circuit on a basis state (BITS: wire 0 leftmost)",
-             ("file",), {"input": ("BITS", None)}),
-    "semantics": ("print the canonical constraint system", ("file",), {}),
-    "equal": ("decide semantic equality of two circuits", ("file1", "file2"), {}),
-    "normalize": ("canonical clausal circuit of an idempotent", ("file",), {}),
-    "synth": ("synthesize a circuit from a relation file", ("file",), {}),
-    "verify": ("check the axiom corpus and the law suites", (), {}),
-    "replay": ("replay a derivation file against a circuit", ("file", "derivation"), {}),
-    "fuzz": (f"random-circuit oracle and round-trip checks (N at most {ENUMERATION_LIMIT})",
-             (), {"wires": ("N", "5"), "depth": ("D", "30"), "seed": ("S", "0"),
-                  "trials": ("T", "1000")}),
-    "construct": ("print a built-in circuit: fanout, fanin, omega, plus, hat or clause",
-                  ("name", "params..."), {}),
-}
-HELP = ("-h", "--help")
-
-
-def _synopsis(command: str) -> str:
-    _, positionals, options = COMMANDS[command]
-    words = [command]
-    for name in positionals:
-        words.append(f"[{name[:-3].upper()} ...]" if name.endswith("...") else name.upper())
-    for name, (metavar, default) in options.items():
-        words.append(f"--{name} {metavar}" if default is None else f"[--{name} {metavar}]")
-    return " ".join(words)
-
-
-def _usage(command: str | None) -> str:
-    if command is not None:
-        text = f"usage: cnotcalc {_synopsis(command)} [--json]\n\n{COMMANDS[command][0]}\n"
-        defaults = [f"--{name} {d}" for name, (_, d) in COMMANDS[command][2].items() if d]
-        return text + (f"\ndefaults: {', '.join(defaults)}\n" if defaults else "")
-    lines = ["usage: cnotcalc [-h]", "       cnotcalc COMMAND [ARGUMENT ...] [--json] [-h]",
-             "", "circuit calculus for cnot gates with computational ancillae", "",
-             "commands:"]
-    for command, (help_line, _, _) in COMMANDS.items():
-        lines += [f"  {_synopsis(command)}", f"      {help_line}"]
-    return "\n".join(lines) + "\n"
-
-
-def _is_option(word: str) -> bool:
-    # "-" alone and "-1" (a negative number) are positionals
-    return word[:1] == "-" and len(word) > 1 and not "0" <= word[1] <= "9"
-
-
-def _read_argv(argv: list[str]):
-    """(command, arguments) of a command line, or None once help is printed."""
-    if not argv:
-        raise CliInputError(f"no command given; commands: {', '.join(COMMANDS)}")
-    command, words = argv[0], iter(argv[1:])
-    if command in HELP:
-        print(_usage(None), end="")
-        return None
-    if command not in COMMANDS:
-        raise CliInputError(f"unknown command {command!r}; commands: {', '.join(COMMANDS)}")
-    _, positionals, options = COMMANDS[command]
-
-    def bad(message):
-        return CliInputError(f"{command}: {message}; usage: cnotcalc {_synopsis(command)}")
-
-    values = {name: default for name, (_, default) in options.items()}
-    values["json"] = False
-    given = []
-    for word in words:
-        if word == "--":
-            given.extend(words)
-        elif word in HELP:
-            print(_usage(command), end="")
-            return None
-        elif not _is_option(word):
-            given.append(word)
-        elif word == "--json":
-            values["json"] = True
-        else:
-            name, eq, value = word[2:].partition("=")
-            if word[:2] != "--" or name not in options:
-                raise bad(f"unknown option {word!r}")
-            if not eq:
-                value = next(words, None)
-                if value is None or _is_option(value):
-                    raise bad(f"option --{name} needs a value")
-            values[name] = value
-    if positionals and positionals[-1].endswith("..."):
-        *fixed, rest = positionals
-        values[rest[:-3]] = given[len(fixed):]
-    else:
-        fixed = positionals
-        if len(given) > len(fixed):
-            raise bad(f"unexpected argument {given[len(fixed)]!r}")
-    if len(given) < len(fixed):
-        raise bad(f"missing {fixed[len(given)].upper()}")
-    values.update(zip(fixed, given))
-    for name, value in values.items():
-        if value is None:
-            raise bad(f"missing option --{name}")
-    return command, SimpleNamespace(**values)
 
 
 def run(argv) -> int:

@@ -16,7 +16,8 @@ import random
 from functools import lru_cache
 from typing import Optional
 
-from .circuit import GATES, Circuit, Gate
+from .circuit import Circuit
+from .gates import GATES, Gate
 from .relation import AffineRelation, all_bitvecs
 from .synth import synth
 

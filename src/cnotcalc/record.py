@@ -4,7 +4,7 @@
 hash over the fields, ``Name(field=value, ...)`` repr text and no
 assignment after construction.  The fields are two or more slot names, in
 order: those of the subclass's ``__slots__``, unless the class statement
-names them with ``fields=(...)``.  Only ``circuit.Gate`` does: its slots
+names them with ``fields=(...)``.  Only ``gates.Gate`` does: its slots
 live in a plain base class, so that a gate is built there and then given
 its class, and it is compared by its kind and ``args``, a property over
 its two wire slots.  Each other subclass's

@@ -25,7 +25,8 @@ from __future__ import annotations
 # module binds it, until that pin goes (ROADMAP 1B).
 from .gf2 import BitVec, GF2Matrix, rref_masks, set_bits  # noqa: F401
 from .relation import AffineRelation
-from .circuit import Circuit, circuit, cnot, init0, init1, notg, omega_nm, post0
+from .circuit import Circuit, circuit, omega_nm
+from .gates import cnot, init0, init1, notg, post0
 from .normalize import ClausalForm, clausal_to_circuit
 from .record import Record
 

@@ -18,10 +18,9 @@ from typing import Iterable, Optional
 from cnotcalc.circuit import (
     GATES, Circuit, CircuitError, Gate, circuit, cnot, notg, omega_nm, post0,
 )
-from cnotcalc.formats import (
-    _COMMENT, _ONE_WIRE, _TWO_WIRES, FormatError, _arities, _int,
-)
+from cnotcalc.formats import _ONE_WIRE, _TWO_WIRES, FormatError, _arities, _int
 from cnotcalc.gf2 import BitVec, GF2Matrix, null_basis, rref_masks, set_bits
+from cnotcalc.lexing import _COMMENT
 from cnotcalc.normalize import ClausalForm, clausal_to_circuit
 from cnotcalc.relation import ENUMERATION_LIMIT, AffineRelation, ArityError
 from cnotcalc.synth import AffineMapSpec, synth_total_graph

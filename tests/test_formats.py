@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 import oracles
-from cnotcalc import formats
+from cnotcalc import lexing
 
 from cnotcalc.circuit import (
     GATES, Circuit, CircuitError, Gate, circuit, cnot, init0, init1, notg, post0, post1, swap,
@@ -749,7 +749,7 @@ class TestWindowedReaderMatchesOld:
     line feed; at any window size it gives what the parser that read every
     line at once gave, errors at the same line and column."""
 
-    WINDOWS = [1, 2, 7, 64, formats._WINDOW]
+    WINDOWS = [1, 2, 7, 64, 1 << 14, lexing._WINDOW]
 
     @settings(max_examples=200, deadline=None)
     @given(rejoined_files())
@@ -766,7 +766,7 @@ class TestWindowedReaderMatchesOld:
         expected = outcome(oracles.old_parse_circuit, text)
         for window in self.WINDOWS:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(formats, "_WINDOW", window)
+                patch.setattr(lexing, "_WINDOW", window)
                 assert outcome(parse_circuit, text) == expected
 
     @settings(max_examples=100, deadline=None)
@@ -778,7 +778,7 @@ class TestWindowedReaderMatchesOld:
         expected = [outcome(oracles.old_parse_circuit, t, old_memo) for t in (a, b, a)]
         for window in self.WINDOWS:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(formats, "_WINDOW", window)
+                patch.setattr(lexing, "_WINDOW", window)
                 memo = {}
                 assert [outcome(parse_circuit, t, memo) for t in (a, b, a)] == expected
                 assert memo == old_memo
@@ -813,7 +813,7 @@ class TestWindowedReaderMatchesOld:
                 expected = outcome(oracles.old_parse_circuit, whole)
                 for window in self.WINDOWS:
                     with pytest.MonkeyPatch.context() as patch:
-                        patch.setattr(formats, "_WINDOW", window)
+                        patch.setattr(lexing, "_WINDOW", window)
                         assert outcome(parse_circuit, iter(chunks)) == expected
 
     @settings(max_examples=100, deadline=None)
@@ -828,7 +828,7 @@ class TestWindowedReaderMatchesOld:
         expected = [outcome(oracles.old_parse_circuit, t, old_memo) for t in files]
         memo = {}
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(formats, "_WINDOW", window)
+            patch.setattr(lexing, "_WINDOW", window)
             got = [outcome(parse_circuit, iter(self.file_chunks(t, size)), memo) for t in (a, b, a)]
         assert got == expected
         assert memo == old_memo

@@ -1,15 +1,17 @@
 """Every CLI command is a fresh process, so what ``import cnotcalc.cli``
 pulls in is paid on every command: keep ``dataclasses`` (and through it
 ``inspect``), ``json`` (needed only by ``--json``) and ``argparse`` off that
-path, and let each command load only the layers it runs.  The file formats
-sit below the layers that use them.  Importing cnotcalc as a library leaves
-the host's garbage collector and exit alone.  And the package's public
-names all exist, each the very object its module defines."""
+path, let each command load only the layers it runs, and keep each module a
+small unit to compile.  The file formats sit below the layers that use them.
+Importing cnotcalc as a library leaves the host's garbage collector and exit
+alone.  And the package's public names all exist, each the very object its
+module defines."""
 
 import ast
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -40,8 +42,9 @@ def test_cli_import_adds_neither_dataclasses_nor_json():
     assert [m for m in ("dataclasses", "inspect", "json") if m in out] == []
 
 
-# the layers above the circuit that only some commands run
-LAYERS = {"rewrite", "normalize", "synth", "fuzzing", "lawsuites"}
+# the layers above the circuit that only some commands run, and the rule
+# tables that only ``rewrite`` loads
+LAYERS = {"rewrite", "identities", "normalize", "synth", "fuzzing", "lawsuites"}
 
 RUN_PROBE = """
 import sys
@@ -69,7 +72,7 @@ INPUTS = {
         (("construct", "fanout", "3"), set()),
         (("synth", "graph"), {"synth", "normalize"}),
         (("normalize", "idem"), {"normalize"}),
-        (("replay", "circ", "deriv"), {"rewrite"}),
+        (("replay", "circ", "deriv"), {"rewrite", "identities"}),
         (("fuzz", "--trials", "1"), {"fuzzing", "synth", "normalize"}),
         (("verify",), LAYERS),
     ],
@@ -127,15 +130,36 @@ def test_synth_is_the_submodule_whatever_the_import_order(order):
 
 
 def test_formats_imports_no_higher_layer():
-    tree = ast.parse((SRC / "cnotcalc" / "formats.py").read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.add((node.module or "").split(".")[-1])
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name.split(".")[-1] for alias in node.names)
-    assert imported & {"synth", "rewrite", "fuzzing", "lawsuites"} == set()
+    higher = {}
+    for module in ("formats", "lexing", "relation_formats"):
+        tree = ast.parse((SRC / "cnotcalc" / f"{module}.py").read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[-1])
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+        higher[module] = imported & {"synth", "rewrite", "identities", "fuzzing", "lawsuites"}
+    assert higher == {"formats": set(), "lexing": set(), "relation_formats": set()}
+
+
+# What ``code_tokens`` leaves out: comments, line breaks and indentation.
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+
+
+def code_tokens(path: Path) -> int:
+    """The tokens of the module at ``path`` that the parser keeps, a
+    docstring being one."""
+    with path.open(encoding="utf-8") as fh:
+        return sum(1 for t in tokenize.generate_tokens(fh.readline) if t.type not in LAYOUT)
+
+
+def test_every_module_is_a_small_compile_unit():
+    # Without a bytecode cache every process compiles each module it loads,
+    # and the parser's peak on the largest one stays in its resident memory.
+    sizes = {path.name: code_tokens(path) for path in sorted((SRC / "cnotcalc").glob("*.py"))}
+    assert {name: size for name, size in sizes.items() if size > 2000} == {}
 
 
 def _collector_and_exit_uses():

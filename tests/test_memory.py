@@ -51,6 +51,15 @@ def test_parse_holds_one_window_of_lines():
     assert peak_of(lambda: parse_circuit(text)) < 4 * len(text)
 
 
+def test_parse_holds_one_small_window_of_lines():
+    # On 4 wires the 24 distinct gate lines repeat throughout, so beyond the
+    # list of gates and the circuit's tuple, 16 B a gate, a parse holds
+    # little but its window.
+    text = format_circuit(Circuit(4, random_gates(random.Random(5), 4, 100_000)))
+    parse_circuit(text)
+    assert peak_of(lambda: parse_circuit(text)) < 16 * 100_000 + (64 << 10)
+
+
 def test_parse_with_macros_and_comments_holds_one_window_of_lines():
     lines = format_circuit(Circuit(64, random_gates(random.Random(5), 64, 100_000))).splitlines()
     lines.insert(1, "not 3")

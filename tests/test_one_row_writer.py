@@ -2,7 +2,8 @@
 
 ``AffineRelation.from_map`` is the one writer of the rows of a map's graph.
 Outside ``relation.py`` the only call of ``AffineRelation(...)`` on raw rows
-is the graph-file reader ``formats._graph``, whose rows are the file's own.
+is the graph-file reader ``relation_formats._graph``, whose rows are the file's
+own.
 """
 
 import ast
@@ -45,4 +46,4 @@ def raw_row_builders():
 
 
 def test_only_the_graph_reader_builds_from_raw_rows():
-    assert raw_row_builders() == [("formats", "_graph")]
+    assert raw_row_builders() == [("relation_formats", "_graph")]
