@@ -8,10 +8,11 @@ closes stdout before all of the output is written, as ``| head`` may.
 ``--json`` prints a stable JSON mirror of the report instead of plain text;
 errors stay one plain ``error:`` line on stderr.  A command holds at once
 its circuits, their distinct gate lines, one window of input and one
-printed block: ``commandio`` hands files to the readers open, in chunks,
-``equal`` keeps of its first circuit only the relation once it reads the
-second, ``replay`` writes each step as it formats it, once every step has
-been checked, and the ``--json`` report is built only under ``--json``.
+printed block: ``commandio`` hands files open to readers that take them a
+window at a time, ``equal`` keeps of its first circuit only the relation
+once it reads the second, ``replay`` writes each step as it formats it,
+once every step has been checked, and the ``--json`` report is built only
+under ``--json``.
 
 ``COMMANDS``, the one table of the command line, and ``_read_argv``, which
 reads it, are the grammar in ``commandline``.  A malformed command line

@@ -1,9 +1,10 @@
 """How a command reads its files and writes its output.
 
-Files are handed to the readers of ``formats`` open, in chunks of 16 KiB,
-so no file's text is held whole, and a file that cannot be read or is not
-UTF-8 is an input error naming the file.  Output is written in slices, or
-under ``--json`` as the JSON of a report that is built only then.
+Files are handed open to the readers of ``formats``, which take them a
+window at a time, so no file's text is held whole, and a file that cannot
+be read or is not UTF-8 is an input error naming the file.  Output is
+written in slices, or under ``--json`` as the JSON of a report that is
+built only then.
 """
 
 from __future__ import annotations
@@ -27,28 +28,30 @@ _CHUNK = 1 << 14
 
 
 def _parse(path: str, parse, *args):
-    """``parse(chunks, *args)``, where ``chunks`` yields the text of the
-    file at ``path`` in pieces of ``_CHUNK`` characters as it is read.
+    """``parse(fh, *args)``, where ``fh`` is the file at ``path`` open for
+    reading as UTF-8, which the reader takes a window at a time.
 
     The rest of the file is read once ``parse`` returns or fails, so a byte
     that is not UTF-8 anywhere in the file is the error, as when the file
-    was read whole.  Its offset is then found by reading the file whole.
+    was read whole.  Its offset is found by reading the file again, which
+    a pipe cannot be, so a pipe's error names no offset.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as e:
         raise CliInputError(f"cannot read {path}: {e}") from None
     with fh:
-        chunks = iter(lambda: fh.read(_CHUNK), "")
         try:
             try:
-                return parse(chunks, *args)
+                return parse(fh, *args)
             finally:
-                for _ in chunks:
+                while fh.read(_CHUNK):
                     pass
-        except UnicodeDecodeError:
-            _read(path)  # raises the error with its offset in the file
-            raise
+        except UnicodeDecodeError as e:
+            if fh.seekable():
+                _read(path)  # raises the error with its offset in the file
+            bad = f"byte {e.object[e.start]:#04x}: {e.reason}"
+            raise CliInputError(f"cannot read {path}: 'utf-8' codec can't decode {bad}") from None
         except OSError as e:
             raise CliInputError(f"cannot read {path}: {e}") from None
 

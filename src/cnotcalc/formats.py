@@ -54,8 +54,8 @@ _TWO_WIRES = {"cnot": cnot, "swap": swap}
 def parse_circuit(
     source, memo: Optional[dict[str, Gate | tuple[Gate, ...]]] = None
 ) -> tuple[str, Circuit]:
-    """(name, circuit) of a circuit file, its text or its chunks of text as
-    ``lexing._windows`` takes them.
+    """(name, circuit) of a circuit file, its text or the file open for
+    reading, which ``lexing._windows`` cuts into windows.
 
     ``memo`` maps gate-line bodies to what they build: the ``Gate`` of a
     primitive line, the tuple of gates of a macro line, and the empty tuple
@@ -193,9 +193,9 @@ def _line_of_gate(line: int, others: list[int], index: int) -> int:
 # -- derivations -----------------------------------------------------------------
 
 
-def parse_derivation(text: str) -> list[tuple[str, int, str]]:
+def parse_derivation(source) -> list[tuple[str, int, str]]:
     steps = []
-    for lineno, body in _logical_lines(text):
+    for lineno, body in _logical_lines(source):
         tokens = body.split()
         if len(tokens) != 3:
             raise FormatError("expected '<rule> <offset> <lr|rl>'", lineno)

@@ -5,8 +5,8 @@ column.
 All formats are UTF-8, one item per line.  A comment runs from ``#`` to the
 end of its line, and lines end where ``str.splitlines`` splits them: at line
 feeds, carriage returns, form feeds, U+2028 and the like.  Every reader
-takes a file's text whole or as the chunks that reading the file gives, and
-takes its lines one window at a time from ``_bodies`` as the chunks arrive.
+takes a file's text or the file open for reading, and takes its lines one
+window at a time from ``_bodies`` as the file is read.
 """
 
 from __future__ import annotations
@@ -28,39 +28,30 @@ class FormatError(ValueError):
 _COMMENT = "#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*"
 
 
-# A reader holds one window of a file's lines at a time: the text up to the
-# first line feed after this many characters.  A window's stripped lines
+# A reader holds one window of a file's lines at a time: this many
+# characters and the rest of the line they end in.  A window's stripped lines
 # cost about seven times its text (a str of about 60 bytes for a gate line
 # of about 10 characters), so a window is kept small.
 _WINDOW = 1 << 12
 
 
 def _windows(source):
-    """Each window of the text of ``source``, a ``str`` or an iterable of
-    ``str`` chunks such as an open file read in pieces, as the chunks
-    arrive.  A window ends just after the first line feed that makes it at
-    least ``_WINDOW`` characters long, or at the end of the text, so it
-    never splits a ``\r\n`` and ``str.splitlines`` sees whole lines.  What
-    is held is the window and the chunks that arrived after it."""
-    held: list[str] = []  # the chunks since the last window
-    size = 0
-    for chunk in (source,) if isinstance(source, str) else source:
-        held.append(chunk)
-        size += len(chunk)
-        # A window can end only at a line feed at least _WINDOW - 1
-        # characters in, and so in this chunk: else keep the chunk as it is.
-        if size < _WINDOW or "\n" not in chunk:
-            continue
-        text = "".join(held)
+    """Each window of the text of ``source``, a ``str`` or an open text
+    stream, as it is read.  A window is at least ``_WINDOW`` characters of
+    whole lines, or the rest of the text: a ``str`` is cut just after the
+    first line feed at or past that many characters, and a stream gives
+    ``_WINDOW`` characters and the rest of the line they end in.  So a
+    window never splits a ``\r\n``, and ``str.splitlines`` sees whole lines."""
+    if isinstance(source, str):
         start = 0
-        while stop := text.find("\n", start + _WINDOW - 1) + 1:
-            yield text[start:stop]
+        while stop := source.find("\n", start + _WINDOW - 1) + 1:
+            yield source[start:stop]
             start = stop
-        held = [text[start:]]
-        size = len(held[0])
-    text = "".join(held)
-    if text:
-        yield text
+        if start < len(source):
+            yield source[start:]
+        return
+    while window := source.read(_WINDOW) + source.readline():
+        yield window
 
 
 def _bodies(source):

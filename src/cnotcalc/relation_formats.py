@@ -11,6 +11,7 @@ reads a body line, and stop at ``end``.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import TYPE_CHECKING
 
 from .gf2 import set_bits
@@ -24,16 +25,17 @@ if TYPE_CHECKING:
 # -- the readers shared by graph, system and affine files ---------------------
 
 
-def _read_header(text: str, what: str, arities: dict[str, int], usage: str):
-    """(keyword, arities, line number, body) of a file that starts with a
-    header ``<keyword> <arity> ...``.
+def _read_header(source, what: str, arities: dict[str, int], usage: str):
+    """(keyword, arities, line number, body) of a file, its text or the file
+    open, that starts with a header ``<keyword> <arity> ...``.
 
     ``arities`` maps each keyword the caller accepts to its number of
     arities; any other header is reported as ``expected <usage>``.  Every
     arity is checked to be nonnegative before a body line is read.  The body
-    is the (line number, content, tokens) of each line up to ``end``.
+    yields the (line number, content, tokens) of each line up to ``end`` as
+    it is read, so a reader holds one window of the file and one row.
     """
-    lines = _logical_lines(text)
+    lines = _logical_lines(source)
     lineno, header = next(lines, (1, None))
     if header is None:
         raise FormatError(f"empty {what}", 1)
@@ -42,11 +44,10 @@ def _read_header(text: str, what: str, arities: dict[str, int], usage: str):
     if count is None or len(tokens) != 1 + count:
         raise FormatError(f"expected {usage}", lineno)
     sizes = _arities(tokens, range(1, 1 + count), lineno, header)
-    body = []
-    for i, line in lines:
-        if line == "end":
-            break
-        body.append((i, line, line.split()))
+    body = (
+        (i, line, line.split())
+        for i, line in takewhile(lambda entry: entry[1] != "end", lines)
+    )
     return tokens[0], sizes, lineno, body
 
 
@@ -105,9 +106,9 @@ def format_relation(r: AffineRelation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_relation(text: str) -> AffineRelation:
+def parse_relation(source) -> AffineRelation:
     _, (n, m), _, body = _read_header(
-        text, "relation file", {"graph": 2}, "header 'graph <n_in> <n_out>'"
+        source, "relation file", {"graph": 2}, "header 'graph <n_in> <n_out>'"
     )
     return _graph(n, m, body)
 
@@ -129,11 +130,11 @@ def format_system(cf: ClausalForm) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_system(text: str) -> ClausalForm:
+def parse_system(source) -> ClausalForm:
     from .normalize import ClausalForm  # no command parses a system file
 
     _, (n,), _, body = _read_header(
-        text, "system file", {"system": 1}, "header 'system <n>'"
+        source, "system file", {"system": 1}, "header 'system <n>'"
     )
     return ClausalForm.from_masks(n, _system_rows(n, body))
 
@@ -147,12 +148,12 @@ def _system_rows(n: int, body) -> list[int]:
 # -- synthesis input ------------------------------------------------------------
 
 
-def parse_synth_input(text: str) -> AffineRelation:
+def parse_synth_input(source) -> AffineRelation:
     """A relation to synthesize: a 'graph' constraint system, a 'system'
     of parity equations (meaning the restriction idempotent it cuts out),
     or an 'affine' map block with an optional input-domain system."""
     kind, sizes, header_line, body = _read_header(
-        text,
+        source,
         "synthesis input",
         {"graph": 2, "system": 1, "affine": 2},
         "'graph <n> <m>', 'system <n>', or 'affine <n> <m>' header",

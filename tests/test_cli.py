@@ -147,11 +147,12 @@ class TestEqual:
 
 
 class TestUndecodableFile:
-    """A file is read in chunks and parsed as they arrive, yet a byte that
-    is not UTF-8 anywhere in it is the error, at its offset in the file, as
-    when the file was read whole: also where the parse has already stopped."""
+    """A file is parsed a window at a time as it is read, yet a byte that is
+    not UTF-8 anywhere in it is the error, at its offset in the file, as
+    when the file was read whole: also where the parse has already stopped.
+    A pipe cannot be read again, so its error names the file and no offset."""
 
-    GATES = "cnot 0 1\n" * 5000  # 45,000 bytes, more than two 16 KiB chunks
+    GATES = "cnot 0 1\n" * 5000  # 45,000 bytes, many windows
     FILES = {
         "past the first chunk": f"circuit x : 2 -> 2\n{GATES}# \xff\n{GATES}end\n",
         "after end": f"circuit x : 2 -> 2\ncnot 0 1\nend\n{GATES}# \xff\n",
@@ -159,8 +160,12 @@ class TestUndecodableFile:
     }
 
     @staticmethod
-    def write(path, text):
-        data = text.encode("utf-8").replace("\xff".encode("utf-8"), b"\xff")
+    def encoded(text):
+        """``text`` as UTF-8, with each U+00FF the bare byte 0xff."""
+        return text.encode("utf-8").replace("\xff".encode("utf-8"), b"\xff")
+
+    def write(self, path, text):
+        data = self.encoded(text)
         path.write_bytes(data)
         return data.index(b"\xff")
 
@@ -176,6 +181,19 @@ class TestUndecodableFile:
         assert err == (
             f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff"
             f" in position {at}: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize("place", FILES)
+    def test_piped_into_stdin(self, place):
+        done = subprocess.run(
+            [sys.executable, "-m", "cnotcalc.cli", "semantics", "/dev/stdin"],
+            input=self.encoded(self.FILES[place]), capture_output=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert done.returncode == 2 and done.stdout == b""
+        assert done.stderr.decode() == (
+            "error: cannot read /dev/stdin: 'utf-8' codec can't decode byte 0xff:"
+            " invalid start byte\n"
         )
 
     @pytest.mark.parametrize("command, text", [

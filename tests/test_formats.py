@@ -783,20 +783,18 @@ class TestWindowedReaderMatchesOld:
                 assert [outcome(parse_circuit, t, memo) for t in (a, b, a)] == expected
                 assert memo == old_memo
 
-    # Sizes of the chunks that a reader is handed a file's text in.
+    # Sizes, in bytes and in characters, of the reads of an opened file.
     CHUNKS = [1, 2, 7, 64, 1 << 14]
 
     @staticmethod
-    def opened(text: str) -> io.TextIOWrapper:
-        """``text`` as a file that is opened for reading as UTF-8 reads it,
-        line ends translated."""
-        return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
-
-    @classmethod
-    def file_chunks(cls, text: str, size: int) -> list[str]:
-        """What reading the opened file ``size`` characters at a time gives."""
-        fh = cls.opened(text)
-        return list(iter(lambda: fh.read(size), ""))
+    def opened(text: str, size: int = 8192, newline=None) -> io.TextIOWrapper:
+        """``text`` as a file opened for reading as UTF-8, that reads
+        ``size`` bytes from disk and decodes ``size`` characters at a time:
+        under ``newline=None`` line ends are translated, under ``""`` not."""
+        raw = io.BufferedReader(io.BytesIO(text.encode("utf-8")), buffer_size=size)
+        fh = io.TextIOWrapper(raw, encoding="utf-8", newline=newline)
+        fh._CHUNK_SIZE = size
+        return fh
 
     @settings(max_examples=200, deadline=None)
     @given(rejoined_files())
@@ -806,15 +804,15 @@ class TestWindowedReaderMatchesOld:
     @example(("circuit x : 2 -> 2\nend\nfoo\ncnot 0 0\n", []))
     def test_one_file_in_chunks(self, file):
         text, _ = file
-        for size in self.CHUNKS:
-            raw = [text[i : i + size] for i in range(0, len(text), size)]
-            read = self.opened(text).read()
-            for whole, chunks in [(text, raw), (read, self.file_chunks(text, size))]:
-                expected = outcome(oracles.old_parse_circuit, whole)
+        read = self.opened(text).read()
+        for whole, newline in [(text, ""), (read, None)]:
+            expected = outcome(oracles.old_parse_circuit, whole)
+            for size in self.CHUNKS:
                 for window in self.WINDOWS:
                     with pytest.MonkeyPatch.context() as patch:
                         patch.setattr(lexing, "_WINDOW", window)
-                        assert outcome(parse_circuit, iter(chunks)) == expected
+                        fh = self.opened(text, size, newline)
+                        assert outcome(parse_circuit, fh) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -823,12 +821,13 @@ class TestWindowedReaderMatchesOld:
         b, _ = data.draw(rejoined_files(pool=a_lines))
         size = data.draw(st.sampled_from(self.CHUNKS))
         window = data.draw(st.sampled_from(self.WINDOWS))
+        newline = data.draw(st.sampled_from(["", None]))
         old_memo = {}
-        files = [self.opened(t).read() for t in (a, b, a)]
+        files = [self.opened(t, newline=newline).read() for t in (a, b, a)]
         expected = [outcome(oracles.old_parse_circuit, t, old_memo) for t in files]
         memo = {}
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lexing, "_WINDOW", window)
-            got = [outcome(parse_circuit, iter(self.file_chunks(t, size)), memo) for t in (a, b, a)]
+            got = [outcome(parse_circuit, self.opened(t, size, newline), memo) for t in (a, b, a)]
         assert got == expected
         assert memo == old_memo

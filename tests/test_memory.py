@@ -1,7 +1,8 @@
 """What a command holds at once, measured with ``tracemalloc``.
 
 A gate is one small object.  The parser holds the distinct gate lines, the
-list of gates and one window of text, not every line of the file, and
+list of gates and one window of text, not every line of the file, a
+relation's reader one window and the rows read so far, and
 ``equal`` holds one circuit's gates at a time; a plain command holds one
 printed block, not its output several times over.  Output goes to a sink on
 the null device, since pytest's capture would keep all of it.
@@ -16,7 +17,7 @@ import pytest
 
 from cnotcalc import cli, rewrite
 from cnotcalc.circuit import Circuit, cnot, fanout, swap
-from cnotcalc.formats import format_circuit, parse_circuit
+from cnotcalc.formats import format_circuit, parse_circuit, parse_relation
 
 
 def peak_of(call) -> int:
@@ -68,6 +69,19 @@ def test_parse_with_macros_and_comments_holds_one_window_of_lines():
     text = "\n".join(lines) + "\n"
     assert parse_circuit(text)[1].n_out == 64
     assert peak_of(lambda: parse_circuit(text)) < 4 * len(text)
+
+
+def test_relation_parse_holds_one_window_of_lines():
+    # A 128 x 128 graph: 128 rows of 40 input terms and one output each,
+    # about 23 KB of text, which the rows themselves take little of.
+    rng = random.Random(3)
+    lines = ["graph 128 128"]
+    for i in range(128):
+        terms = [f"x{j}" for j in sorted(rng.sample(range(128), 40))]
+        lines.append(" ".join(["parity", *terms, f"y{i}", "=", str(rng.randrange(2))]))
+    text = "\n".join(lines) + "\nend\n"
+    assert parse_relation(text).n_out == 128
+    assert peak_of(lambda: parse_relation(text)) < 4 * len(text)
 
 
 def test_a_gate_is_one_small_object():
