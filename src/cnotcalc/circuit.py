@@ -35,6 +35,7 @@ from .gates import (  # noqa: F401  (GATES and notg: the generators, bound here 
     init0,
     init1,
     notg,
+    out_of_range,
     post0,
     post1,
     swap,
@@ -42,6 +43,7 @@ from .gates import (  # noqa: F401  (GATES and notg: the generators, bound here 
 from .gf2 import BitVec
 from .record import Record
 from .relation import AffineRelation, ArityError
+from .symbolic import relation_of
 
 
 class Circuit(Record):
@@ -58,10 +60,7 @@ class Circuit(Record):
         width = n_in
         for i, g in enumerate(gates):
             if g.need > width:
-                where = "insertion index" if g.kind == INIT1 else "wire"
-                raise CircuitError(
-                    f"gate {i} {g}: {where} out of range at width {width}", i
-                )
+                raise out_of_range(i, g.kind, g.a, g.b, width)
             width += g.delta
         self._init(n_in, gates, width)
 
@@ -124,34 +123,11 @@ class Circuit(Record):
         return BitVec(bits)
 
     def semantics(self) -> AffineRelation:
-        """The affine partial isomorphism computed by the circuit.
-
-        A ``post1`` on a wire that holds the constant 0 adds the row
-        ``0 = 1``, which makes the relation empty whatever follows: the
-        gate loop stops there and returns ``AffineRelation.empty``.
-        """
-        n = self.n_in
-        one = 1 << n  # constant-term bit of a wire expression
-        wires = [1 << i for i in range(n)]
-        domain: list[int] = []
-        for g in self.gates:
-            k, i = g.kind, g.a
-            if k == CNOT:
-                wires[g.b] ^= wires[i]
-            elif k == SWAP:
-                j = g.b
-                wires[i], wires[j] = wires[j], wires[i]
-            elif k == INIT1:
-                wires.insert(i, one)
-            else:
-                e = wires.pop(i)
-                if not e:
-                    return AffineRelation.empty(n, self.n_out)
-                domain.append(e ^ one)  # the row of e(x) = 1
-        rel = AffineRelation.from_map(n, wires, domain)
-        if not rel.is_partial_iso():
-            raise RuntimeError("circuit semantics must be a partial isomorphism")
-        return rel
+        """The affine partial isomorphism computed by the circuit:
+        ``relation_of`` its gates, which are legal and end at width
+        ``n_out``, so the gate loop stops at a post-selection that makes the
+        relation empty."""
+        return relation_of(self.n_in, self.gates, self.n_out)
 
 
 def circuit(n_in: int, *items) -> Circuit:

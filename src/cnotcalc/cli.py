@@ -7,12 +7,12 @@ for a process that SIGPIPE ended), with nothing on stderr, when the reader
 closes stdout before all of the output is written, as ``| head`` may.
 ``--json`` prints a stable JSON mirror of the report instead of plain text;
 errors stay one plain ``error:`` line on stderr.  A command holds at once
-its circuits, their distinct gate lines, one window of input and one
-printed block: ``commandio`` hands files open to readers that take them a
-window at a time, ``equal`` keeps of its first circuit only the relation
-once it reads the second, ``replay`` writes each step as it formats it,
-once every step has been checked, and the ``--json`` report is built only
-under ``--json``.
+one window of input, one printed block and the circuits it works on, save
+``equal`` and ``semantics``, which hold none: ``commandio`` hands files
+open to readers that take them a window at a time,
+``semantics_reader.parse_semantics`` runs each window's gates as it reads
+them, ``replay`` writes each step as it formats it, once every step has
+been checked, and the ``--json`` report is built only under ``--json``.
 
 ``COMMANDS``, the one table of the command line, and ``_read_argv``, which
 reads it, are the grammar in ``commandline``.  A malformed command line
@@ -23,7 +23,8 @@ The package compiles in small units, each module one concept of at most
 it loads, and what the parser allocates for the largest one stays in the
 process's resident memory.  Every command loads ``commandline``,
 ``commandio``, ``formats`` (with ``lexing`` and ``relation_formats``),
-``circuit`` (with ``gates``), ``relation``, ``gf2`` and ``record``.  The
+``circuit`` (with ``gates`` and ``symbolic``), ``relation``, ``gf2`` and
+``record``; ``equal`` and ``semantics`` load ``semantics_reader`` too.  The
 layers above ``circuit`` (``normalize``, ``synth``, ``rewrite`` with its
 ``identities``, ``fuzzing``, ``lawsuites``) are imported by the handlers
 that run them, so ``equal``, ``semantics``, ``eval`` and ``construct``
@@ -42,7 +43,6 @@ import sys
 
 from . import formats
 from .circuit import (
-    Gate,
     clause_circuit,
     fanin,
     fanout,
@@ -72,26 +72,25 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_semantics(args) -> int:
-    _, c = _load_circuit(args.file)
-    text = formats.format_relation(c.semantics())
+    from .semantics_reader import parse_semantics
+
+    _, rel = _parse(args.file, parse_semantics)
+    text = formats.format_relation(rel)
     _emit(args, text, lambda: {"command": "semantics", "relation": text.splitlines()})
     return OK
 
 
 def _cmd_equal(args) -> int:
-    # gate-line body -> what it builds: the second file is usually an edit
-    # of the first, so most of its lines are parsed already
-    memo: dict[str, Gate | tuple[Gate, ...]] = {}
-    _, c = _load_circuit(args.file1, memo)
-    n_in, n_out = c.n_in, c.n_out
-    first = c.semantics()
-    del c  # the second circuit is read without the first one's gate list
-    _, d = _load_circuit(args.file2, memo)
-    if (n_in, n_out) != (d.n_in, d.n_out):
+    from .semantics_reader import parse_semantics
+
+    wires: dict[str, int] = {}  # wire number as written -> its int, for both files
+    _, first = _parse(args.file1, parse_semantics, wires)
+    _, second = _parse(args.file2, parse_semantics, wires)
+    if (first.n_in, first.n_out) != (second.n_in, second.n_out):
         raise CliInputError(
-            f"arity mismatch: {n_in}->{n_out} vs {d.n_in}->{d.n_out}"
+            f"arity mismatch: {first.n_in}->{first.n_out} vs {second.n_in}->{second.n_out}"
         )
-    same = first == d.semantics()
+    same = first == second
     _emit(args, "equal\n" if same else "unequal\n", lambda: {"command": "equal", "equal": same})
     return OK if same else FAIL
 

@@ -56,8 +56,8 @@ def _parse(path: str, parse, *args):
             raise CliInputError(f"cannot read {path}: {e}") from None
 
 
-def _load_circuit(path: str, memo=None):
-    return _parse(path, formats.parse_circuit, memo)
+def _load_circuit(path: str):
+    return _parse(path, formats.parse_circuit)
 
 
 def _parse_bits(text: str) -> BitVec:

@@ -4,11 +4,13 @@ steps on a circuit; with them, every reader and writer of the package.
 A circuit file is a header ``circuit <name> : <n_in> -> <n_out>``, one
 gate per line and ``end``.  Circuits print with primitive gates only; the
 parser additionally accepts the ``init0``/``post0``/``not`` macros and
-expands them.  A derivation file has one step per line, ``<rule> <offset>
-<lr|rl>``.  The text layer under them is ``lexing``, and the readers and
-writers of relations, systems and affine maps are ``relation_formats``;
-``formats`` binds their names too, as one place to import every format
-from.
+expands them.  ``parse_circuit`` builds a file's ``Circuit``;
+``semantics_reader.parse_semantics`` finds its relation as it reads it,
+with the header and gate-line reading here.  A derivation file has one
+step per line, ``<rule> <offset> <lr|rl>``.  The text layer under them is
+``lexing``, and the readers and writers of relations, systems and affine
+maps are ``relation_formats``; ``formats`` binds their names too, as one
+place to import every format from.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ from .relation_formats import (  # noqa: F401  (bound here: one import point for
 
 # -- circuits -----------------------------------------------------------------
 
+# Private helpers are described in comments, not docstrings: a docstring
+# stays in the memory of every process that loads the module, and every
+# command loads this one.
+
 def format_circuit(c: Circuit, name: str = "main") -> str:
     lines = [f"circuit {name} : {c.n_in} -> {c.n_out}"]
     lines += [g._line or g.line for g in c.gates]  # each gate formats itself once
@@ -60,8 +66,8 @@ def parse_circuit(
     ``memo`` maps gate-line bodies to what they build: the ``Gate`` of a
     primitive line, the tuple of gates of a macro line, and the empty tuple
     for the empty body of blank and comment-only lines.  Calls that parse
-    several files of one command pass the same dict, so a line met in an
-    earlier file is not parsed again.  It holds only lines that parsed.
+    several files may pass the same dict, so a line met in an earlier file
+    is not parsed again.  It holds only lines that parsed.
     Besides the memo, the call holds one window and the list of the gates
     read so far, with the line and number of gates of each line that builds
     other than one gate.
@@ -69,6 +75,57 @@ def parse_circuit(
     if memo is None:
         memo = {}
     memo[""] = ()
+    name, n_in, n_out, lineno, windows = _read_header(source)
+    # Only the bodies not yet in the memo are tokenized and built, each at
+    # its first occurrence, since ``filterfalse`` asks the memo as the loop
+    # goes: n wires allow only about 2 n^2 distinct lines, so long circuits
+    # repeat many of them, and a window whose bodies are all in the memo
+    # runs no Python-level loop.  Gates are immutable, so repeated lines
+    # share them.  In file order, the first bad body is the first bad line.
+    # ``wires`` maps the wire numbers met so far, as ``str`` writes them, to
+    # their ints.  A primitive line whose numbers are all in it, two of them
+    # apart, takes the direct path, which no check fails; any other line
+    # takes the general path, ``_build``.
+    wires: dict[str, int] = {}
+    wire = wires.get
+    gates: list[Gate] = []
+    others: list[int] = []  # line, number of gates, of each blank or macro line
+    for at, part in windows:
+        for body in filterfalse(memo.__contains__, part):
+            tokens = body.split()
+            if len(tokens) == 3:
+                builder, a, b = _TWO_WIRES.get(tokens[0]), wire(tokens[1]), wire(tokens[2])
+                if builder is not None and a is not None and b is not None and a != b:
+                    memo[body] = builder(a, b)
+                    continue
+            elif len(tokens) == 2:
+                builder, a = _ONE_WIRE.get(tokens[0]), wire(tokens[1])
+                if builder is not None and a is not None:
+                    memo[body] = builder(a)
+                    continue
+            memo[body] = _build(body, part, at, wires)
+        built = list(map(memo.__getitem__, part))
+        if tuple not in map(type, built):
+            gates += built
+        else:  # a macro or a blank line: add each line's gates, if any
+            for line, entry in enumerate(built, at):
+                if type(entry) is tuple:
+                    gates += entry
+                    others.extend((line, len(entry)))
+                else:
+                    gates.append(entry)
+        del part, built  # the next window is split without this one's lines
+    try:
+        c = Circuit(n_in, gates)
+    except CircuitError as e:
+        raise FormatError(str(e), _line_of_gate(lineno + 1, others, e.index)) from None
+    _check_outputs(n_in, n_out, c.n_out, lineno)
+    return name, c
+
+
+def _read_header(source):
+    # (name, n_in, n_out, header line, gate lines): ``gate lines`` gives
+    # (line, bodies) of each window's gate lines up to ``end``.
     windows = _bodies(source)
     for first, bodies in windows:
         start = next((i for i, body in enumerate(bodies) if body), None)
@@ -87,98 +144,69 @@ def parse_circuit(
         raise FormatError(
             "expected header 'circuit <name> : <n_in> -> <n_out>'", lineno
         )
-    name = tokens[1]
     n_in, n_out = _arities(tokens, (3, 5), lineno, header)
-    # Only the bodies not yet in the memo are tokenized and built, each at
-    # its first occurrence, since ``filterfalse`` asks the memo as the loop
-    # goes: n wires allow only about 2 n^2 distinct lines, so long circuits
-    # repeat many of them, and a window whose bodies are all in the memo
-    # runs no Python-level loop.  Gates are immutable, so repeated lines
-    # share them.  In file order, the first bad body is the first bad line.
-    # ``wires`` maps the wire numbers met so far, as ``str`` writes them, to
-    # their ints.  A primitive line whose numbers are all in it takes the
-    # direct path, where only its builder checks anything; any other line,
-    # and so every error but a builder's, takes the general path below.
-    wires: dict[str, int] = {}
-    wire = wires.get
-    gates: list[Gate] = []
-    others: list[int] = []  # line, number of gates, of each blank or macro line
-    last = lineno  # the last non-empty line so far
-    begin = start + 1
-    while True:  # the header's window, then each window after it
+    return tokens[1], n_in, n_out, lineno, _gate_lines(windows, first, bodies, start + 1, lineno)
+
+
+def _gate_lines(windows, first: int, bodies: list[str], begin: int, last: int):
+    # ``last``: the last non-empty line so far, where 'end' is missing
+    while True:
         try:
             stop = bodies.index("end", begin)
         except ValueError:
             stop = None
-        part = bodies[begin:stop]
-        try:
-            for body in filterfalse(memo.__contains__, part):
-                tokens = body.split()
-                if len(tokens) == 3:
-                    builder, a, b = _TWO_WIRES.get(tokens[0]), wire(tokens[1]), wire(tokens[2])
-                    if builder is not None and a is not None and b is not None:
-                        memo[body] = builder(a, b)
-                        continue
-                elif len(tokens) == 2:
-                    builder, a = _ONE_WIRE.get(tokens[0]), wire(tokens[1])
-                    if builder is not None and a is not None:
-                        memo[body] = builder(a)
-                        continue
-                kind = tokens[0]
-                builder, arity, _ = GATES.get(kind, (None, None, None))
-                if builder is None or len(tokens) != 1 + arity:
-                    at = first + bodies.index(body, begin)
-                    if builder is None:
-                        raise FormatError(f"unknown gate {kind!r}", at)
-                    raise FormatError(f"gate {kind} takes {arity} argument(s)", at)
-                try:
-                    args = list(map(int, tokens[1:]))
-                except ValueError:
-                    args = None
-                # On ASCII text with no '+' or '_', int() reads exactly INTEGER.
-                if args is None or not body.isascii() or "+" in body or "_" in body:
-                    at = first + bodies.index(body, begin)
-                    args = [_int(t, at, body, i) for i, t in enumerate(tokens[1:], 1)]
-                for t, k in zip(tokens[1:], args):
-                    if str(k) == t:
-                        wires[t] = k
-                memo[body] = builder(*args)
-        except CircuitError as e:  # a gate that no width admits
-            raise FormatError(str(e), first + bodies.index(body, begin)) from None
-        built = list(map(memo.__getitem__, part))
-        if tuple not in map(type, built):
-            gates += built
-        else:  # a macro or a blank line: add each line's gates, if any
-            for at, entry in enumerate(built, first + begin):
-                if type(entry) is tuple:
-                    gates += entry
-                    others.extend((at, len(entry)))
-                else:
-                    gates.append(entry)
+        yield first + begin, bodies[begin:stop]
         if stop is not None:
-            break
+            return
         last = next((first + i for i in range(len(bodies) - 1, begin - 1, -1) if bodies[i]), last)
-        del bodies, part, built  # the next window is split without this one's lines
+        del bodies  # the next window is split without this one's lines
         first, bodies = next(windows, (None, None))
         if bodies is None:
             raise FormatError("missing 'end' terminator", last)
         begin = 0
+
+
+def _build(body: str, part: list[str], at: int, wires: dict[str, int]):
+    # The ``Gate``, macro gates or (blank) empty tuple of ``body``, one of
+    # ``part``, whose lines start at line ``at``; its wire numbers go into
+    # ``wires`` where ``str`` writes them so.
+    tokens = body.split()
+    if not tokens:
+        return ()
+    kind = tokens[0]
+    builder, arity, _ = GATES.get(kind, (None, None, None))
+    if builder is None or len(tokens) != 1 + arity:
+        if builder is None:
+            raise FormatError(f"unknown gate {kind!r}", at + part.index(body))
+        raise FormatError(f"gate {kind} takes {arity} argument(s)", at + part.index(body))
     try:
-        c = Circuit(n_in, gates)
-    except CircuitError as e:
-        raise FormatError(str(e), _line_of_gate(lineno + 1, others, e.index)) from None
-    if c.n_out != n_out:
+        args = list(map(int, tokens[1:]))
+    except ValueError:
+        args = None
+    # On ASCII text with no '+' or '_', int() reads exactly INTEGER.
+    if args is None or not body.isascii() or "+" in body or "_" in body:
+        line = at + part.index(body)
+        args = [_int(t, line, body, i) for i, t in enumerate(tokens[1:], 1)]
+    for t, k in zip(tokens[1:], args):
+        if k >= 0 and str(k) == t:
+            wires[t] = k
+    try:
+        return builder(*args)
+    except CircuitError as e:  # a gate that no width admits
+        raise FormatError(str(e), at + part.index(body)) from None
+
+
+def _check_outputs(n_in: int, n_out: int, got: int, lineno: int) -> None:
+    if got != n_out:
         raise FormatError(
-            f"header declares {n_in} -> {n_out} but gates yield {c.n_out} outputs",
-            lineno,
+            f"header declares {n_in} -> {n_out} but gates yield {got} outputs", lineno
         )
-    return name, c
 
 
 def _line_of_gate(line: int, others: list[int], index: int) -> int:
-    """The line that builds gate ``index`` of a circuit whose gate lines
-    start at ``line``: each gate line builds one gate, save those whose
-    line and number of gates ``others`` lists in turn."""
+    # The line that builds gate ``index`` of a circuit whose gate lines
+    # start at ``line``: each gate line builds one gate, save those whose
+    # line and number of gates ``others`` lists in turn.
     gate = 0  # the index of the first gate of ``line``
     for at, count in zip(others[::2], others[1::2]):
         if index < gate + at - line:

@@ -37,6 +37,14 @@ class CircuitError(ValueError):
         self.index = index
 
 
+def out_of_range(index: int, kind: str, a: int, b: Optional[int], width: int) -> CircuitError:
+    """The error of gate ``index``, of ``kind`` on wires ``a`` and ``b``,
+    met at a width less than it needs."""
+    where = "insertion index" if kind == INIT1 else "wire"
+    gate = f"{kind}({a})" if b is None else f"{kind}({a}, {b})"
+    return CircuitError(f"gate {index} {gate}: {where} out of range at width {width}", index)
+
+
 class _GateFields:
     """The storage of a :class:`Gate`, writable while the gate is built."""
 

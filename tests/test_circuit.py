@@ -4,7 +4,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cnotcalc.gf2 import BitVec, null_basis, rref_masks
 from cnotcalc.relation import ENUMERATION_LIMIT, AffineRelation, ArityError, all_bitvecs
@@ -26,6 +26,7 @@ from cnotcalc.circuit import (
     swap_network,
 )
 from cnotcalc.fuzzing import random_circuit, trial_rng
+from cnotcalc.semantics_reader import parse_semantics
 from oracles import old_semantics
 
 
@@ -290,6 +291,28 @@ class TestSemanticsPastEnumeration:
         for p in pivots:
             x = BitVec.from_mask(n, witness.mask ^ (1 << p))
             assert c.eval_state(x) is None and rel.apply(x) is None
+
+
+class TestStreamedSemanticsIsFunctorial:
+    """A file holding the gates of ``c`` and then those of ``d``, run as it
+    is read, denotes the composite of their relations, past the
+    enumeration limit.  ``c`` is steered to keep a witness in its domain
+    and ``d`` is a total map, or else made empty, so the composite is a
+    partial map or empty as ``d`` is."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(ENUMERATION_LIMIT + 1, 100), st.integers(0, 1 << 32),
+           st.sampled_from([0.0, 0.1, 0.3]), st.booleans())
+    def test_file_of_two_circuits_is_their_composite(self, n, seed, post_rate, empty):
+        rng = random.Random(seed)
+        c, witness = steered_circuit(rng, n, rng.randrange(80), post_rate)
+        d, _ = steered_circuit(rng, c.n_out, rng.randrange(80), 0.0, empty)
+        lines = [f"circuit cd : {c.n_in} -> {d.n_out}", *(g.line for g in c.gates + d.gates), "end"]
+        _, rel = parse_semantics("\n".join(lines) + "\n")
+        assert rel == c.semantics().compose(d.semantics())
+        assert rel.is_empty() == empty
+        if not empty:
+            assert rel.apply(witness) == d.eval_state(c.eval_state(witness))
 
 
 @st.composite

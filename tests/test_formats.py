@@ -12,7 +12,7 @@ from cnotcalc.circuit import (
     GATES, Circuit, CircuitError, Gate, circuit, cnot, init0, init1, notg, post0, post1, swap,
 )
 from cnotcalc.normalize import Clause, ClausalForm
-from cnotcalc.relation import AffineRelation
+from cnotcalc.relation import ENUMERATION_LIMIT, AffineRelation
 from cnotcalc.formats import (
     FormatError,
     _column_of,
@@ -27,6 +27,7 @@ from cnotcalc.formats import (
     parse_system,
 )
 from cnotcalc.fuzzing import random_circuit, trial_rng
+from cnotcalc.semantics_reader import parse_semantics
 from cnotcalc.gf2 import BitVec, GF2Matrix
 from cnotcalc.synth import AffineMapSpec, synth_total_graph
 from oracles import enumerate_graph, layout_affine_block
@@ -520,13 +521,14 @@ PERCENT = st.sampled_from(range(100))  # uniform; st.integers favours 0
 
 
 @st.composite
-def circuit_files(draw, pool=()):
-    """(text, body lines) of a circuit file: mostly gates legal at the
-    running width, in varied spacing, with comments, blank lines, macros,
-    repeats (of this file's lines and of ``pool``), sometimes a gate out of
-    range, a malformed line, a bad header, a wrong n_out, a missing 'end'
-    or text after it; mixed line endings."""
-    n_in = draw(st.integers(0, 4))
+def circuit_files(draw, pool=(), wires=(0, 4)):
+    """(text, body lines) of a circuit file on ``wires[0]`` to ``wires[1]``
+    input wires: mostly gates legal at the running width, in varied
+    spacing, with comments, blank lines, macros, repeats (of this file's
+    lines and of ``pool``), sometimes a gate out of range, a malformed
+    line, a bad header, a wrong n_out, a missing 'end' or text after it;
+    mixed line endings."""
+    n_in = draw(st.integers(*wires))
     width = n_in
     bodies = []
     for _ in range(draw(st.integers(0, 24))):
@@ -831,3 +833,94 @@ class TestWindowedReaderMatchesOld:
             got = [outcome(parse_circuit, self.opened(t, size, newline), memo) for t in (a, b, a)]
         assert got == expected
         assert memo == old_memo
+
+
+# Lines that make a circuit file wrong at a width, or at every width, or
+# its relation empty: ``init0 0`` puts a wire holding 0 at the bottom, and
+# ``post1 0`` selects it on 1.
+_DETOURS = ["cnot 0 99", "post1 99", "init1 99", "swap 98 0", "cnot 2 2", "swap 1 1",
+            "init0 0\npost1 0", "not 1\ninit0 0\n# c\npost1 0\ncnot 0 1"]
+
+
+@st.composite
+def streamed_files(draw):
+    """The text of a ``circuit_files`` file past 20 wires, among whose gate
+    lines up to three lines or groups of lines are put: a gate out of
+    range, post-selections that empty the relation, or a malformed line,
+    so each of them is met before and after the others."""
+    text, bodies = draw(circuit_files(wires=(ENUMERATION_LIMIT + 1, 40)))
+    lines = text.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.split("#")[0].strip())
+    extras = st.one_of(st.sampled_from(_DETOURS), st.sampled_from(_BAD_LINES))
+    for extra in draw(st.lists(extras, max_size=3)):
+        at = draw(st.integers(header + 1, header + 1 + len(bodies)))  # among the gate lines
+        lines[at:at] = extra.split("\n")
+        bodies += extra.split("\n")
+    ends = draw(st.lists(st.sampled_from(_LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def semantics_outcome(read, source):
+    """What reading a circuit file's relation gives: its name and relation,
+    or the exception's type and text."""
+    try:
+        return read(source)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def parsed_semantics(source):
+    name, c = parse_circuit(source)
+    return name, c.semantics()
+
+
+class TestStreamedSemanticsMatchesParse:
+    """``parse_semantics`` runs each window's lines as it reads them and
+    holds no gate list; at any window size, from a text or an open file, it
+    gives what ``parse_circuit`` and ``Circuit.semantics`` give, and raises
+    the errors they raise, in the same order: a malformed line or a missing
+    'end' anywhere before a gate out of range, and a wrong n_out last."""
+
+    WINDOWS = [1, 2, 7, 64, 1 << 12]
+
+    @settings(max_examples=200, deadline=None)
+    @given(streamed_files())
+    @example("circuit x : 21 -> 21\ncnot 0 99\nfoo\nend\n")
+    @example("circuit x : 21 -> 21\ncnot 0 99\ncnot 3 3\nend\n")
+    @example("circuit x : 21 -> 21\ncnot 2 1\nswap 1 2\ncnot 2 2\nend\n")
+    @example("circuit x : 21 -> 21\ncnot 0 99\ncnot 0 1\n")
+    @example("circuit x : 21 -> 21\ninit0 0\npost1 0\ncnot 0 99\nend\n")
+    @example("circuit x : 21 -> 21\ninit0 0\npost1 0\nfoo\nend\n")
+    @example("circuit x : 21 -> 20\ninit0 0\npost1 0\nend\n")
+    @example("circuit x : 21 -> 22\nnot 20\n\n# c\ninit1 21\ncnot 21 0\nend\n")
+    @example("circuit x : 21 -> 21\nnot 20\n\n# c\ninit0 23\nend\n")
+    def test_one_file(self, text):
+        expected = semantics_outcome(parsed_semantics, text)
+        for window in self.WINDOWS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lexing, "_WINDOW", window)
+                assert semantics_outcome(parse_semantics, text) == expected
+                assert semantics_outcome(parse_semantics, io.StringIO(text)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(streamed_files(), streamed_files(), st.sampled_from(WINDOWS))
+    def test_two_files_through_one_table_of_wires(self, a, b, window):
+        expected = [semantics_outcome(parsed_semantics, t) for t in (a, b, a)]
+        wires = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lexing, "_WINDOW", window)
+            got = [semantics_outcome(lambda t: parse_semantics(t, wires), t) for t in (a, b, a)]
+        assert got == expected
+        assert all(str(k) == t and k >= 0 for t, k in wires.items())
+
+    def test_width_error_waits_for_the_rest_of_the_file(self):
+        # the width error is the file's only fault: it is raised at its own
+        # line once the end is read; a bad line or a missing 'end' after it
+        # is raised instead
+        head = "circuit x : 22 -> 22\ncnot 0 1\ncnot 21 30\ncnot 0 1\n"
+        with pytest.raises(FormatError, match="^line 3, column 1: gate 1 cnot\\(21, 30\\): wire"):
+            parse_semantics(head + "end\n")
+        with pytest.raises(FormatError, match="^line 5, column 1: unknown gate 'foo'$"):
+            parse_semantics(head + "foo\nend\n")
+        with pytest.raises(FormatError, match="^line 4, column 1: missing 'end' terminator$"):
+            parse_semantics(head)

@@ -1,11 +1,13 @@
 """What a command holds at once, measured with ``tracemalloc``.
 
 A gate is one small object.  The parser holds the distinct gate lines, the
-list of gates and one window of text, not every line of the file, a
-relation's reader one window and the rows read so far, and
-``equal`` holds one circuit's gates at a time; a plain command holds one
-printed block, not its output several times over.  Output goes to a sink on
-the null device, since pytest's capture would keep all of it.
+list of gates and one window of text, not every line of the file, and a
+relation's reader one window and the rows read so far.  ``equal`` and
+``semantics`` hold no gate list: they run each window's gates as they read
+them, so their peak does not grow with the file, and they build a wire's
+expression only once a gate reaches it.  A plain command holds one printed
+block, not its output several times over.  Output goes to a sink on the
+null device, since pytest's capture would keep all of it.
 """
 
 import os
@@ -106,6 +108,36 @@ def test_equal_holds_one_circuit_at_a_time(tmp_path, sink):
     argv = ["equal", *map(str, paths)]
     assert cli.run(argv) == 1
     assert peak_of(lambda: cli.run(argv)) < 3.5 * size
+
+
+@pytest.mark.parametrize("command", ["equal", "semantics"])
+def test_equal_and_semantics_hold_no_gate_list(tmp_path, sink, command):
+    # Each window's lines are run as they are read: ten times the gates
+    # leave the peak where it was.
+    peaks = []
+    for count in (10_000, 100_000):
+        rng = random.Random(count)
+        paths = []
+        for name in "ab":
+            paths.append(tmp_path / f"{name}{count}")
+            paths[-1].write_text(format_circuit(Circuit(64, random_gates(rng, 64, count))))
+        argv = [command, *map(str, paths[: 2 if command == "equal" else 1])]
+        assert cli.run(argv) == (1 if command == "equal" else 0)
+        peaks.append(peak_of(lambda: cli.run(argv)))
+    assert peaks[1] < 256 << 10
+    assert abs(peaks[1] - peaks[0]) < 32 << 10
+
+
+def test_a_wide_header_costs_nothing_before_a_bad_line(tmp_path, capsys):
+    # A wire's expression is built when a gate first touches it: 20,000
+    # wires built at the header would take about 27 MB before the error.
+    path = tmp_path / "wide"
+    path.write_text("circuit wide : 20000 -> 20000\nfoo 1\nend\n")
+    for argv in (["semantics", str(path)], ["equal", str(path), str(path)]):
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err == "error: line 2, column 1: unknown gate 'foo'\n"
+        assert peak_of(lambda: cli.run(argv)) < 1 << 20
+        capsys.readouterr()
 
 
 def test_replay_holds_one_block(tmp_path, monkeypatch, sink):
