@@ -35,10 +35,10 @@ from .gates import (  # noqa: F401  (GATES and notg: the generators, bound here 
     init0,
     init1,
     notg,
-    out_of_range,
     post0,
     post1,
     swap,
+    width_after,
 )
 from .gf2 import BitVec
 from .record import Record
@@ -57,12 +57,7 @@ class Circuit(Record):
         if n_in < 0:
             raise CircuitError("negative input arity")
         gates = tuple(gates)
-        width = n_in
-        for i, g in enumerate(gates):
-            if g.need > width:
-                raise out_of_range(i, g.kind, g.a, g.b, width)
-            width += g.delta
-        self._init(n_in, gates, width)
+        self._init(n_in, gates, width_after(gates, n_in))
 
     def __reduce__(self):
         # n_out is derived: rebuild through __init__
@@ -124,10 +119,15 @@ class Circuit(Record):
 
     def semantics(self) -> AffineRelation:
         """The affine partial isomorphism computed by the circuit:
-        ``relation_of`` its gates, which are legal and end at width
-        ``n_out``, so the gate loop stops at a post-selection that makes the
-        relation empty."""
-        return relation_of(self.n_in, self.gates, self.n_out)
+        ``symbolic.relation_of`` of its gates, the symbolic execution that
+        ``semantics_reader.parse_semantics`` runs on a file's gates too.
+
+        A ``post1`` on a wire that holds the constant 0 adds the row
+        ``0 = 1``, which makes the relation empty whatever follows: the
+        gates are legal and end at width ``n_out``, so the loop stops there
+        and returns ``AffineRelation.empty``.
+        """
+        return relation_of(self.n_in, (self.gates,), self.n_out)
 
 
 def circuit(n_in: int, *items) -> Circuit:

@@ -83,9 +83,8 @@ def _cmd_semantics(args) -> int:
 def _cmd_equal(args) -> int:
     from .semantics_reader import parse_semantics
 
-    wires: dict[str, int] = {}  # wire number as written -> its int, for both files
-    _, first = _parse(args.file1, parse_semantics, wires)
-    _, second = _parse(args.file2, parse_semantics, wires)
+    _, first = _parse(args.file1, parse_semantics)
+    _, second = _parse(args.file2, parse_semantics)
     if (first.n_in, first.n_out) != (second.n_in, second.n_out):
         raise CliInputError(
             f"arity mismatch: {first.n_in}->{first.n_out} vs {second.n_in}->{second.n_out}"

@@ -40,10 +40,6 @@ from .relation_formats import (  # noqa: F401  (bound here: one import point for
 
 # -- circuits -----------------------------------------------------------------
 
-# Private helpers are described in comments, not docstrings: a docstring
-# stays in the memory of every process that loads the module, and every
-# command loads this one.
-
 def format_circuit(c: Circuit, name: str = "main") -> str:
     lines = [f"circuit {name} : {c.n_in} -> {c.n_out}"]
     lines += [g._line or g.line for g in c.gates]  # each gate formats itself once
@@ -76,45 +72,12 @@ def parse_circuit(
         memo = {}
     memo[""] = ()
     name, n_in, n_out, lineno, windows = _read_header(source)
-    # Only the bodies not yet in the memo are tokenized and built, each at
-    # its first occurrence, since ``filterfalse`` asks the memo as the loop
-    # goes: n wires allow only about 2 n^2 distinct lines, so long circuits
-    # repeat many of them, and a window whose bodies are all in the memo
-    # runs no Python-level loop.  Gates are immutable, so repeated lines
-    # share them.  In file order, the first bad body is the first bad line.
-    # ``wires`` maps the wire numbers met so far, as ``str`` writes them, to
-    # their ints.  A primitive line whose numbers are all in it, two of them
-    # apart, takes the direct path, which no check fails; any other line
-    # takes the general path, ``_build``.
     wires: dict[str, int] = {}
-    wire = wires.get
     gates: list[Gate] = []
     others: list[int] = []  # line, number of gates, of each blank or macro line
     for at, part in windows:
-        for body in filterfalse(memo.__contains__, part):
-            tokens = body.split()
-            if len(tokens) == 3:
-                builder, a, b = _TWO_WIRES.get(tokens[0]), wire(tokens[1]), wire(tokens[2])
-                if builder is not None and a is not None and b is not None and a != b:
-                    memo[body] = builder(a, b)
-                    continue
-            elif len(tokens) == 2:
-                builder, a = _ONE_WIRE.get(tokens[0]), wire(tokens[1])
-                if builder is not None and a is not None:
-                    memo[body] = builder(a)
-                    continue
-            memo[body] = _build(body, part, at, wires)
-        built = list(map(memo.__getitem__, part))
-        if tuple not in map(type, built):
-            gates += built
-        else:  # a macro or a blank line: add each line's gates, if any
-            for line, entry in enumerate(built, at):
-                if type(entry) is tuple:
-                    gates += entry
-                    others.extend((line, len(entry)))
-                else:
-                    gates.append(entry)
-        del part, built  # the next window is split without this one's lines
+        gates += _window_gates(part, at, memo, wires, others)
+        del part  # the next window is split without this one's lines
     try:
         c = Circuit(n_in, gates)
     except CircuitError as e:
@@ -123,9 +86,55 @@ def parse_circuit(
     return name, c
 
 
+def _window_gates(
+    part: list[str], at: int, memo: dict, wires: dict[str, int], others: list[int]
+) -> list[Gate]:
+    """The gates of the gate lines ``part``, which start at line ``at``.
+    Each line that builds other than one gate, a macro or a blank line,
+    adds its line and number of gates to ``others``.
+
+    Only the bodies not yet in ``memo`` are tokenized and built, each at
+    its first occurrence, since ``filterfalse`` asks the memo as the loop
+    goes: n wires allow only about 2 n^2 distinct lines, so long circuits
+    repeat many of them, and a window whose bodies are all in the memo
+    runs no Python-level loop.  Gates are immutable, so repeated lines
+    share them.  In file order, the first bad body is the first bad line.
+    ``wires`` maps the wire numbers met so far, as ``str`` writes them, to
+    their ints.  A primitive line whose numbers are all in it, two of them
+    apart, takes the direct path, which no check fails; any other line
+    takes the general path, ``_build``.
+    """
+    wire = wires.get
+    for body in filterfalse(memo.__contains__, part):
+        tokens = body.split()
+        if len(tokens) == 3:
+            builder, a, b = _TWO_WIRES.get(tokens[0]), wire(tokens[1]), wire(tokens[2])
+            if builder is not None and a is not None and b is not None and a != b:
+                memo[body] = builder(a, b)
+                continue
+        elif len(tokens) == 2:
+            builder, a = _ONE_WIRE.get(tokens[0]), wire(tokens[1])
+            if builder is not None and a is not None:
+                memo[body] = builder(a)
+                continue
+        memo[body] = _build(body, part, at, wires)
+    built = list(map(memo.__getitem__, part))
+    if tuple not in map(type, built):
+        return built
+    gates: list[Gate] = []
+    for line, entry in enumerate(built, at):  # add each line's gates, if any
+        if type(entry) is tuple:
+            gates += entry
+            others.extend((line, len(entry)))
+        else:
+            gates.append(entry)
+    return gates
+
+
 def _read_header(source):
-    # (name, n_in, n_out, header line, gate lines): ``gate lines`` gives
-    # (line, bodies) of each window's gate lines up to ``end``.
+    """(name, n_in, n_out, header line, gate lines) of a circuit file:
+    ``gate lines`` gives (line, bodies) of each window's gate lines up to
+    ``end``."""
     windows = _bodies(source)
     for first, bodies in windows:
         start = next((i for i, body in enumerate(bodies) if body), None)
@@ -149,7 +158,9 @@ def _read_header(source):
 
 
 def _gate_lines(windows, first: int, bodies: list[str], begin: int, last: int):
-    # ``last``: the last non-empty line so far, where 'end' is missing
+    """(line, bodies) of each window's gate lines, from ``bodies[begin]``
+    at line ``first + begin`` up to ``end``; ``last`` is the last non-empty
+    line so far, where 'end' is missing."""
     while True:
         try:
             stop = bodies.index("end", begin)
@@ -167,9 +178,9 @@ def _gate_lines(windows, first: int, bodies: list[str], begin: int, last: int):
 
 
 def _build(body: str, part: list[str], at: int, wires: dict[str, int]):
-    # The ``Gate``, macro gates or (blank) empty tuple of ``body``, one of
-    # ``part``, whose lines start at line ``at``; its wire numbers go into
-    # ``wires`` where ``str`` writes them so.
+    """The ``Gate``, macro gates or (blank) empty tuple of ``body``, one of
+    ``part``, whose lines start at line ``at``; its wire numbers go into
+    ``wires`` where ``str`` writes them so."""
     tokens = body.split()
     if not tokens:
         return ()
@@ -204,9 +215,9 @@ def _check_outputs(n_in: int, n_out: int, got: int, lineno: int) -> None:
 
 
 def _line_of_gate(line: int, others: list[int], index: int) -> int:
-    # The line that builds gate ``index`` of a circuit whose gate lines
-    # start at ``line``: each gate line builds one gate, save those whose
-    # line and number of gates ``others`` lists in turn.
+    """The line that builds gate ``index`` of a circuit whose gate lines
+    start at ``line``: each gate line builds one gate, save those whose
+    line and number of gates ``others`` lists in turn."""
     gate = 0  # the index of the first gate of ``line``
     for at, count in zip(others[::2], others[1::2]):
         if index < gate + at - line:

@@ -37,12 +37,16 @@ class CircuitError(ValueError):
         self.index = index
 
 
-def out_of_range(index: int, kind: str, a: int, b: Optional[int], width: int) -> CircuitError:
-    """The error of gate ``index``, of ``kind`` on wires ``a`` and ``b``,
-    met at a width less than it needs."""
-    where = "insertion index" if kind == INIT1 else "wire"
-    gate = f"{kind}({a})" if b is None else f"{kind}({a}, {b})"
-    return CircuitError(f"gate {index} {gate}: {where} out of range at width {width}", index)
+def width_after(gates, width: int, base: int = 0) -> int:
+    """The register width after ``gates``, run from ``width``; the
+    ``CircuitError`` of the first gate out of range, if any, which numbers
+    the first of ``gates`` ``base``."""
+    for i, g in enumerate(gates, base):
+        if g.need > width:
+            where = "insertion index" if g.kind == INIT1 else "wire"
+            raise CircuitError(f"gate {i} {g}: {where} out of range at width {width}", i)
+        width += g.delta
+    return width
 
 
 class _GateFields:

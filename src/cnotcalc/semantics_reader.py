@@ -1,44 +1,45 @@
 """The reader of a circuit file's relation: ``parse_semantics`` turns each
 window's gate lines into gates and runs them through
 ``symbolic.relation_of`` before it reads the next window, so it holds no
-gate list.  It reads the header and the lines as ``formats.parse_circuit``
-does, and only ``equal`` and ``semantics`` load it.
+gate list and no memo of lines.  It reads the header and the lines as
+``formats.parse_circuit`` does, and only ``equal`` and ``semantics`` load
+it.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Optional
-
-from .formats import _build, _check_outputs, _read_header
-from .gates import CNOT, INIT1, POST1, SWAP, CircuitError
+from .formats import (
+    _ONE_WIRE,
+    _TWO_WIRES,
+    _build,
+    _check_outputs,
+    _line_of_gate,
+    _read_header,
+    _window_gates,
+)
+from .gates import GATES, CircuitError, Gate
 from .lexing import FormatError
 from .relation import AffineRelation
 from .symbolic import relation_of
 
-# The primitive gate kinds by their number of wires, for the direct path of
-# ``_steps``.
-_ONE_KIND = {"init1": INIT1, "post1": POST1}
-_TWO_KINDS = {"cnot": CNOT, "swap": SWAP}
 
-
-def parse_semantics(source, wires: Optional[dict[str, int]] = None) -> tuple[str, AffineRelation]:
+def parse_semantics(source) -> tuple[str, AffineRelation]:
     """(name, relation) of a circuit file: ``parse_circuit`` then
     ``Circuit.semantics``, errors and their order included, without a gate
     list.  A width error waits for the rest of the file, since a bad line
     or a missing ``end`` comes first; the header's ``n_out`` comes last.
-    Calls for the files of one command may share ``wires``.
     """
-    if wires is None:
-        wires = {}
     name, n_in, n_out, lineno, windows = _read_header(source)
-    window: list = []  # line, bodies and index of the first gate of the window run
-    gates = chain.from_iterable(_step_windows(windows, wires, window))
+    window: list = []  # the first line, bodies and first gate of the window run
+    runs = _runs(windows, window)
     try:
-        rel = relation_of(n_in, gates)
+        rel = relation_of(n_in, runs)
     except CircuitError as e:
-        line = _line_of_step(window, e.index)
-        for _ in gates:  # a bad line or a missing 'end' after it comes first
+        at, part, base = window
+        others: list[int] = []  # what parse_circuit notes of the window's lines
+        _window_gates(part, at, {"": ()}, {}, others)
+        line = _line_of_gate(at, others, e.index - base)
+        for _ in runs:  # a bad line or a missing 'end' after it comes first
             pass
         raise FormatError(str(e), line) from None
     _check_outputs(n_in, n_out, rel.n_out, lineno)
@@ -46,89 +47,65 @@ def parse_semantics(source, wires: Optional[dict[str, int]] = None) -> tuple[str
 
 
 class _Step:
-    """A primitive line's gate as ``relation_of`` reads it, without the
-    checks and the cost of a ``Gate``.  A window's gates are run before the
-    next window is read, so a reader refills the same ones window after
-    window, one for each line that is not blank."""
+    """A primitive line's gate as ``relation_of`` reads it, its kind and
+    wires, in an object that a reader fills again window after window.  Its
+    ``need``, ``delta`` and ``repr``, which only a gate that reaches past
+    the wires built so far asks for, are those of its ``Gate``."""
 
     __slots__ = ("kind", "a", "b")
 
+    def gate(self) -> Gate:
+        builder = GATES[self.kind][0]
+        return builder(self.a) if self.b is None else builder(self.a, self.b)
 
-def _steps(part: list[str], at: int, wires: dict[str, int], pool: list[_Step]) -> list:
-    """The gates of the lines ``part``, from line ``at`` on: a primitive
-    line whose wire numbers are all in ``wires``, two of them apart, gives
-    its line's ``_Step`` of ``pool``, any other line what ``_build`` builds."""
-    filled = len(part) - part.count("")  # the lines that are not blank
-    if len(pool) < filled:
-        pool += [_Step() for _ in range(filled - len(pool))]
-    steps: list = []
-    add = steps.append
-    for s, body in zip(pool, filter(None, part)):
-        tokens = body.split()
-        try:
-            if len(tokens) == 3:
-                kind, a, b = tokens
-                s.kind, s.a, s.b = _TWO_KINDS[kind], wires[a], wires[b]
-                if a != b:
-                    add(s)
-                    continue
-            else:
-                kind, a = tokens
-                s.kind, s.a, s.b = _ONE_KIND[kind], wires[a], None
-                add(s)
-                continue
-        except KeyError:  # not a primitive, or a number not yet in wires
-            if _learn(tokens, wires, s):
-                add(s)
-                continue
-        except ValueError:  # neither two nor three tokens
-            pass
-        built = _build(body, part, at, wires)
-        steps += built if type(built) is tuple else (built,)  # a macro's gates
-    return steps
+    @property
+    def need(self) -> int:
+        return self.gate().need
+
+    @property
+    def delta(self) -> int:
+        return self.gate().delta
+
+    def __repr__(self) -> str:
+        return repr(self.gate())
 
 
-def _learn(tokens: list[str], wires: dict[str, int], s: _Step) -> bool:
-    """Whether ``tokens`` are a primitive line whose wire numbers are
-    written as ``str`` writes them, two of them apart; if so, its numbers
-    go into ``wires`` and its gate into ``s``.  The first line of each wire
-    number comes here, at a fraction of the cost of building a ``Gate``
-    through ``_build``."""
-    kind = (_TWO_KINDS if len(tokens) == 3 else _ONE_KIND).get(tokens[0])
-    args = tokens[1:]
-    if kind is None or len(set(args)) < len(args):
-        return False
-    for t in args:
-        if not (t.isascii() and t.isdigit() and len(t) < 19 and t == str(int(t))):
-            return False
-        wires[t] = int(t)
-    s.kind, s.a, s.b = kind, wires[args[0]], wires[args[-1]] if len(args) == 2 else None
-    return True
-
-
-def _step_windows(windows, wires: dict[str, int], window: list):
+def _runs(windows, window: list):
     """The gates of each window of gate lines in turn; while they are run,
     ``window`` holds their first line, the bodies and the index of their
-    first gate."""
-    base = 0
+    first gate.  A primitive line whose wire numbers are all in ``wires``,
+    two of them apart, fills a ``_Step`` of ``pool``, one for each line
+    that is not blank; any other line gives what ``_build`` builds."""
+    wires: dict[str, int] = {}
     pool: list[_Step] = []
+    base = 0
     for at, part in windows:
-        steps = _steps(part, at, wires, pool)
+        filled = len(part) - part.count("")
+        if len(pool) < filled:
+            pool += [_Step() for _ in range(filled - len(pool))]
+        steps: list = []
+        add = steps.append
+        for s, body in zip(pool, filter(None, part)):
+            tokens = body.split()
+            try:
+                if len(tokens) == 3:
+                    kind, a, b = tokens
+                    if kind in _TWO_WIRES and a != b:
+                        s.kind, s.a, s.b = kind, wires[a], wires[b]
+                        add(s)
+                        continue
+                else:
+                    kind, a = tokens
+                    if kind in _ONE_WIRE:
+                        s.kind, s.a, s.b = kind, wires[a], None
+                        add(s)
+                        continue
+            except (KeyError, ValueError):  # a number not yet in wires, or neither 2 nor 3 tokens
+                pass
+            built = _build(body, part, at, wires)
+            steps += built if type(built) is tuple else (built,)  # a macro's gates
         window[:] = at, part, base
-        base += len(steps)
         yield steps
+        base += len(steps)
         del part, steps
         window.clear()
-
-
-def _line_of_step(window: list, index: int) -> int:
-    """The line of gate ``index``, one of the gates of ``window``."""
-    line, part, count = window
-    pool: list[_Step] = []
-    for line, body in enumerate(part, line):
-        count += len(_steps([body], line, {}, pool))
-        if index < count:
-            break
-    return line
-
-

@@ -1,86 +1,90 @@
 """Symbolic execution: the affine relation of a run of gates, found one
 gate at a time as the gates come.  ``Circuit.semantics`` runs its gates
 through ``relation_of``, and ``semantics_reader.parse_semantics`` those of
-a circuit file's lines as it reads them.
+each window of a circuit file as it reads them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
-from .gates import CNOT, INIT1, SWAP, out_of_range
+from .gates import CNOT, INIT1, SWAP, Gate, width_after
 from .relation import AffineRelation
-
-# Private helpers are described in comments, not docstrings: a docstring
-# stays in the memory of every process that loads the module, and every
-# command loads this one.
 
 _CHUNK = 64  # wires, so that a small register is built in one go
 
 
-def relation_of(n: int, gates: Iterable, n_out: Optional[int] = None) -> AffineRelation:
-    """The affine partial isomorphism that ``gates``, read as ``kind``,
-    ``a`` and ``b``, compute from ``n`` input wires.  Each wire carries an
+def relation_of(
+    n: int, runs: Iterable[Sequence[Gate]], n_out: Optional[int] = None
+) -> AffineRelation:
+    """The affine partial isomorphism that the gates of ``runs``, one run
+    after another, compute from ``n`` input wires.  Each wire carries an
     affine expression in the inputs and each ``post1`` adds a domain row.
-    A ``post1`` of the constant 0 makes the relation empty; the gates after
-    it are still run, and checked, unless ``n_out`` says that they are
-    legal and end at that width.  A gate out of range raises the
-    ``CircuitError`` that ``Circuit`` raises for it.
+
+    A gate out of range raises the ``CircuitError`` that ``Circuit`` raises
+    for it.  A ``post1`` of the constant 0 makes the relation empty; the
+    gates after it are still run, and so checked, unless ``n_out`` says that
+    they are legal and end at that width.
     """
-    # ``wires`` holds the expressions of the ``top`` lowest wires, built
-    # _CHUNK or more at a time as the gates reach them; the ``tail`` wires
-    # above them still carry the last inputs unchanged, so a wide register
-    # costs little before the gates reach its wires.  The test of a gate
-    # against ``top`` is also its width check.
+    # Without ``n_out``, ``wires`` holds the expressions of the lowest wires
+    # only, built _CHUNK or more at a time as the gates reach them; the
+    # ``tail`` wires above them still carry the last inputs unchanged, so a
+    # wide register costs little before the gates reach its wires.  A gate
+    # that reaches past ``wires`` raises IndexError, which costs nothing
+    # until it is raised, and is then run again.
     one = 1 << n  # constant-term bit of a wire expression
-    top = min(n, _CHUNK)
-    tail = n - top
-    wires = [1 << k for k in range(top)]
+    wires = [1 << k for k in range(n if n_out is not None else min(n, _CHUNK))]
+    tail = n - len(wires)
     domain: list[int] = []
     empty = False
-    for i, g in enumerate(gates):
-        kind, a, b = g.kind, g.a, g.b
-        if kind == CNOT:
-            if not a < top > b:
-                top, tail = _reach(wires, n, tail, i, kind, a, b)
-            wires[b] ^= wires[a]
-        elif kind == SWAP:
-            if not a < top > b:
-                top, tail = _reach(wires, n, tail, i, kind, a, b)
-            wires[a], wires[b] = wires[b], wires[a]
-        elif kind == INIT1:
-            if a > top:
-                top, tail = _reach(wires, n, tail, i, kind, a, b)
-            wires.insert(a, one)
-            top += 1
-        else:
-            if a >= top:
-                top, tail = _reach(wires, n, tail, i, kind, a, b)
-            e = wires.pop(a)
-            top -= 1
-            if not e:
-                if n_out is not None:
-                    return AffineRelation.empty(n, n_out)
-                empty = True
-            domain.append(e ^ one)  # the row of e(x) = 1
+    base = 0  # the index of the first gate of ``gates``
+    for gates in runs:
+        start = len(wires) + tail  # the width before ``gates``
+        todo = iter(gates)
+        while True:
+            try:
+                for g in todo:
+                    kind = g.kind
+                    if kind == CNOT:
+                        wires[g.b] ^= wires[g.a]
+                    elif kind == INIT1:
+                        if g.a > len(wires):
+                            raise IndexError
+                        wires.insert(g.a, one)
+                    elif kind == SWAP:
+                        a, b = g.a, g.b
+                        wires[a], wires[b] = wires[b], wires[a]
+                    else:
+                        e = wires.pop(g.a)
+                        if not e:
+                            if n_out is not None:
+                                return AffineRelation.empty(n, n_out)
+                            empty = True
+                        domain.append(e ^ one)  # the row of e(x) = 1
+                break
+            except IndexError:  # g reaches past ``wires``
+                if g.need > len(wires) + tail:
+                    width_after(gates, start, base)  # raises the error of the first gate out of range
+                tail = _reach(wires, n, tail, g.need)
+                todo = chain((g,), todo)
+        base += len(gates)
     if empty:
-        return AffineRelation.empty(n, top + tail)
-    wires += [1 << k for k in range(n - tail, n)]
+        return AffineRelation.empty(n, len(wires) + tail)
+    if tail:
+        wires += [1 << k for k in range(n - tail, n)]
     rel = AffineRelation.from_map(n, wires, domain)
     if not rel.is_partial_iso():
         raise RuntimeError("circuit semantics must be a partial isomorphism")
     return rel
 
 
-def _reach(wires: list[int], n: int, tail: int, index: int, kind: str, a: int, b) -> tuple[int, int]:
-    # (top, tail) once ``wires`` reaches the wires that gate ``index``
-    # needs, and ``_CHUNK`` more while there are; ``CircuitError`` if the
-    # register is too narrow.
-    need = a if kind == INIT1 else (a if b is None or a > b else b) + 1
+def _reach(wires: list[int], n: int, tail: int, need: int) -> int:
+    """The ``tail`` of the register once ``wires``, above which ``tail``
+    wires carry the last of ``n`` inputs, holds the ``need`` lowest wires,
+    and ``_CHUNK`` more while there are."""
     width = len(wires) + tail
-    if need > width:
-        raise out_of_range(index, kind, a, b, width)
-    first = n - tail  # the input on the lowest wire not in wires
+    first = n - tail  # the input on the lowest wire not in ``wires``
     stop = min(width, max(need, len(wires) + _CHUNK))
     wires += [1 << k for k in range(first, first + stop - len(wires))]
-    return stop, width - stop
+    return width - stop

@@ -838,17 +838,18 @@ class TestWindowedReaderMatchesOld:
 # Lines that make a circuit file wrong at a width, or at every width, or
 # its relation empty: ``init0 0`` puts a wire holding 0 at the bottom, and
 # ``post1 0`` selects it on 1.
-_DETOURS = ["cnot 0 99", "post1 99", "init1 99", "swap 98 0", "cnot 2 2", "swap 1 1",
+_DETOURS = ["cnot 0 199", "post1 199", "init1 199", "swap 198 0", "cnot 2 2", "swap 1 1",
             "init0 0\npost1 0", "not 1\ninit0 0\n# c\npost1 0\ncnot 0 1"]
 
 
 @st.composite
 def streamed_files(draw):
-    """The text of a ``circuit_files`` file past 20 wires, among whose gate
-    lines up to three lines or groups of lines are put: a gate out of
-    range, post-selections that empty the relation, or a malformed line,
-    so each of them is met before and after the others."""
-    text, bodies = draw(circuit_files(wires=(ENUMERATION_LIMIT + 1, 40)))
+    """The text of a ``circuit_files`` file past 20 wires, and past the 64
+    that a reader builds first, among whose gate lines up to three lines or
+    groups of lines are put: a gate out of range, post-selections that
+    empty the relation, or a malformed line, so each of them is met before
+    and after the others."""
+    text, bodies = draw(circuit_files(wires=(ENUMERATION_LIMIT + 1, 150)))
     lines = text.splitlines()
     header = next(i for i, line in enumerate(lines) if line.split("#")[0].strip())
     extras = st.one_of(st.sampled_from(_DETOURS), st.sampled_from(_BAD_LINES))
@@ -894,6 +895,9 @@ class TestStreamedSemanticsMatchesParse:
     @example("circuit x : 21 -> 20\ninit0 0\npost1 0\nend\n")
     @example("circuit x : 21 -> 22\nnot 20\n\n# c\ninit1 21\ncnot 21 0\nend\n")
     @example("circuit x : 21 -> 21\nnot 20\n\n# c\ninit0 23\nend\n")
+    @example("circuit x : 21 -> 22\ninit1 22\nend\n")
+    @example("circuit x : 130 -> 131\ninit1 65\nend\n")
+    @example("circuit x : 130 -> 130\ncnot 0 1\ncnot 129 64\ncnot 0 199\nend\n")
     def test_one_file(self, text):
         expected = semantics_outcome(parsed_semantics, text)
         for window in self.WINDOWS:
@@ -901,17 +905,6 @@ class TestStreamedSemanticsMatchesParse:
                 patch.setattr(lexing, "_WINDOW", window)
                 assert semantics_outcome(parse_semantics, text) == expected
                 assert semantics_outcome(parse_semantics, io.StringIO(text)) == expected
-
-    @settings(max_examples=100, deadline=None)
-    @given(streamed_files(), streamed_files(), st.sampled_from(WINDOWS))
-    def test_two_files_through_one_table_of_wires(self, a, b, window):
-        expected = [semantics_outcome(parsed_semantics, t) for t in (a, b, a)]
-        wires = {}
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lexing, "_WINDOW", window)
-            got = [semantics_outcome(lambda t: parse_semantics(t, wires), t) for t in (a, b, a)]
-        assert got == expected
-        assert all(str(k) == t and k >= 0 for t, k in wires.items())
 
     def test_width_error_waits_for_the_rest_of_the_file(self):
         # the width error is the file's only fault: it is raised at its own
