@@ -27,9 +27,9 @@ def _read(path: str) -> str:
 _CHUNK = 1 << 14
 
 
-def _parse(path: str, parse, *args):
-    """``parse(fh, *args)``, where ``fh`` is the file at ``path`` open for
-    reading as UTF-8, which the reader takes a window at a time.
+def _parse(path: str, parse):
+    """``parse(fh)``, where ``fh`` is the file at ``path`` open for reading
+    as UTF-8, which the reader takes a window at a time.
 
     The rest of the file is read once ``parse`` returns or fails, so a byte
     that is not UTF-8 anywhere in the file is the error, as when the file
@@ -43,7 +43,7 @@ def _parse(path: str, parse, *args):
     with fh:
         try:
             try:
-                return parse(fh, *args)
+                return parse(fh)
             finally:
                 while fh.read(_CHUNK):
                     pass

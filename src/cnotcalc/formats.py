@@ -16,7 +16,6 @@ place to import every format from.
 from __future__ import annotations
 
 from itertools import filterfalse
-from typing import Optional
 
 from .circuit import Circuit
 from .gates import GATES, CircuitError, Gate, cnot, init1, post1, swap
@@ -53,24 +52,18 @@ _ONE_WIRE = {"init1": init1, "post1": post1}
 _TWO_WIRES = {"cnot": cnot, "swap": swap}
 
 
-def parse_circuit(
-    source, memo: Optional[dict[str, Gate | tuple[Gate, ...]]] = None
-) -> tuple[str, Circuit]:
+def parse_circuit(source) -> tuple[str, Circuit]:
     """(name, circuit) of a circuit file, its text or the file open for
     reading, which ``lexing._windows`` cuts into windows.
 
-    ``memo`` maps gate-line bodies to what they build: the ``Gate`` of a
-    primitive line, the tuple of gates of a macro line, and the empty tuple
-    for the empty body of blank and comment-only lines.  Calls that parse
-    several files may pass the same dict, so a line met in an earlier file
-    is not parsed again.  It holds only lines that parsed.
-    Besides the memo, the call holds one window and the list of the gates
-    read so far, with the line and number of gates of each line that builds
-    other than one gate.
+    The call holds one window, the list of the gates read so far, with the
+    line and number of gates of each line that builds other than one gate,
+    and a memo that maps each gate-line body met so far to what it builds:
+    the ``Gate`` of a primitive line, the tuple of gates of a macro line,
+    and the empty tuple for the empty body of blank and comment-only lines.
+    Repeated lines share one ``Gate``.
     """
-    if memo is None:
-        memo = {}
-    memo[""] = ()
+    memo: dict = {"": ()}
     name, n_in, n_out, lineno, windows = _read_header(source)
     wires: dict[str, int] = {}
     gates: list[Gate] = []

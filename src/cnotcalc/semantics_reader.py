@@ -1,9 +1,11 @@
 """The reader of a circuit file's relation: ``parse_semantics`` turns each
 window's gate lines into gates and runs them through
 ``symbolic.relation_of`` before it reads the next window, so it holds no
-gate list and no memo of lines.  It reads the header and the lines as
-``formats.parse_circuit`` does, and only ``equal`` and ``semantics`` load
-it.
+gate list and no memo of lines.  A primitive line whose wire numbers it
+has met before gives a ``_Step``, which holds the kind and wires that
+``relation_of`` reads and nothing else.  It reads the header and the lines
+as ``formats.parse_circuit`` does, and only ``equal`` and ``semantics``
+load it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .formats import (
     _read_header,
     _window_gates,
 )
-from .gates import GATES, CircuitError, Gate
+from .gates import CircuitError
 from .lexing import FormatError
 from .relation import AffineRelation
 from .symbolic import relation_of
@@ -48,26 +50,9 @@ def parse_semantics(source) -> tuple[str, AffineRelation]:
 
 class _Step:
     """A primitive line's gate as ``relation_of`` reads it, its kind and
-    wires, in an object that a reader fills again window after window.  Its
-    ``need``, ``delta`` and ``repr``, which only a gate that reaches past
-    the wires built so far asks for, are those of its ``Gate``."""
+    wires, in an object that a reader fills again window after window."""
 
     __slots__ = ("kind", "a", "b")
-
-    def gate(self) -> Gate:
-        builder = GATES[self.kind][0]
-        return builder(self.a) if self.b is None else builder(self.a, self.b)
-
-    @property
-    def need(self) -> int:
-        return self.gate().need
-
-    @property
-    def delta(self) -> int:
-        return self.gate().delta
-
-    def __repr__(self) -> str:
-        return repr(self.gate())
 
 
 def _runs(windows, window: list):

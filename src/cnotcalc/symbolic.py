@@ -1,7 +1,7 @@
-"""Symbolic execution: the affine relation of a run of gates, found one
-gate at a time as the gates come.  ``Circuit.semantics`` runs its gates
-through ``relation_of``, and ``semantics_reader.parse_semantics`` those of
-each window of a circuit file as it reads them.
+"""Symbolic execution: the affine relation of a run of gates, each read
+by its kind and wires alone, found one gate at a time as the gates come.
+``Circuit.semantics`` runs its gates through ``relation_of``, and
+``semantics_reader.parse_semantics`` each window's as it reads a file.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ def relation_of(
     # only, built _CHUNK or more at a time as the gates reach them; the
     # ``tail`` wires above them still carry the last inputs unchanged, so a
     # wide register costs little before the gates reach its wires.  A gate
-    # that reaches past ``wires`` raises IndexError, which costs nothing
-    # until it is raised, and is then run again.
+    # that reaches past ``wires`` raises IndexError, free until raised; it is
+    # out of range if they hold every wire, else run again once they hold its.
     one = 1 << n  # constant-term bit of a wire expression
     wires = [1 << k for k in range(n if n_out is not None else min(n, _CHUNK))]
     tail = n - len(wires)
@@ -40,7 +40,6 @@ def relation_of(
     empty = False
     base = 0  # the index of the first gate of ``gates``
     for gates in runs:
-        start = len(wires) + tail  # the width before ``gates``
         todo = iter(gates)
         while True:
             try:
@@ -64,9 +63,10 @@ def relation_of(
                         domain.append(e ^ one)  # the row of e(x) = 1
                 break
             except IndexError:  # g reaches past ``wires``
-                if g.need > len(wires) + tail:
-                    width_after(gates, start, base)  # raises the error of the first gate out of range
-                tail = _reach(wires, n, tail, g.need)
+                if not tail:  # every wire is built: g is the first out of range, raised here
+                    gate = Gate(g.kind, (g.a,) if g.b is None else (g.a, g.b))
+                    width_after((gate,), len(wires), base + len(gates) - 1 - sum(1 for _ in todo))
+                tail = _reach(wires, n, tail, max(g.a, g.b or 0) + 1)
                 todo = chain((g,), todo)
         base += len(gates)
     if empty:

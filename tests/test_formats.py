@@ -405,14 +405,6 @@ class TestStrictIntegers:
     def test_minus_sign_still_read(self):
         assert parse_derivation("CNT2 -1 lr\n") == [("CNT2", -1, "lr")]
 
-    def test_shared_memo_keeps_checking(self):
-        # a line that failed is not memoized, so a second file fails on it too
-        memo = {}
-        for text in ["circuit a : 2 -> 2\ncnot 1 0\ncnot +1 0\nend\n",
-                     "circuit b : 2 -> 2\ncnot +1 0\nend\n"]:
-            with pytest.raises(FormatError, match="got '\\+1'"):
-                parse_circuit(text, memo)
-
 
 class TestCircuitHeaderArity:
     @pytest.mark.parametrize(
@@ -495,10 +487,10 @@ def old_parse_circuit(text):
     return name, c
 
 
-def outcome(parse, text, *memo):
+def outcome(parse, text):
     """What a parse gives: the circuit, or the exception's type and text."""
     try:
-        name, c = parse(text, *memo)
+        name, c = parse(text)
     except Exception as e:
         return type(e), str(e)
     return name, c.n_in, c.gates, c.n_out
@@ -521,20 +513,19 @@ PERCENT = st.sampled_from(range(100))  # uniform; st.integers favours 0
 
 
 @st.composite
-def circuit_files(draw, pool=(), wires=(0, 4)):
+def circuit_files(draw, wires=(0, 4)):
     """(text, body lines) of a circuit file on ``wires[0]`` to ``wires[1]``
     input wires: mostly gates legal at the running width, in varied
-    spacing, with comments, blank lines, macros, repeats (of this file's
-    lines and of ``pool``), sometimes a gate out of range, a malformed
-    line, a bad header, a wrong n_out, a missing 'end' or text after it;
-    mixed line endings."""
+    spacing, with comments, blank lines, macros, repeats of the file's own
+    lines, sometimes a gate out of range, a malformed line, a bad header, a
+    wrong n_out, a missing 'end' or text after it; mixed line endings."""
     n_in = draw(st.integers(*wires))
     width = n_in
     bodies = []
     for _ in range(draw(st.integers(0, 24))):
         roll = draw(PERCENT)
-        if roll < 12 and (bodies or pool):
-            line = draw(st.sampled_from(bodies + list(pool)))
+        if roll < 12 and bodies:
+            line = draw(st.sampled_from(bodies))
         elif roll < 22:
             line = draw(st.sampled_from(["", "   ", "# note", "\t# x = 1", "#"]))
         elif roll < 25:
@@ -645,27 +636,13 @@ class TestBulkParserMatchesOld:
     def test_one_file(self, file):
         text, _ = file
         assert outcome(parse_circuit, text) == outcome(old_parse_circuit, text)
-        assert outcome(parse_circuit, text, {}) == outcome(old_parse_circuit, text)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_second_file_with_shared_memo(self, data):
-        a, a_lines = data.draw(circuit_files())
-        b, _ = data.draw(circuit_files(pool=a_lines))
-        memo = {}
-        assert outcome(parse_circuit, a, memo) == outcome(old_parse_circuit, a)
-        assert outcome(parse_circuit, b, memo) == outcome(old_parse_circuit, b)
-        assert outcome(parse_circuit, a, memo) == outcome(old_parse_circuit, a)
 
     def test_error_in_second_file_after_shared_lines(self):
-        a = "circuit a : 2 -> 2\ncnot 0 1\nswap 0 1\nend\n"
         b = "circuit b : 2 -> 2\n\nswap 0 1\ncnot 0 1\ncnot 1 z\nend\n"
-        memo = {}
-        parse_circuit(a, memo)
         with pytest.raises(FormatError) as info:
-            parse_circuit(b, memo)
+            parse_circuit(b)
         assert str(info.value) == "line 5, column 8: expected an integer, got 'z'"
-        assert outcome(parse_circuit, b, memo) == outcome(old_parse_circuit, b)
+        assert outcome(parse_circuit, b) == outcome(old_parse_circuit, b)
 
     @pytest.mark.parametrize(
         "brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -709,17 +686,17 @@ class TestBulkParserMatchesOld:
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_respelled_second_file_with_shared_memo(self, data):
-        # b holds a's gates, each line spelled anew: few of its bodies are in
-        # the memo, and its wire numbers go through a fresh table
+    def test_respelled_lines_after_canonical_ones(self, data):
+        # a's gates, then the same gates with each line spelled anew: few
+        # of the respelled bodies are in the memo, and their wire numbers
+        # meet the table that the canonical lines filled
         a, a_lines = data.draw(wide_files(canonical=True))
         header, *rest = a.splitlines()
-        b_lines = [respell(data.draw, line) for line in a_lines]
-        b = "\n".join([header, *b_lines, *rest[len(a_lines):]]) + "\n"
-        memo = {}
-        assert outcome(parse_circuit, a, memo) == outcome(old_parse_circuit, a)
-        assert outcome(parse_circuit, b, memo) == outcome(old_parse_circuit, b)
-        assert outcome(parse_circuit, a, memo) == outcome(old_parse_circuit, a)
+        n_in, n_out = int(header.split()[3]), int(header.split()[5])
+        header = f"circuit w : {n_in} -> {2 * n_out - n_in}"
+        respelled = [respell(data.draw, line) for line in a_lines]
+        text = "\n".join([header, *a_lines, *respelled, *rest[len(a_lines):]]) + "\n"
+        assert outcome(parse_circuit, text) == outcome(old_parse_circuit, text)
 
 
 
@@ -729,11 +706,11 @@ _LINE_ENDS = ["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\u2028"]
 
 
 @st.composite
-def rejoined_files(draw, pool=()):
+def rejoined_files(draw):
     """(text, body lines) of ``circuit_files``, its lines joined again with
     any of ``_LINE_ENDS``, and at times a gate out of range followed by a
     line that no width admits."""
-    text, bodies = draw(circuit_files(pool))
+    text, bodies = draw(circuit_files())
     lines = text.splitlines()
     if draw(PERCENT) < 25:
         at = draw(st.integers(0, len(lines)))
@@ -771,20 +748,6 @@ class TestWindowedReaderMatchesOld:
                 patch.setattr(lexing, "_WINDOW", window)
                 assert outcome(parse_circuit, text) == expected
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_two_files_through_one_memo(self, data):
-        a, a_lines = data.draw(rejoined_files())
-        b, _ = data.draw(rejoined_files(pool=a_lines))
-        old_memo = {}
-        expected = [outcome(oracles.old_parse_circuit, t, old_memo) for t in (a, b, a)]
-        for window in self.WINDOWS:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(lexing, "_WINDOW", window)
-                memo = {}
-                assert [outcome(parse_circuit, t, memo) for t in (a, b, a)] == expected
-                assert memo == old_memo
-
     # Sizes, in bytes and in characters, of the reads of an opened file.
     CHUNKS = [1, 2, 7, 64, 1 << 14]
 
@@ -815,24 +778,6 @@ class TestWindowedReaderMatchesOld:
                         patch.setattr(lexing, "_WINDOW", window)
                         fh = self.opened(text, size, newline)
                         assert outcome(parse_circuit, fh) == expected
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_two_files_in_chunks_through_one_memo(self, data):
-        a, a_lines = data.draw(rejoined_files())
-        b, _ = data.draw(rejoined_files(pool=a_lines))
-        size = data.draw(st.sampled_from(self.CHUNKS))
-        window = data.draw(st.sampled_from(self.WINDOWS))
-        newline = data.draw(st.sampled_from(["", None]))
-        old_memo = {}
-        files = [self.opened(t, newline=newline).read() for t in (a, b, a)]
-        expected = [outcome(oracles.old_parse_circuit, t, old_memo) for t in files]
-        memo = {}
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lexing, "_WINDOW", window)
-            got = [outcome(parse_circuit, self.opened(t, size, newline), memo) for t in (a, b, a)]
-        assert got == expected
-        assert memo == old_memo
 
 
 # Lines that make a circuit file wrong at a width, or at every width, or
@@ -898,6 +843,17 @@ class TestStreamedSemanticsMatchesParse:
     @example("circuit x : 21 -> 22\ninit1 22\nend\n")
     @example("circuit x : 130 -> 131\ninit1 65\nend\n")
     @example("circuit x : 130 -> 130\ncnot 0 1\ncnot 129 64\ncnot 0 199\nend\n")
+    # ``cnot 0 250`` is read at width 500, then again on the direct path at
+    # width 300, with 64 wires built, and runs; at width 240 it is out of
+    # range
+    @example("\n".join(["circuit x : 300 -> 240", *["init1 0"] * 200, "cnot 0 250",
+                        *["post1 0"] * 200, "cnot 0 250", *["post1 0"] * 60, "cnot 0 250",
+                        "end", ""]))
+    # a macro line in the window before the failing line, which a step reads
+    @example("circuit x : 21 -> 20\ncnot 0 20\nnot 3\ncnot 0 20\npost1 0\ncnot 0 20\nend\n")
+    # ``init1`` one past the width, just after a ``post1`` shrank the built wires
+    @example("circuit x : 130 -> 130\npost1 0\ninit1 130\nend\n")
+    @example("circuit x : 130 -> 130\ninit1 130\npost1 0\npost1 0\ninit1 130\nend\n")
     def test_one_file(self, text):
         expected = semantics_outcome(parsed_semantics, text)
         for window in self.WINDOWS:

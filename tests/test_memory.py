@@ -98,18 +98,6 @@ def test_a_gate_is_one_small_object():
     assert len(set(held)) == len(pairs)
 
 
-def test_equal_holds_one_circuit_at_a_time(tmp_path, sink):
-    rng = random.Random(11)
-    paths = []
-    for name in "ab":
-        paths.append(tmp_path / name)
-        paths[-1].write_text(format_circuit(Circuit(64, random_gates(rng, 64, 100_000))))
-    size = max(p.stat().st_size for p in paths)
-    argv = ["equal", *map(str, paths)]
-    assert cli.run(argv) == 1
-    assert peak_of(lambda: cli.run(argv)) < 3.5 * size
-
-
 @pytest.mark.parametrize("command", ["equal", "semantics"])
 def test_equal_and_semantics_hold_no_gate_list(tmp_path, sink, command):
     # Each window's lines are run as they are read: ten times the gates
