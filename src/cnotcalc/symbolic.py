@@ -31,8 +31,8 @@ def relation_of(
     # only, built _CHUNK or more at a time as the gates reach them; the
     # ``tail`` wires above them still carry the last inputs unchanged, so a
     # wide register costs little before the gates reach its wires.  A gate
-    # that reaches past ``wires`` raises IndexError, free until raised; it is
-    # out of range if they hold every wire, else run again once they hold its.
+    # that reaches past ``wires`` raises IndexError, free until raised, and
+    # is run again once they hold its wires, unless it is out of range.
     one = 1 << n  # constant-term bit of a wire expression
     wires = [1 << k for k in range(n if n_out is not None else min(n, _CHUNK))]
     tail = n - len(wires)
@@ -63,10 +63,11 @@ def relation_of(
                         domain.append(e ^ one)  # the row of e(x) = 1
                 break
             except IndexError:  # g reaches past ``wires``
-                if not tail:  # every wire is built: g is the first out of range, raised here
+                need = max(g.a, g.b or 0) + (g.kind != INIT1)  # the least width g is legal at
+                if need > len(wires) + tail:  # g is the first out of range: raise, building nothing
                     gate = Gate(g.kind, (g.a,) if g.b is None else (g.a, g.b))
-                    width_after((gate,), len(wires), base + len(gates) - 1 - sum(1 for _ in todo))
-                tail = _reach(wires, n, tail, max(g.a, g.b or 0) + 1)
+                    width_after((gate,), len(wires) + tail, base + len(gates) - 1 - len([*todo]))
+                tail = _reach(wires, n, tail, need)
                 todo = chain((g,), todo)
         base += len(gates)
     if empty:
@@ -80,9 +81,8 @@ def relation_of(
 
 
 def _reach(wires: list[int], n: int, tail: int, need: int) -> int:
-    """The ``tail`` of the register once ``wires``, above which ``tail``
-    wires carry the last of ``n`` inputs, holds the ``need`` lowest wires,
-    and ``_CHUNK`` more while there are."""
+    """Extend ``wires``, below ``tail`` unbuilt wires of ``n`` inputs, to the
+    ``need`` lowest wires and ``_CHUNK`` more while there are; the new tail."""
     width = len(wires) + tail
     first = n - tail  # the input on the lowest wire not in ``wires``
     stop = min(width, max(need, len(wires) + _CHUNK))

@@ -687,15 +687,17 @@ class TestBulkParserMatchesOld:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_respelled_lines_after_canonical_ones(self, data):
-        # a's gates, then the same gates with each line spelled anew: few
-        # of the respelled bodies are in the memo, and their wire numbers
-        # meet the table that the canonical lines filled
+        # a's gates, lines that bring the width back to a's input width,
+        # then a's gates again with each line spelled anew: few of the
+        # respelled bodies are in the memo, and their wire numbers meet the
+        # table that the canonical lines filled
         a, a_lines = data.draw(wide_files(canonical=True))
         header, *rest = a.splitlines()
-        n_in, n_out = int(header.split()[3]), int(header.split()[5])
-        header = f"circuit w : {n_in} -> {2 * n_out - n_in}"
+        n_in = int(header.split()[3])
+        width = n_in + sum(_WIDTH_CHANGE[line.split()[0]] for line in a_lines)
+        back = [f"init1 {width}"] * (n_in - width) + [f"post1 {n_in}"] * (width - n_in)
         respelled = [respell(data.draw, line) for line in a_lines]
-        text = "\n".join([header, *a_lines, *respelled, *rest[len(a_lines):]]) + "\n"
+        text = "\n".join([header, *a_lines, *back, *respelled, *rest[len(a_lines):]]) + "\n"
         assert outcome(parse_circuit, text) == outcome(old_parse_circuit, text)
 
 

@@ -128,6 +128,21 @@ def test_a_wide_header_costs_nothing_before_a_bad_line(tmp_path, capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "line, error",
+    [("cnot 0 20000", "gate 0 cnot(0, 20000): wire"), ("init1 20001", "gate 0 init1(20001): insertion index")],
+)
+def test_a_wide_header_costs_nothing_before_a_gate_out_of_range(tmp_path, capsys, line, error):
+    # The register's width is checked before a gate's wires are built.
+    path = tmp_path / "wide"
+    path.write_text(f"circuit wide : 20000 -> 20000\n{line}\nend\n")
+    for argv in (["semantics", str(path)], ["equal", str(path), str(path)]):
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err == f"error: line 2, column 1: {error} out of range at width 20000\n"
+        assert peak_of(lambda: cli.run(argv)) < 1 << 20
+        capsys.readouterr()
+
+
 def test_replay_holds_one_block(tmp_path, monkeypatch, sink):
     rng = random.Random(7)
     circuits = [Circuit(16, random_gates(rng, 16, 4000)) for _ in range(20)]
