@@ -119,15 +119,16 @@ class Circuit(Record):
 
     def semantics(self) -> AffineRelation:
         """The affine partial isomorphism computed by the circuit:
-        ``symbolic.relation_of`` of its gates, the symbolic execution that
-        ``semantics_reader.parse_semantics`` runs on a file's gates too.
+        ``symbolic.relation_of`` of its gates, run by ``symbolic.run``, the
+        loop that ``semantics_reader.parse_semantics`` runs on the lines of
+        a file that it does not run itself.
 
-        A ``post1`` on a wire that holds the constant 0 adds the row
-        ``0 = 1``, which makes the relation empty whatever follows: the
-        gates are legal and end at width ``n_out``, so the loop stops there
-        and returns ``AffineRelation.empty``.
+        A ``post1`` on a wire that holds the constant 0 makes the relation
+        empty whatever follows: the gates are legal and end at width
+        ``n_out``, so the loop stops there and the relation is
+        ``AffineRelation.empty``.
         """
-        return relation_of(self.n_in, (self.gates,), self.n_out)
+        return relation_of(self.n_in, self.gates, self.n_out)
 
 
 def circuit(n_in: int, *items) -> Circuit:

@@ -10,8 +10,8 @@ errors stay one plain ``error:`` line on stderr.  A command holds at once
 one window of input, one printed block and the circuits it works on, save
 ``equal`` and ``semantics``, which hold none: ``commandio`` hands files
 open to readers that take them a window at a time,
-``semantics_reader.parse_semantics`` runs each window's gates as it reads
-them, ``replay`` writes each step as it formats it, once every step has
+``semantics_reader.parse_semantics`` runs each gate line as it splits it,
+``replay`` writes each step as it formats it, once every step has
 been checked, and the ``--json`` report is built only under ``--json``.
 
 ``COMMANDS``, the one table of the command line, and ``_read_argv``, which
@@ -24,11 +24,11 @@ it loads, and what the parser allocates for the largest one stays in the
 process's resident memory.  Every command loads ``commandline``,
 ``commandio``, ``formats`` (with ``lexing`` and ``relation_formats``),
 ``circuit`` (with ``gates`` and ``symbolic``), ``relation``, ``gf2`` and
-``record``; ``equal`` and ``semantics`` load ``semantics_reader`` too.  The
-layers above ``circuit`` (``normalize``, ``synth``, ``rewrite`` with its
-``identities``, ``fuzzing``, ``lawsuites``) are imported by the handlers
-that run them, so ``equal``, ``semantics``, ``eval`` and ``construct``
-never load them.
+``record``; ``equal`` and ``semantics`` load ``semantics_reader`` too, and
+so does ``fuzzing``, which checks it.  The layers above ``circuit``
+(``normalize``, ``synth``, ``rewrite`` with its ``identities``,
+``fuzzing``, ``lawsuites``) are imported by the handlers that run them, so
+``equal``, ``semantics``, ``eval`` and ``construct`` never load them.
 
 ``main`` is the process entry point of ``cnotcalc`` and ``python -m
 cnotcalc.cli``; once the command is done it freezes the heap, so interpreter

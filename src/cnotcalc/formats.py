@@ -5,12 +5,12 @@ A circuit file is a header ``circuit <name> : <n_in> -> <n_out>``, one
 gate per line and ``end``.  Circuits print with primitive gates only; the
 parser additionally accepts the ``init0``/``post0``/``not`` macros and
 expands them.  ``parse_circuit`` builds a file's ``Circuit``;
-``semantics_reader.parse_semantics`` finds its relation as it reads it,
-with the header and gate-line reading here.  A derivation file has one
-step per line, ``<rule> <offset> <lr|rl>``.  The text layer under them is
-``lexing``, and the readers and writers of relations, systems and affine
-maps are ``relation_formats``; ``formats`` binds their names too, as one
-place to import every format from.
+``semantics_reader.parse_semantics`` runs each gate line as it splits it,
+with the header reading and the building of other lines here.  A
+derivation file has one step per line, ``<rule> <offset> <lr|rl>``.  The
+text layer under them is ``lexing``, and the readers and writers of
+relations, systems and affine maps are ``relation_formats``; ``formats``
+binds their names too, as one place to import every format from.
 """
 
 from __future__ import annotations

@@ -17,8 +17,10 @@ from functools import lru_cache
 from typing import Optional
 
 from .circuit import Circuit
+from .formats import format_circuit
 from .gates import GATES, Gate
 from .relation import AffineRelation, all_bitvecs
+from .semantics_reader import parse_semantics
 from .synth import synth
 
 
@@ -113,19 +115,28 @@ def synth_roundtrip_trial(c: Circuit, rel: AffineRelation) -> Optional[str]:
     return None
 
 
+def file_trial(c: Circuit, rel: AffineRelation) -> Optional[str]:
+    """The reader that ``equal`` and ``semantics`` run on a file must give
+    the semantics ``rel`` of ``c`` from ``c``'s file."""
+    if parse_semantics(format_circuit(c))[1] != rel:
+        return "parse_semantics(format_circuit(c)) differs from semantics(c)"
+    return None
+
+
 def fuzz(
     wires: int = 5,
     depth: int = 30,
     seed: int = 0,
     trials: int = 1000,
 ) -> tuple[int, Optional[tuple[int, Circuit, str]]]:
-    """Run oracle and round-trip checks; returns (trials run, first failure)."""
+    """Run the oracle, round-trip and file checks; returns (trials run,
+    first failure)."""
     for i in range(trials):
         rng = trial_rng(seed, i)
         n_in = rng.randrange(wires + 1)
         c = random_circuit(rng, n_in, depth)
         rel = c.semantics()
-        for check in (oracle_trial, synth_roundtrip_trial):
+        for check in (oracle_trial, synth_roundtrip_trial, file_trial):
             message = check(c, rel)
             if message is not None:
                 return i + 1, (i, c, message)

@@ -823,8 +823,8 @@ def parsed_semantics(source):
 
 
 class TestStreamedSemanticsMatchesParse:
-    """``parse_semantics`` runs each window's lines as it reads them and
-    holds no gate list; at any window size, from a text or an open file, it
+    """``parse_semantics`` runs each gate line as it splits it and holds no
+    gate list; at any window size, from a text or an open file, it
     gives what ``parse_circuit`` and ``Circuit.semantics`` give, and raises
     the errors they raise, in the same order: a malformed line or a missing
     'end' anywhere before a gate out of range, and a wrong n_out last."""
@@ -856,6 +856,18 @@ class TestStreamedSemanticsMatchesParse:
     # ``init1`` one past the width, just after a ``post1`` shrank the built wires
     @example("circuit x : 130 -> 130\npost1 0\ninit1 130\nend\n")
     @example("circuit x : 130 -> 130\ninit1 130\npost1 0\npost1 0\ninit1 130\nend\n")
+    # macro lines whose gates reach past the 64 built wires, the last one
+    # inserting at the top of the register
+    @example("circuit x : 130 -> 130\nnot 100\npost0 129\ninit0 129\nend\n")
+    # a blank line, a comment and a macro before the failing line of the
+    # same window: the gate index counts the macro's gates and no blank line
+    @example("circuit x : 130 -> 130\ncnot 0 1\n\n# c\nnot 5\n\ncnot 0 199\nend\n")
+    # a width error in a later window than the macros before it
+    @example("\n".join(["circuit x : 130 -> 130", "not 3", "init0 7", "post0 7",
+                        *["cnot 0 1"] * 12, "cnot 129 130", "end", ""]))
+    # ``post1 62`` on the first unbuilt wire, once two ``post1``s have left
+    # 62 of the 64 built wires
+    @example("circuit x : 130 -> 127\ncnot 62 0\npost1 0\npost1 0\npost1 62\nend\n")
     def test_one_file(self, text):
         expected = semantics_outcome(parsed_semantics, text)
         for window in self.WINDOWS:

@@ -256,3 +256,28 @@ def test_gate_kinds_come_from_one_table():
             for allow_post in (True, False):
                 drawn.update(fuzzing._menu(width, max_width, allow_post)[0])
     assert drawn == set(GATES)
+
+
+def test_a_reader_that_differs_from_the_semantics_is_reported(monkeypatch):
+    # the file check runs the reader of ``equal`` and ``semantics`` on each
+    # trial's file: one that loses every non-empty relation on 3 inputs is
+    # caught at the first such trial, after the other two checks pass
+    parse = fuzzing.parse_semantics
+
+    def planted(text):
+        name, rel = parse(text)
+        if rel.n_in == 3 and not rel.is_empty():
+            rel = AffineRelation.empty(rel.n_in, rel.n_out)
+        return name, rel
+
+    def drawn(i):
+        rng = trial_rng(0, i)
+        return random_circuit(rng, rng.randrange(6), 30)
+
+    monkeypatch.setattr(fuzzing, "parse_semantics", planted)
+    first = next(
+        i for i in range(300) if (c := drawn(i)).n_in == 3 and not c.semantics().is_empty()
+    )
+    ran, (index, c, message) = fuzz(wires=5, depth=30, seed=0, trials=300)
+    assert first > 0 and (ran, index, c) == (first + 1, first, drawn(first))
+    assert message == "parse_semantics(format_circuit(c)) differs from semantics(c)"

@@ -42,9 +42,9 @@ def test_cli_import_adds_neither_dataclasses_nor_json():
     assert [m for m in ("dataclasses", "inspect", "json") if m in out] == []
 
 
-# the layers above the circuit that only some commands run, and the rule
-# tables that only ``rewrite`` loads
-LAYERS = {"rewrite", "identities", "normalize", "synth", "fuzzing", "lawsuites"}
+# the layers above the circuit that only some commands run, the rule tables
+# that only ``rewrite`` loads, and the reader of a file's relation
+LAYERS = {"rewrite", "identities", "normalize", "synth", "fuzzing", "lawsuites", "semantics_reader"}
 
 RUN_PROBE = """
 import sys
@@ -66,14 +66,14 @@ INPUTS = {
     "argv, loaded",
     [
         (("--help",), set()),
-        (("equal", "circ", "idem"), set()),
-        (("semantics", "circ"), set()),
+        (("equal", "circ", "idem"), {"semantics_reader"}),
+        (("semantics", "circ"), {"semantics_reader"}),
         (("eval", "circ", "--input", "10"), set()),
         (("construct", "fanout", "3"), set()),
         (("synth", "graph"), {"synth", "normalize"}),
         (("normalize", "idem"), {"normalize"}),
         (("replay", "circ", "deriv"), {"rewrite", "identities"}),
-        (("fuzz", "--trials", "1"), {"fuzzing", "synth", "normalize"}),
+        (("fuzz", "--trials", "1"), {"fuzzing", "synth", "normalize", "semantics_reader"}),
         (("verify",), LAYERS),
     ],
 )

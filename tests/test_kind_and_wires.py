@@ -1,10 +1,10 @@
 """A gate's relation is fixed by its kind and wires alone.
 
 The paper sends each generator of CNOT to an affine partial isomorphism
-that its kind and wires determine, so ``symbolic.relation_of`` reads a gate
-by ``kind``, ``a`` and ``b`` and nothing else.  The streaming reader's
-``_Step``, which ``relation_of`` reads in place of a ``Gate``, therefore
-holds those three slots and defines nothing more.
+that its kind and wires determine, so ``symbolic.run``, the one loop over
+``Gate``s that ``relation_of`` runs, reads a gate by ``kind``, ``a`` and
+``b`` and nothing else.  The streaming reader runs each primitive line as
+it splits it, so it keeps no objects of its own in place of gates.
 """
 
 import ast
@@ -26,10 +26,10 @@ def definition(module: str, name: str):
 
 
 def test_relation_of_reads_a_gate_by_kind_and_wires():
-    body = definition("symbolic", "relation_of")
+    body = definition("symbolic", "run")
     loops = [node for node in ast.walk(body) if isinstance(node, ast.For)]
     gates = {loop.target.id for loop in loops if isinstance(loop.target, ast.Name)}
-    assert "g" in gates  # the loop over a run's gates
+    assert "g" in gates  # the loop over the gates
     read = {
         node.attr for node in ast.walk(body)
         if isinstance(node, ast.Attribute)
@@ -39,22 +39,16 @@ def test_relation_of_reads_a_gate_by_kind_and_wires():
     assert read == KIND_AND_WIRES
 
 
-def test_a_step_is_its_kind_and_wires():
-    step = definition("semantics_reader", "_Step")
-    assert not step.bases and not step.decorator_list
-    statements = step.body
-    if isinstance(statements[0], ast.Expr) and isinstance(statements[0].value, ast.Constant):
-        statements = statements[1:]  # the docstring
-    assert len(statements) == 1
-    (slots,) = statements
-    assert isinstance(slots, ast.Assign)
-    assert [t.id for t in slots.targets] == ["__slots__"]
-    assert ast.literal_eval(slots.value) == ("kind", "a", "b")
+def test_the_reader_defines_no_class():
+    # each line runs on the wire expressions as it is split, with no step
+    # object between the split and the run
+    tree = ast.parse((SRC / "semantics_reader.py").read_text())
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == []
 
 
 def test_the_reader_names_no_gate_class():
-    # the reader's own steps stand in for gates; it leaves ``Gate`` and the
-    # table of builders to ``formats``
+    # the reader runs a primitive line without building its gate; it
+    # leaves ``Gate`` and the table of builders to ``formats``
     tree = ast.parse((SRC / "semantics_reader.py").read_text())
     names = {
         alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
