@@ -97,25 +97,34 @@ class Circuit(Record):
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval_state(self, x: BitVec | Sequence[int]) -> Optional[BitVec]:
-        """Run the circuit on a basis state; None when a post-selection fails."""
-        bits = list(x)
-        if len(bits) != self.n_in:
-            raise ArityError(f"input of length {len(bits)} for arity {self.n_in}")
+    def eval_all(self, columns: Sequence[int], lanes: int) -> tuple[list[int], int]:
+        """Run the circuit on ``lanes`` inputs at once, bit-sliced: bit k of
+        ``columns[i]`` is wire i of input k.  Returns the output columns,
+        0 outside ``defined``, and ``defined``, the lanes that pass every
+        ``post1``.  The one evaluation loop, kept apart from ``symbolic.run``
+        on purpose: ``fuzzing.oracle_trial`` checks one against the other."""
+        wires = list(columns)
+        if len(wires) != self.n_in:
+            raise ArityError(f"input of length {len(wires)} for arity {self.n_in}")
+        ones = defined = (1 << lanes) - 1
         for g in self.gates:
             k, i = g.kind, g.a
             if k == CNOT:
-                bits[g.b] ^= bits[i]
+                wires[g.b] ^= wires[i]
             elif k == SWAP:
                 j = g.b
-                bits[i], bits[j] = bits[j], bits[i]
+                wires[i], wires[j] = wires[j], wires[i]
             elif k == INIT1:
-                bits.insert(i, 1)
+                wires.insert(i, ones)
             else:
-                if bits[i] != 1:
-                    return None
-                del bits[i]
-        return BitVec(bits)
+                defined &= wires.pop(i)
+        return [w & defined for w in wires], defined
+
+    def eval_state(self, x: BitVec | Sequence[int]) -> Optional[BitVec]:
+        """Run the circuit on one basis state, ``eval_all`` at one lane; None
+        when a post-selection fails."""
+        out, defined = self.eval_all(list(BitVec(x)), 1)
+        return BitVec(out) if defined else None
 
     def semantics(self) -> AffineRelation:
         """The affine partial isomorphism computed by the circuit:

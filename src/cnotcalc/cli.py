@@ -110,7 +110,10 @@ def _cmd_normalize(args) -> int:
 def _cmd_synth(args) -> int:
     from .synth import synth
 
-    c = synth(_parse(args.file, formats.parse_synth_input))
+    rel = _parse(args.file, formats.parse_synth_input)
+    c = synth(rel)
+    if c.semantics() != rel:  # checked before it is printed
+        raise RuntimeError("synth built a circuit whose semantics differs from the relation")
     text = formats.format_circuit(c, name="synth")
     _emit(args, text, lambda: {"command": "synth", "circuit": text.splitlines()})
     return OK
@@ -160,7 +163,7 @@ def _cmd_fuzz(args) -> int:
     for option, value in (("trials", trials), ("wires", wires), ("depth", depth)):
         if value < 0:
             raise CliInputError(f"--{option} must be nonnegative, got {value}")
-    # the oracle trial runs every input of up to --wires wires
+    # the oracle trial holds all 2^wires inputs, 128 KiB a wire at 20 wires
     if wires > ENUMERATION_LIMIT:
         raise CliInputError(f"--wires must be at most {ENUMERATION_LIMIT}, got {wires}")
     ran, failure = fuzz(wires, depth, seed, trials)

@@ -19,7 +19,7 @@ from typing import Optional
 from .circuit import Circuit
 from .formats import format_circuit
 from .gates import GATES, Gate
-from .relation import AffineRelation, all_bitvecs
+from .relation import AffineRelation, all_columns
 from .semantics_reader import parse_semantics
 from .synth import synth
 
@@ -100,11 +100,15 @@ def _menu(width: int, max_width: int, allow_post: bool) -> tuple[tuple[str, ...]
 
 def oracle_trial(c: Circuit, rel: AffineRelation) -> Optional[str]:
     """Gatewise evaluation must agree with the semantics ``rel`` of ``c`` on
-    every input."""
-    for x in all_bitvecs(c.n_in):
-        if c.eval_state(x) != rel.apply(x):
-            return f"eval/apply disagree on input {list(x)}"
-    return None
+    every input, all run at once; the message names the lowest that does not."""
+    n = c.n_in
+    columns, lanes = all_columns(n), 1 << n
+    (got, defined), (want, domain) = c.eval_all(columns, lanes), rel.apply_all(columns, lanes)
+    bad = defined ^ domain
+    for a, b in zip(got, want):
+        bad |= a ^ b
+    k = (bad & -bad).bit_length() - 1
+    return f"eval/apply disagree on input {[k >> j & 1 for j in range(n)]}" if bad else None
 
 
 def synth_roundtrip_trial(c: Circuit, rel: AffineRelation) -> Optional[str]:

@@ -16,7 +16,7 @@ from .circuit import (
     plus_map,
 )
 from .fuzzing import random_circuit, trial_rng
-from .gf2 import BitVec
+from .relation import all_columns
 
 
 def block_swap(n: int, m: int) -> Circuit:
@@ -110,14 +110,12 @@ def copy_suite(seed: int = 0) -> list[tuple[str, bool]]:
 def _para_table(n: int) -> list[int]:
     """The third output block of the parity accumulator, as a mask, at the
     index ``a | b << n | c << 2n`` of its input blocks a, b and c."""
-    adder = plus_map(n)
-    table = []
-    for abc in range(1 << 3 * n):
-        out = adder.eval_state(BitVec.from_mask(3 * n, abc))
-        if out is None:
-            raise RuntimeError("parity accumulator must be total")
-        table.append(out.mask >> 2 * n)
-    return table
+    lanes = 1 << 3 * n
+    out, defined = plus_map(n).eval_all(all_columns(3 * n), lanes)
+    if defined != (1 << lanes) - 1:
+        raise RuntimeError("parity accumulator must be total")
+    third = out[2 * n :]
+    return [sum((column >> k & 1) << i for i, column in enumerate(third)) for k in range(lanes)]
 
 
 def torsor_laws(n: int) -> bool:

@@ -12,14 +12,15 @@ two relations decides equality of their graphs.
 
 Apart from a graph file's raw rows, every relation built is the graph of an
 affine map on an affine subspace, written by ``from_map`` from affine forms
-over the n inputs (coefficient j at bit j, the constant at bit n).
+over the n inputs (coefficient j at bit j, the constant at bit n), and read
+back by its inverse ``map_rows``, which ``apply_all`` runs on many inputs.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .gf2 import BitVec, null_basis, project_masks, rref_masks
+from .gf2 import BitVec, null_basis, project_masks, rref_masks, set_bits
 from .record import Record
 
 ENUMERATION_LIMIT = 20
@@ -36,10 +37,10 @@ def _canonical(masks: Iterable[int], nvars: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-class AffineRelation(Record):
+class AffineRelation(Record, fields=("n_in", "n_out", "_rows")):
     """Canonical affine partial isomorphism from GF(2)^n_in to GF(2)^n_out."""
 
-    __slots__ = ("n_in", "n_out", "_rows")
+    __slots__ = ("n_in", "n_out", "_rows", "_map")  # _map, not a field: see map_rows
 
     def __init__(self, n_in: int, n_out: int, constraint_masks: Iterable[int]):
         if n_in < 0 or n_out < 0:
@@ -197,25 +198,47 @@ class AffineRelation(Record):
             return ("y", BitVec.from_mask(n, v))
         return None
 
+    def map_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The forms and the domain rows of the map, the inverse of
+        ``from_map``: row i < n_out of the canonical ``dagger()`` reads
+        y_i = a_i.x + c_i, the rows past them the domain.  ``ValueError``
+        when the inputs do not fix an output.  Read once a relation."""
+        if not hasattr(self, "_map"):
+            m = self.n_out
+            rows = self.dagger()._rows
+            if self.is_empty():
+                rows = (0,) * m + rows
+            elif [row & -row for row in rows[:m]] != [1 << i for i in range(m)]:
+                raise ValueError("relation is not a partial isomorphism: image not unique")
+            shifted = tuple(row >> m for row in rows)
+            object.__setattr__(self, "_map", (shifted[:m], shifted[m:]))
+        return self._map
+
+    def apply_all(self, columns: Sequence[int], lanes: int) -> tuple[list[int], int]:
+        """``lanes`` inputs at once, as ``Circuit.eval_all`` runs them: a
+        form's value is the XOR of its inputs' columns, and of a column of
+        ones for its constant; ``defined`` where every domain row is 0."""
+        if len(columns) != self.n_in:
+            raise ArityError(f"input of length {len(columns)} for arity {self.n_in}")
+        forms, domain = self.map_rows()
+        defined = (1 << lanes) - 1
+        columns = [*columns, defined]
+
+        def value(form: int) -> int:
+            v = 0
+            for j in set_bits(form):
+                v ^= columns[j]
+            return v
+
+        for row in domain:
+            defined &= ~value(row)
+        return [value(f) & defined for f in forms], defined
+
     def apply(self, x: BitVec) -> Optional[BitVec]:
-        """The unique image of x, or None when x is outside the domain."""
-        n, m = self.n_in, self.n_out
-        if len(x) != n:
-            raise ArityError(f"input of length {len(x)} for arity {n}")
-        xmask = x.mask
-        rows = []
-        for r in self._rows:
-            const = ((r >> (n + m)) & 1) ^ ((r & xmask).bit_count() & 1)
-            rows.append((r >> n) & ((1 << m) - 1) | (const << m))
-        reduced, pivots = rref_masks(rows, m + 1)
-        if m in pivots:
-            return None
-        if len(pivots) != m:
-            raise ValueError("relation is not a partial isomorphism: image not unique")
-        out = 0
-        for mask, col in zip(reduced, pivots):
-            out |= ((mask >> m) & 1) << col
-        return BitVec.from_mask(m, out)
+        """The unique image of x, or None when x is outside the domain:
+        ``apply_all`` at one lane."""
+        out, defined = self.apply_all(list(x), 1)
+        return BitVec(out) if defined else None
 
     def is_total(self) -> bool:
         return all(r == 0 for r in self.domain_masks())
@@ -230,4 +253,14 @@ def all_bitvecs(n: int) -> list[BitVec]:
     return [BitVec.from_mask(n, v) for v in range(1 << n)]
 
 
-__all__ = ["AffineRelation", "ArityError", "all_bitvecs", "ENUMERATION_LIMIT"]
+def all_columns(n: int) -> list[int]:
+    """Every n-bit input at once, in the order of ``all_bitvecs``: bit k of
+    column j is bit j of k.  Each of the n columns takes 2^n / 8 bytes."""
+    columns, lanes = [], 1
+    for _ in range(n):
+        columns = [c | c << lanes for c in columns] + [((1 << lanes) - 1) << lanes]
+        lanes *= 2
+    return columns
+
+
+__all__ = ["AffineRelation", "ArityError", "all_bitvecs", "all_columns", "ENUMERATION_LIMIT"]

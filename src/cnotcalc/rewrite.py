@@ -22,7 +22,7 @@ from .circuit import Circuit, swap_network
 from .gates import CNOT, INIT1, POST1, SWAP, Gate, cnot, init1, post1, swap
 from .identities import _axiom_circuits, _lemma_circuits
 from .record import Record
-from .relation import all_bitvecs
+from .relation import all_columns
 
 
 class RewriteRule(Record):
@@ -281,10 +281,8 @@ def verify_rules(rules) -> list[RuleReport]:
     reports = []
     for rule in rules:
         sem = rule.lhs.semantics() == rule.rhs.semantics()
-        states = all(
-            rule.lhs.eval_state(x) == rule.rhs.eval_state(x)
-            for x in all_bitvecs(rule.lhs.n_in)
-        )
+        columns, lanes = all_columns(rule.lhs.n_in), 1 << rule.lhs.n_in
+        states = rule.lhs.eval_all(columns, lanes) == rule.rhs.eval_all(columns, lanes)
         reports.append(RuleReport(rule.name, sem, states))
     return reports
 

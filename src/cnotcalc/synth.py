@@ -9,14 +9,13 @@ project them onto |0>.  Both stages pick deterministic extensions, so
 synthesis is a canonical representative chooser: re-synthesizing the
 semantics of a synthesized circuit reproduces it gate for gate.
 
-Both extensions are read off the canonical rows of ``r`` and ``r.dagger()``;
-past the partial isomorphism check, canonicalizing ``r.dagger()`` is the one
-elimination.  Every input and every output of a non-empty partial
-isomorphism is a pivot.  With the outputs first, row i reads
-y_i = a_i.x + c_i: the rows a_i and the shift c give the total map (zero on
-the domain's pivot columns, since the rows are reduced), and the rows past
-the m-th are the domain's equations.  With the inputs first, row j reads
-x_j = u_j.y + d_j, which erases input j.
+Both extensions are read off canonical rows.  Every input and every output
+of a non-empty partial isomorphism is a pivot.  ``r.map_rows()`` reads form
+i, y_i = a_i.x + c_i, off the outputs-first rows of ``r.dagger()``, the one
+elimination past the partial isomorphism check: the rows a_i and the shift
+c give the total map (zero on the domain's pivot columns, since the rows
+are reduced), and the domain rows follow.  With the inputs first, row j of
+``r`` reads x_j = u_j.y + d_j, which erases input j.
 """
 
 from __future__ import annotations
@@ -96,19 +95,20 @@ def synth(r: AffineRelation) -> Circuit:
     if r.is_empty():
         return omega_nm(n, m)
 
-    # Inputs first, row j reads x_j = u_j.y + d_j; outputs first, row i
-    # reads y_i = a_i.x + c_i, and the rows past the m-th are the domain's.
+    # Inputs first, row j reads x_j = u_j.y + d_j; form i reads y_i = a_i.x + c_i.
     rows = r.constraint_masks
-    back = r.dagger().constraint_masks
-    if ([row & -row for row in rows[:n]] != [1 << j for j in range(n)]
-            or [row & -row for row in back[:m]] != [1 << i for i in range(m)]):
+    try:
+        forms, domain_rows = r.map_rows()
+    except ValueError:  # an output the inputs do not fix
+        forms = None
+    if forms is None or [row & -row for row in rows[:n]] != [1 << j for j in range(n)]:
         raise RuntimeError("a partial isomorphism pivots on every input and output")
     x_mask, y_mask = (1 << n) - 1, (1 << m) - 1
     forward = AffineMapSpec(
-        GF2Matrix.from_masks([(row >> m) & x_mask for row in back[:m]], n),
-        BitVec.from_mask(m, sum((row >> (n + m)) << i for i, row in enumerate(back[:m]))),
+        GF2Matrix.from_masks([f & x_mask for f in forms], n),
+        BitVec.from_mask(m, sum((f >> n) << i for i, f in enumerate(forms))),
     )
-    domain = ClausalForm.from_masks(n, [row >> m for row in back[m:]])
+    domain = ClausalForm.from_masks(n, domain_rows)
 
     erase: list = []
     for j, row in enumerate(rows[:n]):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cnotcalc.gf2 import BitVec, null_basis, rref_masks
-from cnotcalc.relation import ENUMERATION_LIMIT, AffineRelation, ArityError, all_bitvecs
+from cnotcalc.relation import (
+    ENUMERATION_LIMIT, AffineRelation, ArityError, all_bitvecs, all_columns,
+)
 from cnotcalc.circuit import (
     Circuit,
     CircuitError,
@@ -291,6 +293,56 @@ class TestSemanticsPastEnumeration:
         for p in pivots:
             x = BitVec.from_mask(n, witness.mask ^ (1 << p))
             assert c.eval_state(x) is None and rel.apply(x) is None
+
+
+def sliced(points, n):
+    """The columns of the n-bit inputs ``points``, one lane each in order."""
+    return [sum(((x >> j) & 1) << k for k, x in enumerate(points)) for j in range(n)]
+
+
+def lane(result, k, m):
+    """Lane k of a bit-sliced ``(outputs, defined)``: its m output bits,
+    or None where it is undefined."""
+    outs, defined = result
+    if not (defined >> k) & 1:
+        return None
+    assert len(outs) == m
+    return BitVec.from_mask(m, sum(((o >> k) & 1) << i for i, o in enumerate(outs)))
+
+
+class TestBitSlicedEvaluator:
+    """``eval_all`` and ``apply_all`` run many inputs at once; each lane
+    must be what ``eval_state`` and ``apply`` give on its input."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 1 << 32), st.integers(0, 10), st.integers(0, 40), st.booleans())
+    def test_every_input_up_to_ten_wires(self, seed, n, depth, allow_post):
+        c = random_circuit(random.Random(seed), n, depth, allow_post=allow_post)
+        rel = c.semantics()
+        columns, lanes = all_columns(n), 1 << n
+        got, want = c.eval_all(columns, lanes), rel.apply_all(columns, lanes)
+        for k, x in enumerate(all_bitvecs(n)):
+            assert lane(got, k, c.n_out) == c.eval_state(x)
+            assert c.eval_state(x) == rel.apply(x) == lane(want, k, rel.n_out)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(ENUMERATION_LIMIT + 1, 64), st.integers(0, 1 << 32),
+           st.sampled_from([0.0, 0.1, 0.3]), st.booleans())
+    def test_sampled_lanes_past_the_cap(self, n, seed, post_rate, empty):
+        """Witnesses of the domain first, each then with one bit flipped,
+        then random points."""
+        rng = random.Random(seed)
+        c, witness = steered_circuit(rng, n, rng.randrange(120), post_rate, empty)
+        rel = c.semantics()
+        points = [witness.mask] + [witness.mask ^ 1 << rng.randrange(n) for _ in range(8)]
+        points += [rng.getrandbits(n) for _ in range(16)]
+        columns, lanes = sliced(points, n), len(points)
+        got, want = c.eval_all(columns, lanes), rel.apply_all(columns, lanes)
+        assert (got[1] & 1) == (want[1] & 1) == (not empty)  # the witness lane
+        for k, x in enumerate(points):
+            x = BitVec.from_mask(n, x)
+            assert lane(got, k, c.n_out) == c.eval_state(x)
+            assert c.eval_state(x) == rel.apply(x) == lane(want, k, rel.n_out)
 
 
 class TestStreamedSemanticsIsFunctorial:

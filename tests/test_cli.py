@@ -647,6 +647,26 @@ class TestInternalError:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith(f"error: internal error: {type(error).__name__}: ")
 
+    def test_synth_checks_what_it_prints(self, run_cli, monkeypatch, tmp_path):
+        # a synthesis that drops its first cnot is caught before printing
+        import cnotcalc.synth as synth_mod
+        from cnotcalc.circuit import Circuit
+
+        real = synth_mod.synth
+
+        def dropped(rel):
+            c = real(rel)
+            first = next(i for i, g in enumerate(c.gates) if g.kind == "cnot")
+            return Circuit(c.n_in, c.gates[:first] + c.gates[first + 1:])
+
+        monkeypatch.setattr(synth_mod, "synth", dropped)
+        p = tmp_path / "rel.graph"
+        p.write_text("graph 1 1\nparity x0 y0 = 1\n")
+        code, out, err = run_cli("synth", str(p))
+        assert code == 3 and out == ""
+        assert err == ("error: internal error: RuntimeError: synth built a circuit "
+                       "whose semantics differs from the relation\n")
+
     def test_input_errors_still_exit_2(self, run_cli):
         code, _, err = run_cli("construct", "fanout", "x")
         assert code == 2 and err.startswith("error: expected an integer")

@@ -8,7 +8,7 @@ import pytest
 from cnotcalc.circuit import GATES, circuit, cnot, init0, init1, notg, post0, post1, swap
 from cnotcalc import fuzzing
 from cnotcalc.formats import FormatError, format_circuit, parse_circuit
-from cnotcalc.fuzzing import fuzz, random_circuit, trial_rng
+from cnotcalc.fuzzing import fuzz, oracle_trial, random_circuit, trial_rng
 from cnotcalc.relation import AffineRelation, all_bitvecs
 
 
@@ -203,25 +203,31 @@ def plant_synth_failure(monkeypatch, n_in=3):
 
 
 def plant_apply_failure(monkeypatch):
-    """``apply`` that is undefined on the all-ones input of 4 wires."""
-    apply = AffineRelation.apply
+    """``apply_all`` that is undefined on the all-ones input of 4 wires, in
+    whichever lane carries it: the oracle runs every input at once, and
+    ``apply``, which ``old_fuzz`` reads, runs it at one lane."""
+    apply_all = AffineRelation.apply_all
 
-    def planted(rel, x):
-        if len(x) == 4 and x.mask == 0b1111:
-            return None
-        return apply(rel, x)
+    def planted(rel, columns, lanes):
+        out, defined = apply_all(rel, columns, lanes)
+        if len(columns) == 4:
+            defined &= ~(columns[0] & columns[1] & columns[2] & columns[3])
+        return out, defined
 
-    monkeypatch.setattr(AffineRelation, "apply", planted)
+    monkeypatch.setattr(AffineRelation, "apply_all", planted)
 
 
 def plant_both_failures(monkeypatch):
     """Both checks fail on every non-empty relation on 4 inputs, so the
     order of the checks decides the message."""
     plant_synth_failure(monkeypatch, n_in=4)
-    apply = AffineRelation.apply
-    monkeypatch.setattr(
-        AffineRelation, "apply", lambda rel, x: None if len(x) == 4 else apply(rel, x)
-    )
+    apply_all = AffineRelation.apply_all
+
+    def planted(rel, columns, lanes):
+        out, defined = apply_all(rel, columns, lanes)
+        return out, 0 if len(columns) == 4 else defined
+
+    monkeypatch.setattr(AffineRelation, "apply_all", planted)
 
 
 @pytest.mark.parametrize("plant", [plant_synth_failure, plant_apply_failure, plant_both_failures])
@@ -281,3 +287,15 @@ def test_a_reader_that_differs_from_the_semantics_is_reported(monkeypatch):
     ran, (index, c, message) = fuzz(wires=5, depth=30, seed=0, trials=300)
     assert first > 0 and (ran, index, c) == (first + 1, first, drawn(first))
     assert message == "parse_semantics(format_circuit(c)) differs from semantics(c)"
+
+
+def test_a_not_appended_fails_the_oracle():
+    # a post-free circuit is total, so with a ``not`` appended it differs
+    # from its own relation on every input, and the lowest is named
+    for i in range(300):
+        rng = trial_rng(11, i)
+        n = 1 + rng.randrange(8)
+        c = random_circuit(rng, n, rng.randrange(30), allow_post=False)
+        mutant = circuit(n, c.gates, notg(rng.randrange(c.n_out)))
+        assert oracle_trial(c, c.semantics()) is None
+        assert oracle_trial(mutant, c.semantics()) == f"eval/apply disagree on input {[0] * n}"

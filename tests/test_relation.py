@@ -218,6 +218,19 @@ class TestApplyAndEnumerate:
     def test_length_checked(self):
         with pytest.raises(ArityError):
             CNOT_GRAPH.apply(BitVec([1]))
+        with pytest.raises(ArityError):
+            CNOT_GRAPH.apply_all([1], 1)
+
+    def test_an_output_the_inputs_do_not_fix(self):
+        # x0 = 1 and y0 = x0, y1 free: every input raises, the one outside
+        # the domain (x0 = 0) too, one lane at a time or all at once
+        loose = AffineRelation(1, 2, [0b1001, 0b0011])
+        message = "^relation is not a partial isomorphism: image not unique$"
+        for x in all_bitvecs(1):
+            with pytest.raises(ValueError, match=message):
+                loose.apply(x)
+        with pytest.raises(ValueError, match=message):
+            loose.apply_all([0b10], 2)
 
     def test_apply_matches_enumeration(self):
         for rng in seeded(40, salt=30):
@@ -534,6 +547,21 @@ def maybe_empty(draw, n_in=None, n_out=None):
     """``relations``, or half the time the empty relation of their arities."""
     r = draw(relations(n_in, n_out))
     return AffineRelation.empty(r.n_in, r.n_out) if draw(st.booleans()) else r
+
+
+@settings(deadline=None, max_examples=80)
+@given(maybe_empty())
+def test_map_rows_is_the_inverse_of_from_map(r):
+    """``map_rows`` reads back the forms and the domain rows that
+    ``from_map`` takes, the empty relation's included; it refuses just the
+    relations with a homogeneous solution whose x-part is zero, where the
+    inputs leave an output free."""
+    violation = r.partial_iso_violation()
+    if violation is not None and violation[0] == "x":
+        with pytest.raises(ValueError, match="image not unique"):
+            r.map_rows()
+    else:
+        assert AffineRelation.from_map(r.n_in, *r.map_rows()) == r
 
 
 class TestOneProjectionMatchesColumnScan:

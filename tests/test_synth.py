@@ -154,13 +154,14 @@ def test_graph_relation_matches_its_old_layout(spec):
 @settings(deadline=None)
 @given(partial_isos())
 def test_from_map_rebuilds_a_partial_iso_from_its_converse_rows(r):
-    """The rows synth reads off ``r.dagger()``, shifted down past the
-    outputs, are the forms of the map (the first n_out) and the domain (the
-    rest), as ``from_map`` takes them."""
+    """The rows synth reads off ``r.dagger()`` through ``map_rows``,
+    shifted down past the outputs, are the forms of the map (the first
+    n_out) and the domain (the rest), as ``from_map`` takes them."""
     n, m = r.n_in, r.n_out
     assert not r.is_empty()
     forms = [row >> m for row in r.dagger().constraint_masks]
     assert AffineRelation.from_map(n, forms[:m], forms[m:]) == r
+    assert r.map_rows() == (tuple(forms[:m]), tuple(forms[m:]))
 
 
 @settings(deadline=None)
