@@ -21,14 +21,21 @@ exits 2 with one ``error:`` line on stderr; ``-h`` or ``--help`` exits 0.
 The package compiles in small units, each module one concept of at most
 2,000 tokens: without a bytecode cache every process compiles each module
 it loads, and what the parser allocates for the largest one stays in the
-process's resident memory.  Every command loads ``commandline``,
-``commandio``, ``formats`` (with ``lexing`` and ``relation_formats``),
-``circuit`` (with ``gates`` and ``symbolic``), ``relation``, ``gf2`` and
-``record``; ``equal`` and ``semantics`` load ``semantics_reader`` too, and
-so does ``fuzzing``, which checks it.  The layers above ``circuit``
-(``normalize``, ``synth``, ``rewrite`` with its ``identities``,
-``fuzzing``, ``lawsuites``) are imported by the handlers that run them, so
-``equal``, ``semantics``, ``eval`` and ``construct`` never load them.
+process's resident memory.  Every command, ``--help`` too, loads
+``commandline``, ``commandio``, ``circuit`` (with ``gates``), ``relation``,
+``gf2`` and ``record``.  Each handler that reads or writes a file imports
+``formats`` (with ``lexing`` and ``relation_formats``) when it runs, and
+``Circuit.semantics`` imports ``symbolic``, so ``--help`` loads neither and
+``eval`` and ``construct`` load no ``symbolic``; ``equal`` and
+``semantics`` load ``semantics_reader`` too, and so does ``fuzzing``, which
+checks it.  The layers above ``circuit`` (``normalize``, ``synth``,
+``rewrite`` with its ``identities``, ``fuzzing``, ``lawsuites``) are
+imported by the handlers that run them, so ``equal``, ``semantics``,
+``eval`` and ``construct`` never load them.  ``circuit`` stays imported
+here, since ``construct`` reads its constructions from this module's
+namespace, and ``relation`` compiles before this module, through the
+package's own import, so that the parser's peak on it is reused by the
+modules compiled after it rather than stacked on top of them.
 
 ``main`` is the process entry point of ``cnotcalc`` and ``python -m
 cnotcalc.cli``; once the command is done it freezes the heap, so interpreter
@@ -41,7 +48,6 @@ from __future__ import annotations
 import os
 import sys
 
-from . import formats
 from .circuit import (
     clause_circuit,
     fanin,
@@ -72,6 +78,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_semantics(args) -> int:
+    from . import formats
     from .semantics_reader import parse_semantics
 
     _, rel = _parse(args.file, parse_semantics)
@@ -95,19 +102,25 @@ def _cmd_equal(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from . import formats
     from .normalize import NotIdempotentError, clausal_to_circuit, idempotent_to_clausal
 
     _, c = _load_circuit(args.file)
+    rel = c.semantics()
     try:
-        cf = idempotent_to_clausal(c.semantics())
+        cf = idempotent_to_clausal(rel)
     except NotIdempotentError as e:
         raise CliInputError(f"not a restriction idempotent: {e}") from None
-    text = formats.format_circuit(clausal_to_circuit(cf), name="clausal")
+    clausal = clausal_to_circuit(cf)
+    if clausal.semantics() != rel:  # checked before it is printed
+        raise RuntimeError("normalize built a circuit whose semantics differs from the idempotent")
+    text = formats.format_circuit(clausal, name="clausal")
     _emit(args, text, lambda: {"command": "normalize", "circuit": text.splitlines()})
     return OK
 
 
 def _cmd_synth(args) -> int:
+    from . import formats
     from .synth import synth
 
     rel = _parse(args.file, formats.parse_synth_input)
@@ -137,6 +150,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from . import formats
     from .rewrite import Derivation, replay
 
     _, c = _load_circuit(args.file)
@@ -155,6 +169,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from . import formats
     from .fuzzing import fuzz
 
     wires, depth, seed, trials = map(
@@ -191,6 +206,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _build_construct(name: str, params: list[str]):
+    from . import formats
+
     def arity(*counts):
         if len(params) not in counts:
             told = " or ".join(map(str, counts))
@@ -223,6 +240,8 @@ def _build_construct(name: str, params: list[str]):
 
 
 def _cmd_construct(args) -> int:
+    from . import formats
+
     c = _build_construct(args.name, args.params)
     text = formats.format_circuit(c, name=args.name)
     _emit(args, text, lambda: {"command": "construct", "circuit": text.splitlines()})

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 
-from . import formats
 from .commandline import CliInputError
 from .gf2 import BitVec
 
@@ -57,7 +56,9 @@ def _parse(path: str, parse):
 
 
 def _load_circuit(path: str):
-    return _parse(path, formats.parse_circuit)
+    from .formats import parse_circuit  # imported here, so --help compiles no reader
+
+    return _parse(path, parse_circuit)
 
 
 def _parse_bits(text: str) -> BitVec:

@@ -667,6 +667,26 @@ class TestInternalError:
         assert err == ("error: internal error: RuntimeError: synth built a circuit "
                        "whose semantics differs from the relation\n")
 
+    def test_normalize_checks_what_it_prints(self, run_cli, monkeypatch, tmp_path):
+        # a clausal circuit that drops its first cnot is caught before printing
+        import cnotcalc.normalize as normalize_mod
+        from cnotcalc.circuit import Circuit
+
+        real = normalize_mod.clausal_to_circuit
+
+        def dropped(cf):
+            c = real(cf)
+            first = next(i for i, g in enumerate(c.gates) if g.kind == "cnot")
+            return Circuit(c.n_in, c.gates[:first] + c.gates[first + 1:])
+
+        monkeypatch.setattr(normalize_mod, "clausal_to_circuit", dropped)
+        p = tmp_path / "idem.circ"
+        p.write_text("circuit h : 2 -> 2\ncnot 0 1\npost0 1\ninit0 1\ncnot 0 1\nend\n")
+        code, out, err = run_cli("normalize", str(p))
+        assert code == 3 and out == ""
+        assert err == ("error: internal error: RuntimeError: normalize built a circuit "
+                       "whose semantics differs from the idempotent\n")
+
     def test_input_errors_still_exit_2(self, run_cli):
         code, _, err = run_cli("construct", "fanout", "x")
         assert code == 2 and err.startswith("error: expected an integer")

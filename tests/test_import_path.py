@@ -43,8 +43,14 @@ def test_cli_import_adds_neither_dataclasses_nor_json():
 
 
 # the layers above the circuit that only some commands run, the rule tables
-# that only ``rewrite`` loads, and the reader of a file's relation
-LAYERS = {"rewrite", "identities", "normalize", "synth", "fuzzing", "lawsuites", "semantics_reader"}
+# that only ``rewrite`` loads, the reader of a file's relation, the file
+# formats that only the commands reading or writing a file load, and the
+# symbolic execution that only ``Circuit.semantics`` and that reader run
+READERS = {"formats", "lexing", "relation_formats"}
+LAYERS = {
+    "rewrite", "identities", "normalize", "synth", "fuzzing", "lawsuites", "semantics_reader",
+    *READERS, "symbolic",
+}
 
 RUN_PROBE = """
 import sys
@@ -66,14 +72,17 @@ INPUTS = {
     "argv, loaded",
     [
         (("--help",), set()),
-        (("equal", "circ", "idem"), {"semantics_reader"}),
-        (("semantics", "circ"), {"semantics_reader"}),
-        (("eval", "circ", "--input", "10"), set()),
-        (("construct", "fanout", "3"), set()),
-        (("synth", "graph"), {"synth", "normalize"}),
-        (("normalize", "idem"), {"normalize"}),
-        (("replay", "circ", "deriv"), {"rewrite", "identities"}),
-        (("fuzz", "--trials", "1"), {"fuzzing", "synth", "normalize", "semantics_reader"}),
+        (("equal", "circ", "idem"), {"semantics_reader", *READERS, "symbolic"}),
+        (("semantics", "circ"), {"semantics_reader", *READERS, "symbolic"}),
+        (("eval", "circ", "--input", "10"), READERS),
+        (("construct", "fanout", "3"), READERS),
+        (("synth", "graph"), {"synth", "normalize", *READERS, "symbolic"}),
+        (("normalize", "idem"), {"normalize", *READERS, "symbolic"}),
+        (("replay", "circ", "deriv"), {"rewrite", "identities", *READERS, "symbolic"}),
+        (
+            ("fuzz", "--trials", "1"),
+            {"fuzzing", "synth", "normalize", "semantics_reader", *READERS, "symbolic"},
+        ),
         (("verify",), LAYERS),
     ],
 )
@@ -160,6 +169,59 @@ def test_every_module_is_a_small_compile_unit():
     # and the parser's peak on the largest one stays in its resident memory.
     sizes = {path.name: code_tokens(path) for path in sorted((SRC / "cnotcalc").glob("*.py"))}
     assert {name: size for name, size in sizes.items() if size > 2000} == {}
+
+
+HELP_PROBE = """
+import sys
+import cnotcalc.cli
+code = cnotcalc.cli.run(["--help"])
+print(code)
+print(sorted(m.__file__ for n, m in sys.modules.items() if n.split(".")[0] == "cnotcalc"))
+"""
+
+
+def test_help_compiles_what_prints_the_table():
+    # --help runs no reader, no writer and no symbolic execution: it held
+    # 11,890 code tokens of cnotcalc while cli imported formats eagerly
+    *_, code, files = _probe(HELP_PROBE)
+    assert code == "0"
+    assert sum(code_tokens(Path(f)) for f in ast.literal_eval(files)) <= 8600
+
+
+ORDER_PROBE = """
+import os
+import runpy
+import sys
+compiled = []
+sys.addaudithook(lambda event, args: event == "compile" and compiled.append(args[1]))
+try:
+    runpy.run_module("cnotcalc.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print([os.path.basename(f) for f in compiled if isinstance(f, str) and f.endswith(".py")])
+"""
+
+
+def test_relation_compiles_before_cli(tmp_path):
+    # ``relation`` is the largest compile unit, and what the parser allocates
+    # for it stays resident.  Compiled first (through the package's
+    # gf2 -> relation -> circuit import), the modules after it reuse that
+    # memory; compiled last, its peak lands on top of them: deferring it
+    # past ``cli`` raised the peak RSS of ``equal`` by 130-250 KiB and of
+    # ``synth``, ``normalize`` and ``replay`` by 144-168 KiB.
+    (tmp_path / "circ").write_text(INPUTS["circ"])
+    circ = str(tmp_path / "circ")
+    env = dict(
+        os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1",
+        PYTHONPYCACHEPREFIX=str(tmp_path / "no-cache"),
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", ORDER_PROBE, "equal", circ, circ],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert out[0] == "equal"
+    order = ast.literal_eval(out[-1])
+    assert order.index("relation.py") < order.index("cli.py")
 
 
 def _collector_and_exit_uses():
