@@ -10,10 +10,12 @@ The system is kept in reduced row echelon form with the single row ``0 = 1``
 standing for the empty (nowhere-defined) relation, so structural equality of
 two relations decides equality of their graphs.
 
-Apart from a graph file's raw rows, every relation built is the graph of an
-affine map on an affine subspace, written by ``from_map`` from affine forms
-over the n inputs (coefficient j at bit j, the constant at bit n), and read
-back by its inverse ``map_rows``, which ``apply_all`` runs on many inputs.
+A non-empty relation is a partial isomorphism exactly when every input is
+a pivot of its rows and every output one of its converse rows, the rows of
+``dagger``.  Apart from a graph file's raw rows, every relation built is
+the graph of an affine map on an affine subspace, written by ``from_map``
+from affine forms over the n inputs (coefficient j at bit j, the constant
+at bit n), and read back off the converse rows by its inverse ``map_rows``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def _canonical(masks: Iterable[int], nvars: int) -> tuple[int, ...]:
 class AffineRelation(Record, fields=("n_in", "n_out", "_rows")):
     """Canonical affine partial isomorphism from GF(2)^n_in to GF(2)^n_out."""
 
-    __slots__ = ("n_in", "n_out", "_rows", "_map")  # _map, not a field: see map_rows
+    __slots__ = ("n_in", "n_out", "_rows", "_converse")  # _converse, not a field
 
     def __init__(self, n_in: int, n_out: int, constraint_masks: Iterable[int]):
         if n_in < 0 or n_out < 0:
@@ -68,16 +70,18 @@ class AffineRelation(Record, fields=("n_in", "n_out", "_rows")):
 
     @classmethod
     def empty(cls, n_in: int, n_out: int) -> "AffineRelation":
-        """The nowhere-defined relation; its one row ``0 = 1`` is already
-        canonical, so it skips the elimination, and its fields are set
-        directly, without ``_init``'s loop."""
+        """The nowhere-defined relation: one row ``0 = 1``, its own converse."""
         if n_in < 0 or n_out < 0:
             raise ArityError("arities must be nonnegative")
+        rows = (1 << (n_in + n_out),)
+        return cls._of(n_in, n_out, rows, rows)
+
+    @classmethod
+    def _of(cls, n_in: int, n_out: int, rows: tuple, converse: tuple) -> "AffineRelation":
+        """Canonical ``rows`` and their ``converse``, with no elimination."""
         rel = object.__new__(cls)
-        set_in, set_out, set_rows = cls._setters
-        set_in(rel, n_in)
-        set_out(rel, n_out)
-        set_rows(rel, (1 << (n_in + n_out),))
+        rel._init(n_in, n_out, rows)
+        object.__setattr__(rel, "_converse", converse)
         return rel
 
     @classmethod
@@ -109,9 +113,10 @@ class AffineRelation(Record, fields=("n_in", "n_out", "_rows")):
     #
     # Each operation moves whole blocks of a row's bits (input, output,
     # rhs) with masks and shifts.  Rows of a relation have no bit above
-    # their rhs.  ``compose`` and ``domain_masks`` put the block they
-    # eliminate lowest, where ``project_masks`` removes it.  ``compose``,
-    # ``tensor`` and ``dagger`` return the empty relation at once, after
+    # their rhs.  ``compose`` puts the block it eliminates lowest, where
+    # ``project_masks`` removes it.  ``dagger``, ``domain_masks``,
+    # ``map_rows`` and ``partial_iso_violation`` read ``_converse_rows``.
+    # ``compose`` and ``tensor`` return the empty relation at once, after
     # their arity checks, when an operand is empty.
 
     def _outputs_first(self, rhs: int) -> list[int]:
@@ -120,6 +125,14 @@ class AffineRelation(Record, fields=("n_in", "n_out", "_rows")):
         n, m = self.n_in, self.n_out
         x, y = (1 << n) - 1, (1 << m) - 1
         return [(r >> n) & y | (r & x) << m | (r >> (n + m)) << rhs for r in self._rows]
+
+    def _converse_rows(self) -> tuple[int, ...]:
+        """The canonical rows with the outputs first, eliminated once a
+        relation and kept in a slot that is not a field."""
+        if not hasattr(self, "_converse"):
+            nv = self.n_in + self.n_out
+            object.__setattr__(self, "_converse", _canonical(self._outputs_first(nv), nv))
+        return self._converse
 
     def compose(self, other: "AffineRelation") -> "AffineRelation":
         """Relational composite: {(x,z) : exists y. (x,y) in self, (y,z) in other}."""
@@ -154,18 +167,14 @@ class AffineRelation(Record, fields=("n_in", "n_out", "_rows")):
 
     def dagger(self) -> "AffineRelation":
         """Graph converse: swap input and output roles."""
-        n, m = self.n_in, self.n_out
-        if self.is_empty():
-            return AffineRelation.empty(m, n)
-        return AffineRelation(m, n, self._outputs_first(n + m))
+        return AffineRelation._of(self.n_out, self.n_in, self._converse_rows(), self._rows)
 
     def domain_masks(self) -> tuple[int, ...]:
-        """Constraint system of the domain, over the n_in input variables.
-
-        The rows are canonical: the projection of a canonical system is in
-        RREF, and that of the empty relation's ``0 = 1`` is ``0 = 1``."""
-        n, m = self.n_in, self.n_out
-        return tuple(project_masks(self._outputs_first(n + m), m, n + m + 1))
+        """Constraint system of the domain, over the n_in input variables:
+        the converse rows with no output bit, shifted past the outputs.
+        Canonical; ``0 = 1`` for the empty relation."""
+        m = self.n_out
+        return tuple(r >> m for r in self._converse_rows() if not r & ((1 << m) - 1))
 
     def restriction(self) -> "AffineRelation":
         """The restriction idempotent: identity on the domain of definition."""
@@ -186,33 +195,25 @@ class AffineRelation(Record, fields=("n_in", "n_out", "_rows")):
         nonzero homogeneous solution whose ``side`` part is zero."""
         if self.is_empty():
             return None
-        n, m = self.n_in, self.n_out
-        coef = [r & ((1 << (n + m)) - 1) for r in self._rows]
-        x_cols = [r & ((1 << n) - 1) for r in coef]
-        y_cols = [r >> n for r in coef]
-        v = _nontrivial_kernel(y_cols, m)
-        if v is not None:
-            return ("x", BitVec.from_mask(m, v))
-        v = _nontrivial_kernel(x_cols, n)
-        if v is not None:
-            return ("y", BitVec.from_mask(n, v))
+        for side, rows, k in (("x", self._converse_rows(), self.n_out), ("y", self._rows, self.n_in)):
+            v = _free_direction(rows, k)
+            if v is not None:
+                return side, BitVec.from_mask(k, v)
         return None
 
     def map_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The forms and the domain rows of the map, the inverse of
-        ``from_map``: row i < n_out of the canonical ``dagger()`` reads
-        y_i = a_i.x + c_i, the rows past them the domain.  ``ValueError``
-        when the inputs do not fix an output.  Read once a relation."""
-        if not hasattr(self, "_map"):
-            m = self.n_out
-            rows = self.dagger()._rows
-            if self.is_empty():
-                rows = (0,) * m + rows
-            elif [row & -row for row in rows[:m]] != [1 << i for i in range(m)]:
-                raise ValueError("relation is not a partial isomorphism: image not unique")
-            shifted = tuple(row >> m for row in rows)
-            object.__setattr__(self, "_map", (shifted[:m], shifted[m:]))
-        return self._map
+        ``from_map``: converse row i < n_out reads y_i = a_i.x + c_i, the
+        rows past them the domain.  ``ValueError`` when the inputs do not
+        fix an output."""
+        m = self.n_out
+        rows = self._converse_rows()
+        if self.is_empty():
+            rows = (0,) * m + rows
+        elif _free_direction(rows, m) is not None:
+            raise ValueError("relation is not a partial isomorphism: image not unique")
+        shifted = tuple(row >> m for row in rows)
+        return shifted[:m], shifted[m:]
 
     def apply_all(self, columns: Sequence[int], lanes: int) -> tuple[list[int], int]:
         """``lanes`` inputs at once, as ``Circuit.eval_all`` runs them: a
@@ -241,12 +242,17 @@ class AffineRelation(Record, fields=("n_in", "n_out", "_rows")):
         return BitVec(out) if defined else None
 
     def is_total(self) -> bool:
-        return all(r == 0 for r in self.domain_masks())
+        return not self.domain_masks()
 
 
-def _nontrivial_kernel(rows: list[int], ncols: int) -> Optional[int]:
-    basis = null_basis(*rref_masks(rows, ncols), ncols)
-    return basis[0] if basis else None
+def _free_direction(rows: Sequence[int], k: int) -> Optional[int]:
+    """None when each column below ``k`` is a pivot of the canonical
+    ``rows``, else the first ``null_basis`` vector of that block."""
+    low = (1 << k) - 1
+    block = [r & low for r in rows if r & low]
+    if len(block) == k:
+        return None
+    return null_basis(block, [(r & -r).bit_length() - 1 for r in block], k)[0]
 
 
 def all_bitvecs(n: int) -> list[BitVec]:

@@ -9,13 +9,12 @@ project them onto |0>.  Both stages pick deterministic extensions, so
 synthesis is a canonical representative chooser: re-synthesizing the
 semantics of a synthesized circuit reproduces it gate for gate.
 
-Both extensions are read off canonical rows.  Every input and every output
-of a non-empty partial isomorphism is a pivot.  ``r.map_rows()`` reads form
-i, y_i = a_i.x + c_i, off the outputs-first rows of ``r.dagger()``, the one
-elimination past the partial isomorphism check: the rows a_i and the shift
-c give the total map (zero on the domain's pivot columns, since the rows
-are reduced), and the domain rows follow.  With the inputs first, row j of
-``r`` reads x_j = u_j.y + d_j, which erases input j.
+Both extensions are read off canonical rows, once
+``r.partial_iso_violation()`` has found every input and output a pivot.
+``r.map_rows()`` reads form i, y_i = a_i.x + c_i, off the converse rows:
+the rows a_i and the shift c give the total map (zero on the domain's pivot
+columns, since the rows are reduced), and the domain rows follow.  With the
+inputs first, row j of ``r`` reads x_j = u_j.y + d_j, which erases input j.
 """
 
 from __future__ import annotations
@@ -96,13 +95,7 @@ def synth(r: AffineRelation) -> Circuit:
         return omega_nm(n, m)
 
     # Inputs first, row j reads x_j = u_j.y + d_j; form i reads y_i = a_i.x + c_i.
-    rows = r.constraint_masks
-    try:
-        forms, domain_rows = r.map_rows()
-    except ValueError:  # an output the inputs do not fix
-        forms = None
-    if forms is None or [row & -row for row in rows[:n]] != [1 << j for j in range(n)]:
-        raise RuntimeError("a partial isomorphism pivots on every input and output")
+    forms, domain_rows = r.map_rows()
     x_mask, y_mask = (1 << n) - 1, (1 << m) - 1
     forward = AffineMapSpec(
         GF2Matrix.from_masks([f & x_mask for f in forms], n),
@@ -111,7 +104,7 @@ def synth(r: AffineRelation) -> Circuit:
     domain = ClausalForm.from_masks(n, domain_rows)
 
     erase: list = []
-    for j, row in enumerate(rows[:n]):
+    for j, row in enumerate(r.constraint_masks[:n]):
         erase.extend(cnot(n + i, j) for i in set_bits((row >> n) & y_mask))
         if row >> (n + m):
             erase.append(notg(j))

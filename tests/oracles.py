@@ -2,8 +2,11 @@
 points, and the graph and domain of a relation found by trying every
 assignment.  They share no code path with ``AffineRelation``'s operations
 beyond the canonical form itself, so they check those operations
-independently.  ``old_synth`` is synthesis as it was, one elimination per
-variable, which ``synth`` must match gate for gate.  The ``layout_*``
+independently.  ``old_partial_iso_violation`` and ``projected_domain`` are
+the partial isomorphism test and the domain as they were before both read
+the converse rows: two kernel eliminations, and one projection.
+``old_synth`` is synthesis as it was, one elimination per variable, which
+``synth`` must match gate for gate.  The ``layout_*``
 functions and ``old_semantics`` write the rows of a map's graph bit by bit,
 as each constructor did before ``AffineRelation.from_map`` wrote them all.
 ``old_parse_circuit`` is the circuit parser as it was before it read a file
@@ -19,7 +22,7 @@ from cnotcalc.circuit import (
     GATES, Circuit, CircuitError, Gate, circuit, cnot, notg, omega_nm, post0,
 )
 from cnotcalc.formats import _ONE_WIRE, _TWO_WIRES, FormatError, _arities, _int
-from cnotcalc.gf2 import BitVec, GF2Matrix, null_basis, rref_masks, set_bits
+from cnotcalc.gf2 import BitVec, GF2Matrix, null_basis, project_masks, rref_masks, set_bits
 from cnotcalc.lexing import _COMMENT
 from cnotcalc.normalize import ClausalForm, clausal_to_circuit
 from cnotcalc.relation import ENUMERATION_LIMIT, AffineRelation, ArityError
@@ -74,6 +77,41 @@ def enumerate_domain(rel: AffineRelation) -> set[BitVec]:
     if rel.n_in > ENUMERATION_LIMIT:
         raise ValueError("domain too large to enumerate")
     return {BitVec.from_mask(rel.n_in, v) for v in _solutions(rel.domain_masks(), rel.n_in)}
+
+
+# -- the partial isomorphism test and the domain as they were: two kernel
+# eliminations, and a projection of the outputs-first rows ------------------
+
+
+def _nontrivial_kernel(rows: list[int], ncols: int) -> Optional[int]:
+    basis = null_basis(*rref_masks(rows, ncols), ncols)
+    return basis[0] if basis else None
+
+
+def old_partial_iso_violation(rel: AffineRelation) -> Optional[tuple[str, BitVec]]:
+    """(side, direction) of a nonzero homogeneous solution whose ``side``
+    part is zero, from the kernels of the y-parts and of the x-parts of the
+    rows; None for a partial isomorphism or the empty relation."""
+    if rel.is_empty():
+        return None
+    n, m = rel.n_in, rel.n_out
+    coef = [r & ((1 << (n + m)) - 1) for r in rel.constraint_masks]
+    v = _nontrivial_kernel([r >> n for r in coef], m)
+    if v is not None:
+        return ("x", BitVec.from_mask(m, v))
+    v = _nontrivial_kernel([r & ((1 << n) - 1) for r in coef], n)
+    if v is not None:
+        return ("y", BitVec.from_mask(n, v))
+    return None
+
+
+def projected_domain(rel: AffineRelation) -> tuple[int, ...]:
+    """The domain rows: the outputs projected out of the rows laid out
+    outputs first, inputs above them and the right-hand side on top."""
+    n, m = rel.n_in, rel.n_out
+    x, y = (1 << n) - 1, (1 << m) - 1
+    rows = [(r >> n) & y | (r & x) << m | (r >> (n + m)) << (n + m) for r in rel.constraint_masks]
+    return tuple(project_masks(rows, m, n + m + 1))
 
 
 # -- synthesis as it was: a least point, a basis of the domain's directions
@@ -135,7 +173,7 @@ def old_synth(r: AffineRelation) -> Circuit:
     zero) on ancillae, and erase the inputs with the total extension G of
     the partial inverse.  ``r`` must be a partial isomorphism; the images of
     the directions come from ``r.apply``."""
-    if not r.is_partial_iso():
+    if old_partial_iso_violation(r) is not None:
         raise ValueError("not a partial isomorphism")
     n, m = r.n_in, r.n_out
     if r.is_empty():

@@ -5,9 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from cnotcalc.gf2 import BitVec
 from cnotcalc.relation import AffineRelation, ArityError, all_bitvecs
+from cnotcalc.relation_formats import parse_relation
 from cnotcalc.fuzzing import random_circuit, trial_rng
 from test_gf2 import column_scan_project
-from oracles import enumerate_graph, from_graph_points, layout_identity, layout_permutation
+from test_synth import partial_isos
+from oracles import (
+    enumerate_graph, from_graph_points, layout_identity, layout_permutation,
+    old_partial_iso_violation, projected_domain,
+)
 
 
 def rel_from_pairs(n, m, pairs):
@@ -562,6 +567,36 @@ def test_map_rows_is_the_inverse_of_from_map(r):
             r.map_rows()
     else:
         assert AffineRelation.from_map(r.n_in, *r.map_rows()) == r
+
+
+@st.composite
+def graph_files(draw):
+    """Relations read from ``graph`` files of up to 64 variables: parity
+    lines with any terms and right-hand sides, so mostly no partial
+    isomorphism, and some empty."""
+    n = draw(st.integers(0, 64))
+    m = draw(st.integers(0, 64 - n))
+    lines = [f"graph {n} {m}"]
+    for coef, rhs in draw(st.lists(st.tuples(st.integers(0, (1 << (n + m)) - 1), st.booleans()),
+                                   max_size=n + m + 2)):
+        terms = [f"x{j}" if j < n else f"y{j - n}" for j in range(n + m) if coef >> j & 1]
+        lines.append(" ".join(["parity", *terms, "=", str(int(rhs))]))
+    return parse_relation("\n".join(lines + ["end", ""]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(maybe_empty(), graph_files(), partial_isos()))
+def test_the_converse_pivots_decide_what_two_kernels_decided(r):
+    """The partial isomorphism test, the domain, the converse and totality,
+    all read off the converse rows, against the two kernel eliminations and
+    the projection they replaced, past the enumeration cap; ``partial_isos``
+    draws the relations that pass."""
+    assert r.partial_iso_violation() == old_partial_iso_violation(r)
+    assert r.domain_masks() == projected_domain(r)
+    back = r.dagger()
+    assert back.dagger().constraint_masks == r.constraint_masks
+    assert AffineRelation(back.n_in, back.n_out, back.constraint_masks).dagger() == r
+    assert r.is_total() == (projected_domain(r) == ())
 
 
 class TestOneProjectionMatchesColumnScan:

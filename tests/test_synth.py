@@ -8,6 +8,8 @@ from cnotcalc.relation import AffineRelation, all_bitvecs
 from cnotcalc.circuit import circuit, equal_circ, omega_nm, post1
 from cnotcalc.synth import AffineMapSpec, NotPartialIsoError, synth, synth_total_graph
 from cnotcalc.fuzzing import random_circuit, trial_rng
+from cnotcalc.cli import run
+from cnotcalc.formats import format_relation
 from oracles import from_graph_points, layout_graph_relation, old_synth
 
 
@@ -215,11 +217,18 @@ def test_canonical_rows_pivot_on_every_variable(r, rng):
         assert linear.mul_vec(x) ^ shift == r.apply(x)
 
 
-def test_missing_pivot_is_an_internal_error(monkeypatch):
-    # with the partial isomorphism check switched off, a projection (y0 = x0,
-    # x1 free) lacks the pivot x1, and its converse lacks the pivot y1
+def test_a_missing_pivot_is_never_printed(monkeypatch, capsys, tmp_path):
+    """With the partial isomorphism check switched off, a projection
+    (y0 = x0, x1 free) lacks the pivot x1: ``synth`` builds a circuit of
+    another relation, which the command's own check stops.  Its converse
+    lacks the pivot y1, which ``map_rows`` refuses."""
     monkeypatch.setattr(AffineRelation, "partial_iso_violation", lambda self: None)
     proj = AffineRelation(2, 1, [0b001 | (1 << 2)])
-    for r in (proj, proj.dagger()):
-        with pytest.raises(RuntimeError, match="pivots on every input and output"):
-            synth(r)
+    internal = ("error: internal error: RuntimeError: synth built a circuit "
+                "whose semantics differs from the relation\n")
+    not_unique = "error: relation is not a partial isomorphism: image not unique\n"
+    for r, code, err in ((proj, 3, internal), (proj.dagger(), 2, not_unique)):
+        path = tmp_path / "rel.graph"
+        path.write_text(format_relation(r))
+        assert run(["synth", str(path)]) == code
+        assert capsys.readouterr() == ("", err)
