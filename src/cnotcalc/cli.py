@@ -24,18 +24,21 @@ it loads, and what the parser allocates for the largest one stays in the
 process's resident memory.  Every command, ``--help`` too, loads
 ``commandline``, ``commandio``, ``circuit`` (with ``gates``), ``relation``,
 ``gf2`` and ``record``.  Each handler that reads or writes a file imports
-``formats`` (with ``lexing`` and ``relation_formats``) when it runs, and
-``Circuit.semantics`` imports ``symbolic``, so ``--help`` loads neither and
-``eval`` and ``construct`` load no ``symbolic``; ``equal`` and
-``semantics`` load ``semantics_reader`` too, and so does ``fuzzing``, which
-checks it.  The layers above ``circuit`` (``normalize``, ``synth``,
-``rewrite`` with its ``identities``, ``fuzzing``, ``lawsuites``) are
-imported by the handlers that run them, so ``equal``, ``semantics``,
-``eval`` and ``construct`` never load them.  ``circuit`` stays imported
-here, since ``construct`` reads its constructions from this module's
-namespace, and ``relation`` compiles before this module, through the
-package's own import, so that the parser's peak on it is reused by the
-modules compiled after it rather than stacked on top of them.
+the format it runs when it runs: ``circuit_formats`` (with ``lexing``) for
+circuits and derivations, ``relation_formats`` (with ``lexing``) for
+``semantics``' output and ``synth``'s input, so only those two commands
+compile a relation reader.  ``Circuit.semantics`` imports ``symbolic``, so
+``--help`` loads no format and no ``symbolic``, and ``eval`` and
+``construct`` load no ``symbolic``; ``equal`` and ``semantics`` load
+``semantics_reader`` too, and so does ``fuzzing``, which checks it.
+The layers above ``circuit`` (``normalize``, ``synth``, ``rewrite`` with
+its ``identities``, ``fuzzing``, ``lawsuites``) are imported by the
+handlers that run them, so ``equal``, ``semantics``, ``eval`` and
+``construct`` never load them.  ``circuit`` stays imported here, since
+``construct`` reads its constructions from this module's namespace, and
+``relation`` compiles before this module, through the package's own
+import, so that the parser's peak on it is reused by the modules compiled
+after it rather than stacked on top of them.
 
 ``main`` is the process entry point of ``cnotcalc`` and ``python -m
 cnotcalc.cli``; once the command is done it freezes the heap, so interpreter
@@ -78,11 +81,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_semantics(args) -> int:
-    from . import formats
+    from .relation_formats import format_relation
     from .semantics_reader import parse_semantics
 
     _, rel = _parse(args.file, parse_semantics)
-    text = formats.format_relation(rel)
+    text = format_relation(rel)
     _emit(args, text, lambda: {"command": "semantics", "relation": text.splitlines()})
     return OK
 
@@ -102,7 +105,7 @@ def _cmd_equal(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    from . import formats
+    from .circuit_formats import format_circuit
     from .normalize import NotIdempotentError, clausal_to_circuit, idempotent_to_clausal
 
     _, c = _load_circuit(args.file)
@@ -114,20 +117,21 @@ def _cmd_normalize(args) -> int:
     clausal = clausal_to_circuit(cf)
     if clausal.semantics() != rel:  # checked before it is printed
         raise RuntimeError("normalize built a circuit whose semantics differs from the idempotent")
-    text = formats.format_circuit(clausal, name="clausal")
+    text = format_circuit(clausal, name="clausal")
     _emit(args, text, lambda: {"command": "normalize", "circuit": text.splitlines()})
     return OK
 
 
 def _cmd_synth(args) -> int:
-    from . import formats
+    from .circuit_formats import format_circuit
+    from .relation_formats import parse_synth_input
     from .synth import synth
 
-    rel = _parse(args.file, formats.parse_synth_input)
+    rel = _parse(args.file, parse_synth_input)
     c = synth(rel)
     if c.semantics() != rel:  # checked before it is printed
         raise RuntimeError("synth built a circuit whose semantics differs from the relation")
-    text = formats.format_circuit(c, name="synth")
+    text = format_circuit(c, name="synth")
     _emit(args, text, lambda: {"command": "synth", "circuit": text.splitlines()})
     return OK
 
@@ -150,31 +154,32 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from . import formats
+    # the circuit format compiles before rewrite: the other order raised
+    # this command's median peak RSS by 70-130 KiB
+    from .circuit_formats import format_circuit, parse_derivation
     from .rewrite import Derivation, replay
 
     _, c = _load_circuit(args.file)
-    steps = _parse(args.derivation, formats.parse_derivation)
+    steps = _parse(args.derivation, parse_derivation)
     # every step is checked before the first block is printed
     circuits = enumerate(replay(Derivation(c, tuple(steps))))
     if args.json:
         blocks = [
-            formats.format_circuit(ci, name=f"step{i}").rstrip("\n") for i, ci in circuits
+            format_circuit(ci, name=f"step{i}").rstrip("\n") for i, ci in circuits
         ]
         _emit(args, "", lambda: {"command": "replay", "steps": len(steps), "circuits": blocks})
     else:
         for i, ci in circuits:  # one block held at a time
-            _write(formats.format_circuit(ci, name=f"step{i}"))
+            _write(format_circuit(ci, name=f"step{i}"))
     return OK
 
 
 def _cmd_fuzz(args) -> int:
-    from . import formats
+    from .circuit_formats import format_circuit
     from .fuzzing import fuzz
+    from .lexing import integer
 
-    wires, depth, seed, trials = map(
-        formats.integer, (args.wires, args.depth, args.seed, args.trials)
-    )
+    wires, depth, seed, trials = map(integer, (args.wires, args.depth, args.seed, args.trials))
     for option, value in (("trials", trials), ("wires", wires), ("depth", depth)):
         if value < 0:
             raise CliInputError(f"--{option} must be nonnegative, got {value}")
@@ -190,7 +195,7 @@ def _cmd_fuzz(args) -> int:
         )
         return OK
     index, c, message = failure
-    body = formats.format_circuit(c, name=f"counterexample{index}")
+    body = format_circuit(c, name=f"counterexample{index}")
     _emit(
         args,
         f"trial {index}: {message}\n{body}",
@@ -206,7 +211,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _build_construct(name: str, params: list[str]):
-    from . import formats
+    from .lexing import integer
 
     def arity(*counts):
         if len(params) not in counts:
@@ -214,7 +219,7 @@ def _build_construct(name: str, params: list[str]):
             raise CliInputError(f"construct {name} takes {told} argument(s)")
 
     def num(i):
-        return formats.integer(params[i])
+        return integer(params[i])
 
     if name == "fanout":
         arity(1)
@@ -240,10 +245,10 @@ def _build_construct(name: str, params: list[str]):
 
 
 def _cmd_construct(args) -> int:
-    from . import formats
+    from .circuit_formats import format_circuit
 
     c = _build_construct(args.name, args.params)
-    text = formats.format_circuit(c, name=args.name)
+    text = format_circuit(c, name=args.name)
     _emit(args, text, lambda: {"command": "construct", "circuit": text.splitlines()})
     return OK
 

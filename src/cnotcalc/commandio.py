@@ -1,10 +1,10 @@
 """How a command reads its files and writes its output.
 
-Files are handed open to the readers of ``formats``, which take them a
-window at a time, so no file's text is held whole, and a file that cannot
-be read or is not UTF-8 is an input error naming the file.  Output is
-written in slices, or under ``--json`` as the JSON of a report that is
-built only then.
+Files are handed open to the readers of ``circuit_formats`` and
+``relation_formats``, which take them a window at a time, so no file's
+text is held whole, and a file that cannot be read or is not UTF-8 is an
+input error naming the file.  Output is written in slices, or under
+``--json`` as the JSON of a report that is built only then.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _parse(path: str, parse):
 
 
 def _load_circuit(path: str):
-    from .formats import parse_circuit  # imported here, so --help compiles no reader
+    from .circuit_formats import parse_circuit  # imported here, so --help compiles no reader
 
     return _parse(path, parse_circuit)
 

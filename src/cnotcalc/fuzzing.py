@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .circuit import Circuit
-from .formats import format_circuit
+from .circuit_formats import format_circuit
 from .gates import GATES, Gate
 from .relation import AffineRelation, all_columns
 from .semantics_reader import parse_semantics

@@ -1,7 +1,8 @@
 """The reader of a circuit file's relation: ``parse_semantics`` runs each
 gate line on the wire expressions as it splits it, so it holds no gate
 list and no memo of lines.  It reads the header and the lines as
-``formats.parse_circuit`` does.  ``equal`` and ``semantics`` load it, and
+``circuit_formats.parse_circuit`` does, with the same helpers, so it
+compiles no relation reader.  ``equal`` and ``semantics`` load it, and
 ``fuzzing``, which checks it against ``Circuit.semantics``.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from operator import length_hint
 
-from .formats import _build, _check_outputs, _read_header, _window_gates
+from .circuit_formats import _build, _check_outputs, _read_header, _window_gates
 from .gates import CNOT, INIT1, POST1, SWAP, CircuitError, width_after
 from .lexing import FormatError
 from .relation import AffineRelation

@@ -44,20 +44,25 @@ def test_cli_import_adds_neither_dataclasses_nor_json():
 
 # the layers above the circuit that only some commands run, the rule tables
 # that only ``rewrite`` loads, the reader of a file's relation, the file
-# formats that only the commands reading or writing a file load, and the
-# symbolic execution that only ``Circuit.semantics`` and that reader run
-READERS = {"formats", "lexing", "relation_formats"}
+# formats that only the commands reading or writing a file load (the
+# relation formats only ``semantics`` and ``synth``, and the module that
+# re-exports every format none), and the symbolic execution that only
+# ``Circuit.semantics`` and that reader run
+CIRCUIT_READERS = {"circuit_formats", "lexing"}
+READERS = {*CIRCUIT_READERS, "relation_formats"}
 LAYERS = {
     "rewrite", "identities", "normalize", "synth", "fuzzing", "lawsuites", "semantics_reader",
-    *READERS, "symbolic",
+    *READERS, "formats", "symbolic",
 }
 
-RUN_PROBE = """
+# the exit code of the command in argv, and the file of every cnotcalc
+# module it loaded
+FILES_PROBE = """
 import sys
 import cnotcalc.cli
 code = cnotcalc.cli.run(sys.argv[1:])
 print(code)
-print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("cnotcalc."))))
+print(sorted(m.__file__ for n, m in sys.modules.items() if n.split(".")[0] == "cnotcalc"))
 """
 
 INPUTS = {
@@ -68,31 +73,36 @@ INPUTS = {
 }
 
 
+def _with_inputs(tmp_path, argv) -> list[str]:
+    """``argv`` with each name of ``INPUTS`` replaced by the path of a file
+    under ``tmp_path`` that holds it."""
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / a) if a in INPUTS else a for a in argv]
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
         (("--help",), set()),
-        (("equal", "circ", "idem"), {"semantics_reader", *READERS, "symbolic"}),
+        (("equal", "circ", "idem"), {"semantics_reader", *CIRCUIT_READERS, "symbolic"}),
         (("semantics", "circ"), {"semantics_reader", *READERS, "symbolic"}),
-        (("eval", "circ", "--input", "10"), READERS),
-        (("construct", "fanout", "3"), READERS),
+        (("eval", "circ", "--input", "10"), CIRCUIT_READERS),
+        (("construct", "fanout", "3"), CIRCUIT_READERS),
         (("synth", "graph"), {"synth", "normalize", *READERS, "symbolic"}),
-        (("normalize", "idem"), {"normalize", *READERS, "symbolic"}),
-        (("replay", "circ", "deriv"), {"rewrite", "identities", *READERS, "symbolic"}),
+        (("normalize", "idem"), {"normalize", *CIRCUIT_READERS, "symbolic"}),
+        (("replay", "circ", "deriv"), {"rewrite", "identities", *CIRCUIT_READERS, "symbolic"}),
         (
             ("fuzz", "--trials", "1"),
-            {"fuzzing", "synth", "normalize", "semantics_reader", *READERS, "symbolic"},
+            {"fuzzing", "synth", "normalize", "semantics_reader", *CIRCUIT_READERS, "symbolic"},
         ),
-        (("verify",), LAYERS),
+        (("verify",), LAYERS - {"formats", "relation_formats"}),
     ],
 )
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
-    for name, text in INPUTS.items():
-        (tmp_path / name).write_text(text)
-    args = [str(tmp_path / a) if a in INPUTS else a for a in argv]
-    *_, code, modules = _probe(RUN_PROBE, *args)
+    *_, code, files = _probe(FILES_PROBE, *_with_inputs(tmp_path, argv))
     assert code in ("0", "1")
-    assert set(modules.split()) & LAYERS == loaded
+    assert {Path(f).stem for f in ast.literal_eval(files)} & LAYERS == loaded
 
 
 ARGV_PROBE = """
@@ -138,19 +148,58 @@ def test_synth_is_the_submodule_whatever_the_import_order(order):
     assert _probe(SYNTH_ORDERS[order] + SYNTH_PROBE) == ["True", "False", "[]"]
 
 
+def _imported_modules(path: Path) -> set[str]:
+    """The last dotted part of every module the module at ``path``
+    imports, and every name it imports from one."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    return imported
+
+
 def test_formats_imports_no_higher_layer():
-    higher = {}
-    for module in ("formats", "lexing", "relation_formats", "semantics_reader", "symbolic"):
-        tree = ast.parse((SRC / "cnotcalc" / f"{module}.py").read_text(encoding="utf-8"))
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported.add((node.module or "").split(".")[-1])
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[-1] for alias in node.names)
-        higher[module] = imported & {"synth", "rewrite", "identities", "fuzzing", "lawsuites"}
+    higher = {
+        module: _imported_modules(SRC / "cnotcalc" / f"{module}.py")
+        & {"synth", "rewrite", "identities", "fuzzing", "lawsuites"}
+        for module in (
+            "formats", "circuit_formats", "lexing", "relation_formats", "semantics_reader",
+            "symbolic",
+        )
+    }
     assert higher == dict.fromkeys(higher, set())
+
+
+def test_no_module_of_the_package_imports_the_reexports():
+    # ``formats`` binds every format, relation readers too; a command that
+    # imported it would compile readers it does not run
+    users = [
+        path.name for path in sorted((SRC / "cnotcalc").glob("*.py"))
+        if "formats" in _imported_modules(path)
+    ]
+    assert users == []
+
+
+def test_formats_binds_the_objects_of_the_format_modules():
+    # the tracer looks readers up in ``formats.__dict__`` and rebinds every
+    # name that holds the same object, so each must be the defining one
+    from cnotcalc import circuit_formats, formats, lexing, relation_formats
+
+    names = {name for name in vars(formats) if not name.startswith("__")}
+    assert {
+        "parse_circuit", "format_circuit", "parse_derivation", "parse_relation",
+        "format_relation", "parse_system", "format_system", "parse_synth_input",
+        "FormatError", "integer",
+    } <= names
+    homes = (circuit_formats, relation_formats, lexing)
+    strays = [
+        name for name in sorted(names)
+        if not any(name in vars(home) and vars(home)[name] is vars(formats)[name] for home in homes)
+    ]
+    assert strays == []
 
 
 # What ``code_tokens`` leaves out: comments, line breaks and indentation.
@@ -171,21 +220,38 @@ def test_every_module_is_a_small_compile_unit():
     assert {name: size for name, size in sizes.items() if size > 2000} == {}
 
 
-HELP_PROBE = """
-import sys
-import cnotcalc.cli
-code = cnotcalc.cli.run(["--help"])
-print(code)
-print(sorted(m.__file__ for n, m in sys.modules.items() if n.split(".")[0] == "cnotcalc"))
-"""
-
-
 def test_help_compiles_what_prints_the_table():
     # --help runs no reader, no writer and no symbolic execution: it held
     # 11,890 code tokens of cnotcalc while cli imported formats eagerly
-    *_, code, files = _probe(HELP_PROBE)
+    *_, code, files = _probe(FILES_PROBE, "--help")
     assert code == "0"
     assert sum(code_tokens(Path(f)) for f in ast.literal_eval(files)) <= 8600
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        # code tokens compiled, just above what each command compiles; while
+        # every command but --help compiled the relation readers through
+        # ``formats``, they read equal 12,622, semantics 12,622, eval and
+        # construct 11,641, synth 13,194, normalize 12,607, replay 14,911,
+        # fuzz 14,672 and verify 19,203
+        (("equal", "circ", "idem"), 11400),
+        (("semantics", "circ"), 12700),
+        (("eval", "circ", "--input", "10"), 10400),
+        (("construct", "fanout", "3"), 10400),
+        (("synth", "graph"), 13300),
+        (("normalize", "idem"), 11400),
+        (("replay", "circ", "deriv"), 13700),
+        (("fuzz", "--trials", "1"), 13500),
+        (("verify",), 18000),
+    ],
+    ids=lambda value: value[0] if isinstance(value, tuple) else str(value),
+)
+def test_each_command_compiles_within_its_budget(tmp_path, argv, budget):
+    *_, code, files = _probe(FILES_PROBE, *_with_inputs(tmp_path, argv))
+    assert code in ("0", "1")
+    assert sum(code_tokens(Path(f)) for f in ast.literal_eval(files)) <= budget
 
 
 ORDER_PROBE = """
@@ -202,6 +268,21 @@ print([os.path.basename(f) for f in compiled if isinstance(f, str) and f.endswit
 """
 
 
+def _compile_order(tmp_path, *argv: str) -> tuple[list[str], list[str]]:
+    """(output lines, the ``.py`` files compiled in order) of the command
+    ``argv`` run as ``python -m cnotcalc.cli`` with no bytecode cache."""
+    args = _with_inputs(tmp_path, argv)
+    env = dict(
+        os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1",
+        PYTHONPYCACHEPREFIX=str(tmp_path / "no-cache"),
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", ORDER_PROBE, *args],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    return out[:-1], ast.literal_eval(out[-1])
+
+
 def test_relation_compiles_before_cli(tmp_path):
     # ``relation`` is the largest compile unit, and what the parser allocates
     # for it stays resident.  Compiled first (through the package's
@@ -209,19 +290,19 @@ def test_relation_compiles_before_cli(tmp_path):
     # memory; compiled last, its peak lands on top of them: deferring it
     # past ``cli`` raised the peak RSS of ``equal`` by 130-250 KiB and of
     # ``synth``, ``normalize`` and ``replay`` by 144-168 KiB.
-    (tmp_path / "circ").write_text(INPUTS["circ"])
-    circ = str(tmp_path / "circ")
-    env = dict(
-        os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1",
-        PYTHONPYCACHEPREFIX=str(tmp_path / "no-cache"),
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", ORDER_PROBE, "equal", circ, circ],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.splitlines()
-    assert out[0] == "equal"
-    order = ast.literal_eval(out[-1])
+    out, order = _compile_order(tmp_path, "equal", "circ", "circ")
+    assert out == ["equal"]
     assert order.index("relation.py") < order.index("cli.py")
+
+
+def test_the_circuit_format_compiles_before_rewrite(tmp_path):
+    # which module compiles first moves peak RSS by allocator layout alone.
+    # Compiled before ``circuit_formats`` and ``lexing``, ``rewrite`` and
+    # ``identities`` raised the median peak RSS of ``replay`` by 70-130 KiB
+    # (by ``wait4``, 20 processes a job on each of 4 jobs)
+    out, order = _compile_order(tmp_path, "replay", "circ", "deriv")
+    assert out[0] == "circuit step0 : 2 -> 2"
+    assert order.index("circuit_formats.py") < order.index("rewrite.py")
 
 
 def _collector_and_exit_uses():

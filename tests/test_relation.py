@@ -555,12 +555,13 @@ def maybe_empty(draw, n_in=None, n_out=None):
 
 
 @settings(deadline=None, max_examples=80)
-@given(maybe_empty())
+@given(st.one_of(maybe_empty(), partial_isos()))
 def test_map_rows_is_the_inverse_of_from_map(r):
     """``map_rows`` reads back the forms and the domain rows that
     ``from_map`` takes, the empty relation's included; it refuses just the
     relations with a homogeneous solution whose x-part is zero, where the
-    inputs leave an output free."""
+    inputs leave an output free.  ``relations`` almost never draws a
+    non-empty partial isomorphism, so ``partial_isos`` draws those."""
     violation = r.partial_iso_violation()
     if violation is not None and violation[0] == "x":
         with pytest.raises(ValueError, match="image not unique"):
@@ -614,7 +615,7 @@ class TestOneProjectionMatchesColumnScan:
             assert got == AffineRelation.empty(a.n_in, b.n_out)
 
     @settings(deadline=None, max_examples=80)
-    @given(maybe_empty())
+    @given(st.one_of(maybe_empty(), partial_isos()))
     def test_domain_masks(self, a):
         got = a.domain_masks()
         assert got == old_domain_masks(a)
