@@ -32,10 +32,9 @@ from .circuit import (
 # ``eval`` commands among others) does not compile them.  ``synth`` is the
 # submodule; its function is ``cnotcalc.synth.synth``.
 _LAZY = {
-    "rewrite": (
-        "RewriteRule", "Derivation", "axiom", "lemma_fixture", "all_rules", "apply_at",
-        "replay", "verify_all", "verify_rules",
-    ),
+    "rewrite": ("RewriteRule", "axiom", "lemma_fixture", "all_rules", "apply_at", "verify_all"),
+    "derivation": ("Derivation", "replay"),
+    "lawsuites": ("verify_rules",),
     "normalize": (
         "Clause", "ClausalForm", "idempotent_to_clausal", "clausal_to_circuit",
         "gaussian_eliminate", "normalize_idempotent",

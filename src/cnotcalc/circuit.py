@@ -5,6 +5,9 @@ A circuit ``n_in -> n_out`` is an ordered list of the generators of
 ``gates``.  ``Circuit`` takes an ``int`` input arity, checks the widths along
 the whole trace when it is built and raises ``CircuitError`` at the first
 gate out of range, so every ``Circuit`` is a morphism ``n_in -> n_out``.
+Only the rewrite engine builds one without that check, through the private
+``Circuit._spliced``: a rewrite step keeps a legal circuit's prefix and
+suffix and checks the gates it puts between them.
 
 ``semantics`` maps a circuit to its :class:`AffineRelation` by symbolic
 execution: every wire carries an affine expression in the inputs and each
@@ -58,6 +61,16 @@ class Circuit(Record):
         gates = tuple(gates)
         self._init(n_in, gates, width_after(gates, n_in))
 
+    @classmethod
+    def _spliced(cls, n_in: int, gates: tuple, n_out: int) -> "Circuit":
+        """The circuit of ``gates``, a tuple already known to be legal from
+        ``n_in`` and to end at ``n_out``, built without checking its widths
+        again.  Only the rewrite engine calls it, on a circuit whose prefix
+        and suffix it keeps and whose new segment it has checked."""
+        c = object.__new__(cls)
+        c._init(n_in, gates, n_out)
+        return c
+
     def __reduce__(self):
         # n_out is derived: rebuild through __init__
         return Circuit, (self.n_in, self.gates)
@@ -79,20 +92,16 @@ class Circuit(Record):
 
     def tensor(self, other: "Circuit") -> "Circuit":
         """self on the lower wires, other re-indexed above them."""
-        shifted = tuple(g.shifted(self.n_out) for g in other.gates)
-        return Circuit(self.n_in + other.n_in, self.gates + shifted)
+        return Circuit(
+            self.n_in + other.n_in, self.gates + tuple(g.shifted(self.n_out) for g in other.gates)
+        )
 
     def dagger(self) -> "Circuit":
         """Horizontal flip: reverse the gate list, trading init1 and post1."""
-        flipped = []
-        for g in reversed(self.gates):
-            if g.kind == INIT1:
-                flipped.append(post1(g.a))
-            elif g.kind == POST1:
-                flipped.append(init1(g.a))
-            else:
-                flipped.append(g)
-        return Circuit(self.n_out, flipped)
+        return Circuit(self.n_out, [
+            post1(g.a) if g.kind == INIT1 else init1(g.a) if g.kind == POST1 else g
+            for g in reversed(self.gates)
+        ])
 
     # -- evaluation ----------------------------------------------------------
 
@@ -159,7 +168,7 @@ def _gates_of(items: Iterable) -> Iterator[Gate]:
 
 
 def identity_circuit(n: int) -> Circuit:
-    return Circuit(n, ())
+    return Circuit(n)
 
 
 def equal_circ(c: Circuit, d: Circuit) -> bool:
@@ -243,10 +252,7 @@ def plus_map(n: int) -> Circuit:
 def hat(bits: BitVec | Sequence[int]) -> Circuit:
     """The total 0 -> n preparation of a basis state; ``ValueError`` for a
     bit other than 0 or 1."""
-    gates: list = []
-    for i, b in enumerate(BitVec(bits)):
-        gates.append(init1(i) if b else init0(i))
-    return circuit(0, *gates)
+    return circuit(0, [init1(i) if b else init0(i) for i, b in enumerate(BitVec(bits))])
 
 
 def literal(i: int, n: int) -> Circuit:
@@ -284,11 +290,9 @@ def clause_circuit(support: Iterable[int], rhs: int, n: int) -> Circuit:
         raise ArityError(f"support {support} out of range for {n} wires")
     if rhs not in (0, 1):
         raise ArityError("rhs must be a bit")
-    gates: list = [init0(0)]
-    for i in support:
-        gates.append(literal(i + 1, n).gates)
-    gates.append(post1(0) if rhs else post0(0))
-    return circuit(n, *gates)
+    return circuit(
+        n, init0(0), [literal(i + 1, n).gates for i in support], post1(0) if rhs else post0(0)
+    )
 
 
 def is_latchable(c: Circuit) -> bool:

@@ -11,8 +11,12 @@ one window of input, one printed block and the circuits it works on, save
 ``equal`` and ``semantics``, which hold none: ``commandio`` hands files
 open to readers that take them a window at a time,
 ``semantics_reader.parse_semantics`` runs each gate line as it splits it,
-``replay`` writes each step as it formats it, once every step has
-been checked, and the ``--json`` report is built only under ``--json``.
+and the ``--json`` report is built only under ``--json``.  ``replay``
+checks every step before it prints any, holding the start circuit, the
+current one and each step's splice (its offset, the length of the segment
+it replaced and the gates put in its place); it then rebuilds the circuits
+one at a time as it writes them, so it holds at most two gate tuples and
+one printed block at once.
 
 ``COMMANDS``, the one table of the command line, and ``_read_argv``, which
 reads it, are the grammar in ``commandline``.  A malformed command line
@@ -30,11 +34,12 @@ circuits and derivations, ``relation_formats`` (with ``lexing``) for
 compile a relation reader.  ``Circuit.semantics`` imports ``symbolic``, so
 ``--help`` loads no format and no ``symbolic``, and ``eval`` and
 ``construct`` load no ``symbolic``; ``equal`` and ``semantics`` load
-``semantics_reader`` too, and so does ``fuzzing``, which checks it.
-The layers above ``circuit`` (``normalize``, ``synth``, ``rewrite`` with
-its ``identities``, ``fuzzing``, ``lawsuites``) are imported by the
-handlers that run them, so ``equal``, ``semantics``, ``eval`` and
-``construct`` never load them.  ``circuit`` stays imported here, since
+``semantics_reader`` too, and so does ``fuzz``'s file trial, which checks
+it.  The layers above ``circuit`` (``normalize``, ``synth``, ``rewrite``
+with its ``identities``, ``derivation``, ``fuzzing``, ``lawsuites``) are
+imported by the handlers that run them, so ``equal``, ``semantics``,
+``eval`` and ``construct`` never load them, and ``verify`` loads no file
+format, ``derivation``, ``semantics_reader``, ``synth`` or ``normalize``.  ``circuit`` stays imported here, since
 ``construct`` reads its constructions from this module's namespace, and
 ``relation`` compiles before this module, through the package's own
 import, so that the parser's peak on it is reused by the modules compiled
@@ -157,11 +162,12 @@ def _cmd_replay(args) -> int:
     # the circuit format compiles before rewrite: the other order raised
     # this command's median peak RSS by 70-130 KiB
     from .circuit_formats import format_circuit, parse_derivation
-    from .rewrite import Derivation, replay
+    from .derivation import Derivation, replay
 
     _, c = _load_circuit(args.file)
     steps = _parse(args.derivation, parse_derivation)
-    # every step is checked before the first block is printed
+    # every step is checked before the first block is printed, and each
+    # circuit is rebuilt from the one before as it is printed
     circuits = enumerate(replay(Derivation(c, tuple(steps))))
     if args.json:
         blocks = [

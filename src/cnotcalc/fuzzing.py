@@ -8,6 +8,10 @@ ordered by trial index either way.
 ``random.Random``'s own ``choice`` and ``randrange`` do, so a ``trial_rng``
 stream gives the circuits it always gave.  A subclass of ``random.Random``
 changes the draws only by overriding ``getrandbits``.
+
+The trials import what they check when they run: ``verify`` draws its
+circuits from this module and runs no trial, so it compiles neither the
+file formats nor ``semantics_reader``, ``synth`` and ``normalize``.
 """
 
 from __future__ import annotations
@@ -17,11 +21,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .circuit import Circuit
-from .circuit_formats import format_circuit
 from .gates import GATES, Gate
 from .relation import AffineRelation, all_columns
-from .semantics_reader import parse_semantics
-from .synth import synth
 
 
 def trial_rng(seed: int, index: int) -> random.Random:
@@ -113,6 +114,8 @@ def oracle_trial(c: Circuit, rel: AffineRelation) -> Optional[str]:
 
 def synth_roundtrip_trial(c: Circuit, rel: AffineRelation) -> Optional[str]:
     """Synthesis from the semantics ``rel`` of ``c`` must reproduce it."""
+    from .synth import synth
+
     again = synth(rel).semantics()
     if again != rel:
         return "semantics(synth(semantics(c))) differs from semantics(c)"
@@ -122,6 +125,9 @@ def synth_roundtrip_trial(c: Circuit, rel: AffineRelation) -> Optional[str]:
 def file_trial(c: Circuit, rel: AffineRelation) -> Optional[str]:
     """The reader that ``equal`` and ``semantics`` run on a file must give
     the semantics ``rel`` of ``c`` from ``c``'s file."""
+    from .circuit_formats import format_circuit
+    from .semantics_reader import parse_semantics
+
     if parse_semantics(format_circuit(c))[1] != rel:
         return "parse_semantics(format_circuit(c)) differs from semantics(c)"
     return None

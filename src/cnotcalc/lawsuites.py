@@ -1,4 +1,5 @@
-"""Executable law suites: copy-map laws, torsor laws, inverse-category laws.
+"""Executable law suites: copy-map laws, torsor laws, inverse-category laws,
+and the checks of the rewrite rules.
 
 Used by the ``verify`` CLI command and by the acceptance tests.  Every suite
 returns True only when each instance of its law holds exactly; the random
@@ -16,6 +17,7 @@ from .circuit import (
     plus_map,
 )
 from .fuzzing import random_circuit, trial_rng
+from .record import Record
 from .relation import all_columns
 
 
@@ -207,3 +209,29 @@ def run_all(seed: int = 0) -> list[tuple[str, bool]]:
     out.append(("inverse-laws", inverse_laws(seed)))
     out.append(("total-or-degenerate", total_or_degenerate(seed)))
     return out
+
+
+# -- the rewrite rules ---------------------------------------------------------
+
+
+class RuleReport(Record):
+    __slots__ = ("name", "semantic_ok", "state_map_ok")
+
+    def __init__(self, name: str, semantic_ok: bool, state_map_ok: bool):
+        self._init(name, semantic_ok, state_map_ok)
+
+    @property
+    def ok(self) -> bool:
+        return self.semantic_ok and self.state_map_ok
+
+
+def verify_rules(rules) -> list[RuleReport]:
+    """Each rule's two sides compared by their semantics and by their state
+    maps on every input; ``rewrite.verify_all`` runs it on the corpus."""
+    reports = []
+    for rule in rules:
+        sem = rule.lhs.semantics() == rule.rhs.semantics()
+        columns, lanes = all_columns(rule.lhs.n_in), 1 << rule.lhs.n_in
+        states = rule.lhs.eval_all(columns, lanes) == rule.rhs.eval_all(columns, lanes)
+        reports.append(RuleReport(rule.name, sem, states))
+    return reports

@@ -9,20 +9,29 @@ machine-checked for semantic equality when it loads.
 side, under a consistent injective re-indexing of the wires it touches.
 Matching is performed on persistent wire identities, so insertions and
 deletions inside the segment do not confuse the bookkeeping; a swap network
-re-establishes the original wire layout after the replacement.  The engine
-demonstrates derivations; it does not search modulo monoidal interchange and
-claims no normal forms - ``equal_circ`` is the decision procedure.
+re-establishes the original wire layout after the replacement.  Each
+rewrite is a splice: it checks that the gates it emits denote the relation
+of the segment they replace, and nothing else of the circuit, which it
+keeps as it was.  The engine demonstrates derivations (``derivation``
+replays them); it does not search modulo monoidal interchange and claims
+no normal forms - ``equal_circ`` is the decision procedure.  The checks of
+the whole corpus that ``verify_all`` runs live in ``lawsuites``, which only
+``verify`` loads.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from operator import attrgetter
+from typing import Optional
 
 from .circuit import Circuit, swap_network
-from .gates import CNOT, INIT1, POST1, SWAP, Gate, cnot, init1, post1, swap
+from .gates import (
+    CNOT, INIT1, POST1, SWAP, CircuitError, Gate, cnot, init1, post1, swap, width_after,
+)
 from .identities import _axiom_circuits, _lemma_circuits
 from .record import Record
-from .relation import all_columns
+
+_delta = attrgetter("delta")
 
 
 class RewriteRule(Record):
@@ -30,16 +39,6 @@ class RewriteRule(Record):
 
     def __init__(self, name: str, lhs: Circuit, rhs: Circuit):
         self._init(name, lhs, rhs)
-
-
-class Derivation(Record):
-    """A replayable proof: rule applications from a starting circuit."""
-
-    __slots__ = ("start", "steps")
-
-    def __init__(self, start: Circuit, steps: Iterable[tuple[str, int, str]]):
-        """steps: (rule name, gate offset, "lr"|"rl") each, stored as tuples."""
-        self._init(start, tuple(tuple(s) for s in steps))
 
 
 class RuleLoadError(ValueError):
@@ -55,44 +54,43 @@ def _check(name: str, lhs: Circuit, rhs: Circuit) -> RewriteRule:
 
 
 # The rule tables, each built on first use, and the checked rules.
-_AXIOMS: Optional[dict[str, tuple[Circuit, Circuit]]] = None
-_LEMMAS: Optional[dict[str, tuple[Circuit, Circuit]]] = None
+_Table = dict[str, tuple[Circuit, Circuit]]
+_AXIOMS: Optional[_Table] = None
+_LEMMAS: Optional[_Table] = None
 _RULE_CACHE: dict[str, RewriteRule] = {}
 
 
-def _axiom_table() -> dict[str, tuple[Circuit, Circuit]]:
+def _axiom_table() -> _Table:
     global _AXIOMS
     if _AXIOMS is None:
         _AXIOMS = _axiom_circuits()
     return _AXIOMS
 
 
-def _lemma_table() -> dict[str, tuple[Circuit, Circuit]]:
+def _lemma_table() -> _Table:
     global _LEMMAS
     if _LEMMAS is None:
         _LEMMAS = _lemma_circuits()
     return _LEMMAS
 
 
+def _rule(key: str, name: str, table: _Table, kind: str) -> RewriteRule:
+    """The checked rule ``name`` of ``table``, cached under ``key``."""
+    if name not in table:
+        raise RuleLoadError(f"unknown {kind} {name!r}; valid: {sorted(table)}")
+    if key not in _RULE_CACHE:
+        _RULE_CACHE[key] = _check(name, *table[name])
+    return _RULE_CACHE[key]
+
+
 def axiom(name: str) -> RewriteRule:
     """One of the eleven defining identities (CNT4/CNT7 come in two forms)."""
-    table = _axiom_table()
-    if name not in table:
-        raise RuleLoadError(f"unknown axiom {name!r}; valid: {sorted(table)}")
-    if name not in _RULE_CACHE:
-        _RULE_CACHE[name] = _check(name, *table[name])
-    return _RULE_CACHE[name]
+    return _rule(name, name, _axiom_table(), "axiom")
 
 
 def lemma_fixture(name: str) -> RewriteRule:
     """A derived identity from the fixture corpus."""
-    table = _lemma_table()
-    if name not in table:
-        raise RuleLoadError(f"unknown lemma fixture {name!r}; valid: {sorted(table)}")
-    key = "lemma:" + name
-    if key not in _RULE_CACHE:
-        _RULE_CACHE[key] = _check(name, *table[name])
-    return _RULE_CACHE[key]
+    return _rule("lemma:" + name, name, _lemma_table(), "lemma fixture")
 
 
 def axiom_names() -> list[str]:
@@ -121,56 +119,43 @@ def find_rule(name: str) -> RewriteRule:
 # -- rule application ---------------------------------------------------------
 
 
-def _replay_ids(gates, start_width: int, first_fresh: int):
-    """Replay gates over persistent wire ids.
+def _replay_ids(gates, width: int):
+    """Replay gates from ``width`` wires over persistent wire ids, the wires
+    numbered by position and each inserted wire by the next free id.
 
-    Returns (events, final_layout, touched_ids).  Events mirror the gates
-    with positions resolved to ids; init events carry their fresh id.
+    Returns (events, final_layout).  Events mirror the gates with positions
+    resolved to ids; init events carry their fresh id.
     """
-    layout = list(range(start_width))
-    fresh = first_fresh
+    layout = list(range(width))
+    fresh = width
     events = []
-    touched = set()
     for g in gates:
         k, a, b = g.kind, g.a, g.b
         if k == CNOT or k == SWAP:
             i, j = layout[a], layout[b]
             events.append((k, i, j))
-            touched.update((i, j))
             if k == SWAP:
                 layout[a], layout[b] = j, i
         elif k == INIT1:
             events.append((INIT1, fresh))
-            touched.add(fresh)
             layout.insert(a, fresh)
             fresh += 1
         else:
-            wire = layout.pop(a)
-            events.append((POST1, wire))
-            touched.add(wire)
-    return events, layout, touched
+            events.append((POST1, layout.pop(a)))
+    return events, layout
 
 
 def _match(rule_events, circ_events) -> Optional[dict]:
-    """Injective rule-id -> circuit-id map making the event lists equal."""
+    """Injective rule-id -> circuit-id map making the event lists equal; it
+    binds every id the circuit's events name."""
     phi: dict[int, int] = {}
-    used: set[int] = set()
-
-    def bind(rid, cid) -> bool:
-        if rid in phi:
-            return phi[rid] == cid
-        if cid in used:
-            return False
-        phi[rid] = cid
-        used.add(cid)
-        return True
-
     for re, ce in zip(rule_events, circ_events):
         if re[0] != ce[0]:
             return None
-        if not all(bind(r, c) for r, c in zip(re[1:], ce[1:])):
-            return None
-    return phi
+        for r, c in zip(re[1:], ce[1:]):
+            if phi.setdefault(r, c) != c:
+                return None
+    return phi if len(set(phi.values())) == len(phi) else None
 
 
 def apply_at(
@@ -178,7 +163,10 @@ def apply_at(
 ) -> Optional[Circuit]:
     """Rewrite the segment of ``c`` at ``offset`` along ``rule``; None if the
     segment does not match the source side.  The result is always
-    semantically equal to ``c``."""
+    semantically equal to ``c``, by a check: the semantics is a functor, so
+    the step is sound when the emitted gates, swaps included, denote the
+    relation of the segment on the ``w0`` wires at the offset.  Only those
+    gates are checked, and a failed check raises ``RuntimeError``."""
     if direction not in ("lr", "rl"):
         raise ValueError(f"direction must be 'lr' or 'rl', got {direction!r}")
     src, dst = (rule.lhs, rule.rhs) if direction == "lr" else (rule.rhs, rule.lhs)
@@ -188,21 +176,21 @@ def apply_at(
 
     prefix = c.gates[:offset]
     segment = c.gates[offset : offset + k]
-    suffix = c.gates[offset + k :]
-    w0 = c.n_in + sum(g.delta for g in prefix)
+    w0 = c.n_in + sum(map(_delta, prefix))
 
-    circ_events, circ_final, touched = _replay_ids(segment, w0, first_fresh=w0)
-    src_events, src_final, _ = _replay_ids(src.gates, src.n_in, first_fresh=src.n_in)
-    dst_events, dst_final, _ = _replay_ids(dst.gates, dst.n_in, first_fresh=dst.n_in)
+    circ_events, circ_final = _replay_ids(segment, w0)
+    src_events, src_final = _replay_ids(src.gates, src.n_in)
+    dst_events, dst_final = _replay_ids(dst.gates, dst.n_in)
 
     phi = _match(src_events, circ_events)
     if phi is None:
         return None
 
     # Pass-through rule inputs never occur in the matched events; pin them to
-    # untouched circuit wires so the emitted side can reference them.
-    bound = set(phi.values())
-    spare = [w for w in range(w0) if w not in touched and w not in bound]
+    # circuit wires that the segment does not touch, so the emitted side can
+    # reference them.
+    touched = set(phi.values())
+    spare = [w for w in range(w0) if w not in touched]
     for rid in range(src.n_in):
         if rid not in phi:
             if not spare:
@@ -237,56 +225,44 @@ def apply_at(
     # them, with the emitted side's outputs standing in for the source side's
     # position by position.
     want = list(circ_final)
-    for q in range(len(src_final)):
-        idx = circ_final.index(phi[src_final[q]])
-        want[idx] = phi_dst[dst_final[q]]
+    for src_id, dst_id in zip(src_final, dst_final):
+        want[circ_final.index(phi[src_id])] = phi_dst[dst_id]
     emitted += swap_network(layout, want)
-    return Circuit(c.n_in, prefix + tuple(emitted) + suffix)
+    if not _same_relation(w0, len(circ_final), segment, emitted):
+        raise RuntimeError(f"rule {rule.name} at offset {offset} ({direction}) changed the relation")
+    # the prefix and the suffix are unchanged, so the whole is legal
+    return Circuit._spliced(c.n_in, prefix + tuple(emitted) + c.gates[offset + k :], c.n_out)
 
 
-def replay(d: Derivation) -> list[Circuit]:
-    """All intermediate circuits of a derivation; raises on a failed step."""
-    out = [d.start]
-    current = d.start
-    for i, (name, offset, direction) in enumerate(d.steps):
-        try:
-            rule = find_rule(name)
-        except RuleLoadError as e:
-            raise RuleLoadError(f"step {i}: {e}") from None
-        nxt = apply_at(current, rule, offset, direction)
-        if nxt is None:
-            raise ValueError(
-                f"step {i}: rule {name} does not match at offset {offset} ({direction})"
-            )
-        out.append(nxt)
-        current = nxt
-    return out
+def _same_relation(w0: int, w1: int, segment, emitted) -> bool:
+    """Whether ``emitted``, run from ``w0`` wires, is legal, ends at ``w1``
+    and denotes the relation of ``segment``: equal runs of the two first,
+    their output expressions and their domain rows but the rows ``0 = 0``
+    that a ``post1`` of a constant 1 adds, and their canonical forms only
+    when the runs differ."""
+    from . import symbolic
+
+    try:
+        if width_after(emitted, w0) != w1:
+            return False
+    except CircuitError:
+        return False
+    runs = []
+    for gates in (segment, emitted):
+        wires, domain = [1 << j for j in range(w0)], []
+        ok = symbolic.run(wires, gates, 1 << w0, domain)
+        runs.append((ok, wires, [row for row in domain if row]))
+    if runs[0] == runs[1]:
+        return True
+    return symbolic.relation_of(w0, segment, w1) == symbolic.relation_of(w0, emitted, w1)
 
 
 # -- verification --------------------------------------------------------------
 
 
-class RuleReport(Record):
-    __slots__ = ("name", "semantic_ok", "state_map_ok")
+def verify_all() -> list:
+    """Semantic and exhaustive state-map checks over the whole corpus, by
+    ``lawsuites.verify_rules``: only ``verify`` loads them, not ``replay``."""
+    from .lawsuites import verify_rules
 
-    def __init__(self, name: str, semantic_ok: bool, state_map_ok: bool):
-        self._init(name, semantic_ok, state_map_ok)
-
-    @property
-    def ok(self) -> bool:
-        return self.semantic_ok and self.state_map_ok
-
-
-def verify_rules(rules) -> list[RuleReport]:
-    reports = []
-    for rule in rules:
-        sem = rule.lhs.semantics() == rule.rhs.semantics()
-        columns, lanes = all_columns(rule.lhs.n_in), 1 << rule.lhs.n_in
-        states = rule.lhs.eval_all(columns, lanes) == rule.rhs.eval_all(columns, lanes)
-        reports.append(RuleReport(rule.name, sem, states))
-    return reports
-
-
-def verify_all() -> list[RuleReport]:
-    """Semantic and exhaustive state-map checks over the whole corpus."""
     return verify_rules(all_rules())

@@ -9,7 +9,8 @@ import time
 from cnotcalc.gf2 import BitVec, GF2Matrix
 from cnotcalc.relation import all_bitvecs
 from cnotcalc.normalize import Clause, ClausalForm, clausal_to_circuit, gaussian_eliminate
-from cnotcalc.rewrite import axiom_names, axiom, lemma_names, lemma_fixture, verify_rules
+from cnotcalc.lawsuites import verify_rules
+from cnotcalc.rewrite import axiom_names, axiom, lemma_names, lemma_fixture
 from cnotcalc.synth import AffineMapSpec, synth, synth_total_graph
 from cnotcalc.fuzzing import random_circuit, trial_rng
 from cnotcalc import lawsuites

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from cnotcalc.circuit import GATES, circuit, cnot, init0, init1, notg, post0, post1, swap
-from cnotcalc import fuzzing
+from cnotcalc import fuzzing, semantics_reader
+from cnotcalc import synth as synth_module
 from cnotcalc.formats import FormatError, format_circuit, parse_circuit
 from cnotcalc.fuzzing import fuzz, oracle_trial, random_circuit, trial_rng
 from cnotcalc.relation import AffineRelation, all_bitvecs
@@ -175,7 +176,7 @@ def old_fuzz(wires, depth, seed, trials):
 
     def synth_roundtrip_trial(c):
         rel = c.semantics()
-        if fuzzing.synth(rel).semantics() != rel:
+        if synth_module.synth(rel).semantics() != rel:
             return "semantics(synth(semantics(c))) differs from semantics(c)"
         return None
 
@@ -192,14 +193,14 @@ def old_fuzz(wires, depth, seed, trials):
 def plant_synth_failure(monkeypatch, n_in=3):
     """Synthesis that returns a nowhere-defined circuit for every non-empty
     relation on ``n_in`` inputs."""
-    synth = fuzzing.synth
+    synth = synth_module.synth
 
     def planted(rel):
         if rel.n_in == n_in and not rel.is_empty():
             rel = AffineRelation.empty(rel.n_in, rel.n_out)
         return synth(rel)
 
-    monkeypatch.setattr(fuzzing, "synth", planted)
+    monkeypatch.setattr(synth_module, "synth", planted)
 
 
 def plant_apply_failure(monkeypatch):
@@ -268,7 +269,7 @@ def test_a_reader_that_differs_from_the_semantics_is_reported(monkeypatch):
     # the file check runs the reader of ``equal`` and ``semantics`` on each
     # trial's file: one that loses every non-empty relation on 3 inputs is
     # caught at the first such trial, after the other two checks pass
-    parse = fuzzing.parse_semantics
+    parse = semantics_reader.parse_semantics
 
     def planted(text):
         name, rel = parse(text)
@@ -280,7 +281,7 @@ def test_a_reader_that_differs_from_the_semantics_is_reported(monkeypatch):
         rng = trial_rng(0, i)
         return random_circuit(rng, rng.randrange(6), 30)
 
-    monkeypatch.setattr(fuzzing, "parse_semantics", planted)
+    monkeypatch.setattr(semantics_reader, "parse_semantics", planted)
     first = next(
         i for i in range(300) if (c := drawn(i)).n_in == 3 and not c.semantics().is_empty()
     )

@@ -43,16 +43,16 @@ def test_cli_import_adds_neither_dataclasses_nor_json():
 
 
 # the layers above the circuit that only some commands run, the rule tables
-# that only ``rewrite`` loads, the reader of a file's relation, the file
-# formats that only the commands reading or writing a file load (the
-# relation formats only ``semantics`` and ``synth``, and the module that
-# re-exports every format none), and the symbolic execution that only
-# ``Circuit.semantics`` and that reader run
+# that only ``rewrite`` loads, the derivations that only ``replay`` loads,
+# the reader of a file's relation, the file formats that only the commands
+# reading or writing a file load (the relation formats only ``semantics``
+# and ``synth``, and the module that re-exports every format none), and the
+# symbolic execution that only ``Circuit.semantics`` and that reader run
 CIRCUIT_READERS = {"circuit_formats", "lexing"}
 READERS = {*CIRCUIT_READERS, "relation_formats"}
 LAYERS = {
-    "rewrite", "identities", "normalize", "synth", "fuzzing", "lawsuites", "semantics_reader",
-    *READERS, "formats", "symbolic",
+    "rewrite", "identities", "derivation", "normalize", "synth", "fuzzing", "lawsuites",
+    "semantics_reader", *READERS, "formats", "symbolic",
 }
 
 # the exit code of the command in argv, and the file of every cnotcalc
@@ -91,12 +91,17 @@ def _with_inputs(tmp_path, argv) -> list[str]:
         (("construct", "fanout", "3"), CIRCUIT_READERS),
         (("synth", "graph"), {"synth", "normalize", *READERS, "symbolic"}),
         (("normalize", "idem"), {"normalize", *CIRCUIT_READERS, "symbolic"}),
-        (("replay", "circ", "deriv"), {"rewrite", "identities", *CIRCUIT_READERS, "symbolic"}),
+        (
+            ("replay", "circ", "deriv"),
+            {"derivation", "rewrite", "identities", *CIRCUIT_READERS, "symbolic"},
+        ),
         (
             ("fuzz", "--trials", "1"),
             {"fuzzing", "synth", "normalize", "semantics_reader", *CIRCUIT_READERS, "symbolic"},
         ),
-        (("verify",), LAYERS - {"formats", "relation_formats"}),
+        # the fuzzing trials import what they check when they run, and
+        # verify runs none: it draws its random circuits from ``fuzzing``
+        (("verify",), {"rewrite", "identities", "lawsuites", "fuzzing", "symbolic"}),
     ],
 )
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
@@ -254,6 +259,21 @@ def test_each_command_compiles_within_its_budget(tmp_path, argv, budget):
     assert sum(code_tokens(Path(f)) for f in ast.literal_eval(files)) <= budget
 
 
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        # while ``fuzzing`` imported what its trials check with itself and
+        # ``rewrite`` held derivations and the rule reports, replay read
+        # 13,602 and verify 17,894
+        (("replay", "circ", "deriv"), 13650),
+        (("verify",), 14100),
+    ],
+    ids=lambda value: value[0] if isinstance(value, tuple) else str(value),
+)
+def test_replay_and_verify_compile_no_layer_they_do_not_run(tmp_path, argv, budget):
+    test_each_command_compiles_within_its_budget(tmp_path, argv, budget)
+
+
 ORDER_PROBE = """
 import os
 import runpy
@@ -336,6 +356,25 @@ def test_only_the_process_entry_point_touches_the_collector():
     assert sorted(_collector_and_exit_uses()) == [
         ("cli.main", "gc"), ("cli.main", "gc.freeze"), ("cli.main", "import gc"),
     ]
+
+
+def test_only_the_rewrite_code_builds_an_unchecked_circuit():
+    # ``Circuit._spliced`` builds a circuit without checking its widths:
+    # ``apply_at`` checks the gates it puts between a legal prefix and
+    # suffix, and ``derivation`` rebuilds the circuits ``apply_at`` built.
+    # Every other ``Circuit`` is checked as it is built.
+    uses = []
+    for path in sorted((SRC / "cnotcalc").rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            named = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            where = f"{path.stem}.{top.name}" if named else path.stem
+            uses += [
+                where for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr == "_spliced"
+                or isinstance(node, ast.Name) and node.id == "_spliced"
+                or isinstance(node, ast.Constant) and node.value == "_spliced"
+            ]
+    assert sorted(uses) == ["derivation._circuits", "rewrite.apply_at"]
 
 
 def test_every_public_name_resolves():

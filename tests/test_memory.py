@@ -17,7 +17,7 @@ import tracemalloc
 
 import pytest
 
-from cnotcalc import cli, rewrite
+from cnotcalc import cli, derivation
 from cnotcalc.circuit import Circuit, cnot, fanout, swap
 from cnotcalc.formats import format_circuit, parse_circuit, parse_relation
 
@@ -147,12 +147,36 @@ def test_replay_holds_one_block(tmp_path, monkeypatch, sink):
     rng = random.Random(7)
     circuits = [Circuit(16, random_gates(rng, 16, 4000)) for _ in range(20)]
     longest = max(len(format_circuit(c, name=f"step{i}")) for i, c in enumerate(circuits))
-    monkeypatch.setattr(rewrite, "replay", lambda derivation: circuits)
+    monkeypatch.setattr(derivation, "replay", lambda steps: circuits)
     (tmp_path / "c").write_text("circuit c : 16 -> 16\ncnot 0 1\nend\n")
     (tmp_path / "d").write_text("# every step is in the patched replay\n")
     argv = ["replay", str(tmp_path / "c"), str(tmp_path / "d")]
     assert cli.run(argv) == 0
     assert peak_of(lambda: cli.run(argv)) < 3 * longest
+
+
+def test_replay_holds_one_splice_a_step(tmp_path, sink):
+    # The real replay on a 4,000-gate host keeps the start circuit, the
+    # current one and each step's splice, and rebuilds the circuits one at
+    # a time as they are printed: 22 more steps cost less than one more
+    # gate tuple, where holding every step's circuit cost one a step.
+    rng = random.Random(11)
+    gates, offsets = [], []
+    for _ in range(24):
+        gates += random_gates(rng, 16, 160)
+        a, b = rng.sample(range(16), 2)
+        offsets.append(len(gates))
+        gates += [cnot(a, b), cnot(a, b)]
+    host = Circuit(16, gates + random_gates(rng, 16, 4000 - len(gates)))
+    (tmp_path / "c").write_text(format_circuit(host, name="c"))
+    argv = ["replay", str(tmp_path / "c"), str(tmp_path / "d")]
+    peaks = []
+    for steps in (2, 24):
+        # from the last offset to the first, so each leaves the earlier ones
+        (tmp_path / "d").write_text("".join(f"CNT2 {k} lr\n" for k in offsets[steps - 1 :: -1]))
+        assert cli.run(argv) == 0
+        peaks.append(peak_of(lambda: cli.run(argv)))
+    assert peaks[1] - peaks[0] < sys.getsizeof(host.gates)
 
 
 def test_construct_holds_one_block(monkeypatch, sink):

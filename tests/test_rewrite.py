@@ -1,6 +1,9 @@
 """Axiom corpus integrity and rewrite-application soundness."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnotcalc.circuit import (
     circuit,
@@ -12,8 +15,9 @@ from cnotcalc.circuit import (
     post1,
     swap,
 )
+from cnotcalc.derivation import Derivation, replay
+from cnotcalc.lawsuites import verify_rules
 from cnotcalc.rewrite import (
-    Derivation,
     RewriteRule,
     RuleLoadError,
     all_rules,
@@ -22,9 +26,7 @@ from cnotcalc.rewrite import (
     axiom_names,
     lemma_fixture,
     lemma_names,
-    replay,
     verify_all,
-    verify_rules,
 )
 from cnotcalc.fuzzing import random_circuit, trial_rng
 
@@ -184,6 +186,34 @@ class TestApplyAt:
                 assert equal_circ(c, out)
         assert applied >= 50
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(21, 64))
+    def test_every_match_on_a_wide_host_keeps_its_semantics(self, seed, width):
+        # a rule side with identity wires below and above it, between a
+        # random prefix and suffix, as ``test_output_pin.rewrite_hosts``
+        # builds them; the suffix is post-free too, so that most hosts are
+        # defined somewhere.  ``equal_circ`` is exact at any width, so this
+        # reaches past the 20-variable cap of the state-map checks.
+        rng = random.Random(seed)
+        rules = all_rules()
+        rule = rules[rng.randrange(len(rules))]
+        direction = rng.choice(("lr", "rl"))
+        side = rule.lhs if direction == "lr" else rule.rhs
+        prefix = random_circuit(rng, width, rng.randrange(8), allow_post=False)
+        below = rng.randrange(prefix.n_out - side.n_in + 1)
+        above = prefix.n_out - side.n_in - below
+        middle = identity_circuit(below).tensor(side).tensor(identity_circuit(above))
+        host = prefix.compose(middle).compose(
+            random_circuit(rng, middle.n_out, rng.randrange(8), allow_post=False)
+        )
+        matched = []
+        for k in range(len(host.gates) + 1):
+            out = apply_at(host, rule, k, direction)
+            if out is not None:
+                matched.append(k)
+                assert out.n_out == host.n_out and equal_circ(out, host)
+        assert len(prefix.gates) in matched
+
     def test_planted_matches_everywhere(self):
         # splice each rule's lhs into a random host and rewrite it away
         rules = all_rules()
@@ -209,7 +239,7 @@ class TestDerivation:
         from cnotcalc.circuit import omega
 
         start = omega().tensor(omega())
-        chain = replay(Derivation(start, (("omega-absorb", 0, "lr"),)))
+        chain = list(replay(Derivation(start, (("omega-absorb", 0, "lr"),))))
         assert chain[0] == start
         assert chain[-1] == omega()
 
@@ -217,7 +247,7 @@ class TestDerivation:
         # cancel two cnot pairs one after the other
         c = circuit(2, cnot(0, 1), cnot(0, 1), cnot(1, 0), cnot(1, 0))
         d = Derivation(c, (("CNT2", 0, "lr"), ("CNT2", 0, "lr")))
-        chain = replay(d)
+        chain = list(replay(d))
         assert [len(x.gates) for x in chain] == [4, 2, 0]
         assert chain[-1] == identity_circuit(2)
         for inter in chain:
@@ -237,7 +267,7 @@ class TestDerivation:
             ("CNT2", 3, "lr"),   # remove it again
             ("CNT1", 0, "lr"),   # back to the swap
         )
-        chain = replay(Derivation(start, steps))
+        chain = list(replay(Derivation(start, steps)))
         assert [len(c.gates) for c in chain] == [1, 3, 5, 3, 1]
         assert chain[-1] == start
         for inter in chain:

@@ -8,10 +8,12 @@ import pickle
 import pytest
 
 from cnotcalc.circuit import Circuit, CircuitError, Gate, circuit, cnot, init1
+from cnotcalc.derivation import Derivation
 from cnotcalc.gf2 import BitVec, GF2Matrix
+from cnotcalc.lawsuites import RuleReport
 from cnotcalc.normalize import ClausalForm, Clause
 from cnotcalc.relation import AffineRelation
-from cnotcalc.rewrite import Derivation, RewriteRule, RuleReport
+from cnotcalc.rewrite import RewriteRule
 from cnotcalc.synth import AffineMapSpec
 
 C = circuit(2, cnot(0, 1))
