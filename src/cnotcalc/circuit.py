@@ -5,9 +5,9 @@ A circuit ``n_in -> n_out`` is an ordered list of the generators of
 ``gates``.  ``Circuit`` takes an ``int`` input arity, checks the widths along
 the whole trace when it is built and raises ``CircuitError`` at the first
 gate out of range, so every ``Circuit`` is a morphism ``n_in -> n_out``.
-Only the rewrite engine builds one without that check, through the private
-``Circuit._spliced``: a rewrite step keeps a legal circuit's prefix and
-suffix and checks the gates it puts between them.
+Only ``rewrite.apply_at`` and ``derivation._circuits`` build one without
+that check, through the private ``Circuit._spliced``: a legal prefix and
+suffix around gates ``apply_at`` checked.
 
 ``semantics`` maps a circuit to its :class:`AffineRelation` by symbolic
 execution: every wire carries an affine expression in the inputs and each
@@ -65,8 +65,8 @@ class Circuit(Record):
     def _spliced(cls, n_in: int, gates: tuple, n_out: int) -> "Circuit":
         """The circuit of ``gates``, a tuple already known to be legal from
         ``n_in`` and to end at ``n_out``, built without checking its widths
-        again.  Only the rewrite engine calls it, on a circuit whose prefix
-        and suffix it keeps and whose new segment it has checked."""
+        again: ``rewrite.apply_at`` and ``derivation._circuits`` call it
+        on the splices ``apply_at`` has checked."""
         c = object.__new__(cls)
         c._init(n_in, gates, n_out)
         return c

@@ -4,7 +4,8 @@ steps on a circuit.
 A circuit file is a header ``circuit <name> : <n_in> -> <n_out>``, one
 gate per line and ``end``.  Circuits print with primitive gates only; the
 parser additionally accepts the ``init0``/``post0``/``not`` macros and
-expands them.  ``parse_circuit`` builds a file's ``Circuit``;
+expands them.  ``parse_circuit`` builds a file's ``Circuit``, checking
+each line's gates against the width as it reads the line;
 ``semantics_reader.parse_semantics`` runs each gate line as it splits it,
 with the header reading and the building of other lines here.  A
 derivation file has one step per line, ``<rule> <offset> <lr|rl>``.  The
@@ -15,10 +16,10 @@ command that reads only circuits compiles.
 
 from __future__ import annotations
 
-from itertools import filterfalse
+from itertools import chain
 
 from .circuit import Circuit
-from .gates import GATES, CircuitError, Gate, cnot, init1, post1, swap
+from .gates import GATES, CircuitError, Gate, cnot, init1, post1, swap, width_after
 from .lexing import FormatError, _arities, _bodies, _column_of, _int, _logical_lines
 
 
@@ -41,72 +42,56 @@ def parse_circuit(source) -> tuple[str, Circuit]:
     """(name, circuit) of a circuit file, its text or the file open for
     reading, which ``lexing._windows`` cuts into windows.
 
-    The call holds one window, the list of the gates read so far, with the
-    line and number of gates of each line that builds other than one gate,
-    and a memo that maps each gate-line body met so far to what it builds:
-    the ``Gate`` of a primitive line, the tuple of gates of a macro line,
-    and the empty tuple for the empty body of blank and comment-only lines.
-    Repeated lines share one ``Gate``.
+    The call holds one window, the list of the gates read so far, and a
+    memo that maps each gate-line body met so far to what it builds: the
+    ``Gate`` of a primitive line, the tuple of gates of a macro line, and
+    the empty tuple for the empty body of blank and comment-only lines.
+    Repeated lines share one ``Gate``: n wires allow only about 2 n^2
+    distinct lines, so long circuits repeat many of them.  Each line's
+    gates are checked against the width as the line is read; a gate out of
+    range is reported at its line once ``_check_rest`` has read the rest.
     """
     memo: dict = {"": ()}
     name, n_in, n_out, lineno, windows = _read_header(source)
+    # ``wires`` maps the wire numbers met so far, as ``str`` writes them, to
+    # their ints.  A primitive line whose numbers are all in it, two of them
+    # apart, takes the direct path, which no check fails; any other line
+    # takes the general path, ``_build``.
     wires: dict[str, int] = {}
-    gates: list[Gate] = []
-    others: list[int] = []  # line, number of gates, of each blank or macro line
-    for at, part in windows:
-        gates += _window_gates(part, at, memo, wires, others)
-        del part  # the next window is split without this one's lines
-    try:
-        c = Circuit(n_in, gates)
-    except CircuitError as e:
-        raise FormatError(str(e), _line_of_gate(lineno + 1, others, e.index)) from None
-    _check_outputs(n_in, n_out, c.n_out, lineno)
-    return name, c
-
-
-def _window_gates(
-    part: list[str], at: int, memo: dict, wires: dict[str, int], others: list[int]
-) -> list[Gate]:
-    """The gates of the gate lines ``part``, which start at line ``at``.
-    Each line that builds other than one gate, a macro or a blank line,
-    adds its line and number of gates to ``others``.
-
-    Only the bodies not yet in ``memo`` are tokenized and built, each at
-    its first occurrence, since ``filterfalse`` asks the memo as the loop
-    goes: n wires allow only about 2 n^2 distinct lines, so long circuits
-    repeat many of them, and a window whose bodies are all in the memo
-    runs no Python-level loop.  Gates are immutable, so repeated lines
-    share them.  In file order, the first bad body is the first bad line.
-    ``wires`` maps the wire numbers met so far, as ``str`` writes them, to
-    their ints.  A primitive line whose numbers are all in it, two of them
-    apart, takes the direct path, which no check fails; any other line
-    takes the general path, ``_build``.
-    """
     wire = wires.get
-    for body in filterfalse(memo.__contains__, part):
-        tokens = body.split()
-        if len(tokens) == 3:
-            builder, a, b = _TWO_WIRES.get(tokens[0]), wire(tokens[1]), wire(tokens[2])
-            if builder is not None and a is not None and b is not None and a != b:
-                memo[body] = builder(a, b)
-                continue
-        elif len(tokens) == 2:
-            builder, a = _ONE_WIRE.get(tokens[0]), wire(tokens[1])
-            if builder is not None and a is not None:
-                memo[body] = builder(a)
-                continue
-        memo[body] = _build(body, part, at, wires)
-    built = list(map(memo.__getitem__, part))
-    if tuple not in map(type, built):
-        return built
     gates: list[Gate] = []
-    for line, entry in enumerate(built, at):  # add each line's gates, if any
-        if type(entry) is tuple:
-            gates += entry
-            others.extend((line, len(entry)))
-        else:
-            gates.append(entry)
-    return gates
+    width = n_in
+    for at, part in windows:
+        for line, body in enumerate(part, at):
+            built = memo.get(body)
+            if built is None:
+                tokens = body.split()
+                if len(tokens) == 3:
+                    builder, a, b = _TWO_WIRES.get(tokens[0]), wire(tokens[1]), wire(tokens[2])
+                    if builder is not None and a is not None and b is not None and a != b:
+                        built = builder(a, b)
+                elif len(tokens) == 2:
+                    builder, a = _ONE_WIRE.get(tokens[0]), wire(tokens[1])
+                    if builder is not None and a is not None:
+                        built = builder(a)
+                if built is None:
+                    built = _build(body, line, wires)
+                memo[body] = built
+            if type(built) is not tuple:
+                if built.need <= width:
+                    width += built.delta
+                    gates.append(built)
+                    continue
+                built = (built,)  # out of range: width_after raises
+            try:
+                width = width_after(built, width, len(gates))
+            except CircuitError as e:
+                _check_rest(part[line + 1 - at:], line + 1, windows, wires)
+                raise FormatError(str(e), line) from None
+            gates += built
+        del part  # the next window is split without this one's lines
+    _check_outputs(n_in, n_out, width, lineno)
+    return name, Circuit(n_in, gates)
 
 
 def _read_header(source):
@@ -155,26 +140,25 @@ def _gate_lines(windows, first: int, bodies: list[str], begin: int, last: int):
         begin = 0
 
 
-def _build(body: str, part: list[str], at: int, wires: dict[str, int]):
-    """The ``Gate``, macro gates or (blank) empty tuple of ``body``, one of
-    ``part``, whose lines start at line ``at``; its wire numbers go into
-    ``wires`` where ``str`` writes them so."""
+def _build(body: str, line: int, wires: dict[str, int]):
+    """The ``Gate``, macro gates or (blank) empty tuple of ``body``, at line
+    ``line``; its wire numbers go into ``wires`` where ``str`` writes them
+    so."""
     tokens = body.split()
     if not tokens:
         return ()
     kind = tokens[0]
     builder, arity, _ = GATES.get(kind, (None, None, None))
-    if builder is None or len(tokens) != 1 + arity:
-        if builder is None:
-            raise FormatError(f"unknown gate {kind!r}", at + part.index(body))
-        raise FormatError(f"gate {kind} takes {arity} argument(s)", at + part.index(body))
+    if builder is None:
+        raise FormatError(f"unknown gate {kind!r}", line)
+    if len(tokens) != 1 + arity:
+        raise FormatError(f"gate {kind} takes {arity} argument(s)", line)
     try:
         args = list(map(int, tokens[1:]))
     except ValueError:
         args = None
     # On ASCII text with no '+' or '_', int() reads exactly INTEGER.
     if args is None or not body.isascii() or "+" in body or "_" in body:
-        line = at + part.index(body)
         args = [_int(t, line, body, i) for i, t in enumerate(tokens[1:], 1)]
     for t, k in zip(tokens[1:], args):
         if k >= 0 and str(k) == t:
@@ -182,7 +166,16 @@ def _build(body: str, part: list[str], at: int, wires: dict[str, int]):
     try:
         return builder(*args)
     except CircuitError as e:  # a gate that no width admits
-        raise FormatError(str(e), at + part.index(body)) from None
+        raise FormatError(str(e), line) from None
+
+
+def _check_rest(part, at: int, windows, wires: dict[str, int]) -> None:
+    """Build each of the gate lines ``part``, which start at line ``at``,
+    and those of the ``windows`` left, so that a bad line or a missing
+    'end' after a gate out of range is raised before it."""
+    for at, part in chain([(at, part)], windows):
+        for line, body in enumerate(part, at):
+            _build(body, line, wires)
 
 
 def _check_outputs(n_in: int, n_out: int, got: int, lineno: int) -> None:
@@ -190,21 +183,6 @@ def _check_outputs(n_in: int, n_out: int, got: int, lineno: int) -> None:
         raise FormatError(
             f"header declares {n_in} -> {n_out} but gates yield {got} outputs", lineno
         )
-
-
-def _line_of_gate(line: int, others: list[int], index: int) -> int:
-    """The line that builds gate ``index`` of a circuit whose gate lines
-    start at ``line``: each gate line builds one gate, save those whose
-    line and number of gates ``others`` lists in turn."""
-    gate = 0  # the index of the first gate of ``line``
-    for at, count in zip(others[::2], others[1::2]):
-        if index < gate + at - line:
-            break
-        gate += at - line
-        if index < gate + count:
-            return at
-        gate, line = gate + count, at + 1
-    return line + index - gate
 
 
 # -- derivations -----------------------------------------------------------------

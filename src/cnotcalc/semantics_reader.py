@@ -2,7 +2,9 @@
 gate line on the wire expressions as it splits it, so it holds no gate
 list and no memo of lines.  It reads the header and the lines as
 ``circuit_formats.parse_circuit`` does, with the same helpers, so it
-compiles no relation reader.  ``equal`` and ``semantics`` load it, and
+compiles no relation reader: each line's gates are checked against the
+width as the line is read, and after a gate out of range ``_check_rest``
+reads the rest of the file.  ``equal`` and ``semantics`` load it, and
 ``fuzzing``, which checks it against ``Circuit.semantics``.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 from operator import length_hint
 
-from .circuit_formats import _build, _check_outputs, _read_header, _window_gates
+from .circuit_formats import _build, _check_outputs, _check_rest, _read_header
 from .gates import CNOT, INIT1, POST1, SWAP, CircuitError, width_after
 from .lexing import FormatError
 from .relation import AffineRelation
@@ -74,7 +76,8 @@ def parse_semantics(source) -> tuple[str, AffineRelation]:
                         break  # the window is read
                 except (KeyError, IndexError):  # a number not met yet, or past the built wires
                     pass
-                gates = _build(body, part, at, nums)
+                line = at + len(part) - 1 - length_hint(lines)
+                gates = _build(body, line, nums)
                 if type(gates) is not tuple:
                     gates = (gates,)
                 elif not gates:  # a blank line
@@ -96,12 +99,8 @@ def parse_semantics(source) -> tuple[str, AffineRelation]:
                     empty = True
                     wires[:] = [0] * (width - tail)
             del part, lines  # the next window is split without this one's lines
-    except CircuitError as e:  # a gate out of range, at the line ``lines`` last gave
-        rest = [*lines]
-        line = at + len(part) - 1 - len(rest)
-        _window_gates(rest, line + 1, {"": ()}, nums, [])
-        for at, part in windows:  # a bad line or a missing 'end' after it comes first
-            _window_gates(part, at, {"": ()}, nums, [])
+    except CircuitError as e:  # a gate out of range, at the line built last
+        _check_rest(lines, line + 1, windows, nums)
         raise FormatError(str(e), line) from None
     width = len(wires) + tail
     _check_outputs(n_in, n_out, width, lineno)

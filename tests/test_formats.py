@@ -78,8 +78,8 @@ end
             ("circuit x : 8 -> 8\ncnot 3 3\nend\n", "line 2, column 1: cnot(3, 3): control equals target"),
             ("circuit x : 1 -> 1\nnot -1\nend\n", "line 2, column 1: init1(-1): negative wire index"),
             ("circuit x : 2 -> 2\nswap 0 -2\nend\n", "line 2, column 1: swap(0, -2): negative wire index"),
-            # reported although line 2 has a width error: every distinct line
-            # is built before the widths are checked
+            # reported although line 2 has a width error: at a width error,
+            # ``_check_rest`` builds every line after it first
             ("circuit x : 1 -> 1\ncnot 0 1\npost1 -1\nend\n", "line 3, column 1: post1(-1): negative wire index"),
             # wires 3 and 1 are known when line 4 is met: the direct path
             ("circuit x : 4 -> 4\ncnot 3 1\n\ncnot 3 3\ncnot 3 3\nend\n", "line 4, column 1: cnot(3, 3): control equals target"),
@@ -716,7 +716,8 @@ def rejoined_files(draw):
     lines = text.splitlines()
     if draw(PERCENT) < 25:
         at = draw(st.integers(0, len(lines)))
-        lines[at:at] = [draw(st.sampled_from(["cnot 0 9", "post1 9", "init1 9"])),
+        out_of_range = ["cnot 0 9", "post1 9", "init1 9", "not 9", "post0 9", "init0 9"]
+        lines[at:at] = [draw(st.sampled_from(out_of_range)),
                         draw(st.sampled_from(["cnot 2 2", "swap 1 1", ""]))]
     ends = draw(st.lists(st.sampled_from(_LINE_ENDS), min_size=len(lines), max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
@@ -742,6 +743,12 @@ class TestWindowedReaderMatchesOld:
     @example(("circuit x : 2 -> 2\ncnot 0 1\n\n# no end\n\n", []))
     @example(("circuit x : 2 -> 2\nend\nfoo\ncnot 0 0\n", []))
     @example(("circuit x : 2 -> 2\u2028cnot 0 1\x0bswap 0 1\x0cfoo\rend", []))
+    # a macro whose second gate is out of range, after blank and comment
+    # lines: ``init1 2`` is legal at width 2 and ``cnot 2 3`` is not
+    @example(("circuit x : 2 -> 2\n# c\n\nnot 2\nend\n", []))
+    @example(("circuit x : 2 -> 2\ncnot 0 1\n\n# c\nnot 2\ncnot 1 0\nend\n", []))
+    @example(("circuit x : 2 -> 2\n\nswap 0 1\n# c\nnot 2\nfoo\nend\n", []))
+    @example(("circuit x : 2 -> 2\n# c\n\nnot 2\n", []))
     def test_one_file(self, file):
         text, _ = file
         expected = outcome(oracles.old_parse_circuit, text)
@@ -785,8 +792,8 @@ class TestWindowedReaderMatchesOld:
 # Lines that make a circuit file wrong at a width, or at every width, or
 # its relation empty: ``init0 0`` puts a wire holding 0 at the bottom, and
 # ``post1 0`` selects it on 1.
-_DETOURS = ["cnot 0 199", "post1 199", "init1 199", "swap 198 0", "cnot 2 2", "swap 1 1",
-            "init0 0\npost1 0", "not 1\ninit0 0\n# c\npost1 0\ncnot 0 1"]
+_DETOURS = ["cnot 0 199", "post1 199", "init1 199", "not 199", "swap 198 0", "cnot 2 2",
+            "swap 1 1", "init0 0\npost1 0", "not 1\ninit0 0\n# c\npost1 0\ncnot 0 1"]
 
 
 @st.composite

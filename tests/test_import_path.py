@@ -274,6 +274,28 @@ def test_replay_and_verify_compile_no_layer_they_do_not_run(tmp_path, argv, budg
     test_each_command_compiles_within_its_budget(tmp_path, argv, budget)
 
 
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        # while ``parse_circuit`` checked the widths after reading the file
+        # and mapped a failing gate back to its line, equal read 11,310,
+        # semantics 12,595, eval and construct 10,329, synth 13,167,
+        # normalize 11,295, replay 13,646 and fuzz 13,360
+        (("equal", "circ", "idem"), 11150),
+        (("semantics", "circ"), 12450),
+        (("eval", "circ", "--input", "10"), 10200),
+        (("construct", "fanout", "3"), 10200),
+        (("synth", "graph"), 13050),
+        (("normalize", "idem"), 11200),
+        (("replay", "circ", "deriv"), 13550),
+        (("fuzz", "--trials", "1"), 13200),
+    ],
+    ids=lambda value: value[0] if isinstance(value, tuple) else str(value),
+)
+def test_circuit_readers_compile_no_gate_to_line_map(tmp_path, argv, budget):
+    test_each_command_compiles_within_its_budget(tmp_path, argv, budget)
+
+
 ORDER_PROBE = """
 import os
 import runpy
