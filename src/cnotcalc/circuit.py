@@ -24,7 +24,6 @@ are bound here too, as ``from cnotcalc.circuit import cnot`` reads them.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Iterator, Optional, Sequence
 
 from .gates import (  # noqa: F401  (GATES and notg: the generators, bound here too)
     CNOT,

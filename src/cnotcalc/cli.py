@@ -111,17 +111,13 @@ def _cmd_equal(args) -> int:
 
 def _cmd_normalize(args) -> int:
     from .circuit_formats import format_circuit
-    from .normalize import NotIdempotentError, clausal_to_circuit, idempotent_to_clausal
+    from .normalize import NotIdempotentError, normalize_idempotent
 
     _, c = _load_circuit(args.file)
-    rel = c.semantics()
     try:
-        cf = idempotent_to_clausal(rel)
+        clausal = normalize_idempotent(c)  # checked before it is printed
     except NotIdempotentError as e:
         raise CliInputError(f"not a restriction idempotent: {e}") from None
-    clausal = clausal_to_circuit(cf)
-    if clausal.semantics() != rel:  # checked before it is printed
-        raise RuntimeError("normalize built a circuit whose semantics differs from the idempotent")
     text = format_circuit(clausal, name="clausal")
     _emit(args, text, lambda: {"command": "normalize", "circuit": text.splitlines()})
     return OK

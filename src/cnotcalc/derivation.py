@@ -13,8 +13,6 @@ does not compile it.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 from .circuit import Circuit
 from .record import Record
 from .rewrite import RuleLoadError, apply_at, find_rule

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Optional
 
 from .circuit import Circuit
 from .gates import GATES, Gate

@@ -18,8 +18,6 @@ primitive sequences eagerly; ``GATES`` lists every gate kind.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .record import Record
 
 CNOT = "cnot"

@@ -8,8 +8,6 @@ immutable; every operation returns fresh objects.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from .record import Record
 
 

@@ -11,8 +11,6 @@ circuit for every semantic class of idempotents.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 # rref_masks is unused here; perfbench's install test asserts that this
 # module binds it, until that pin goes (ROADMAP 1B).
 from .gf2 import rref_masks, set_bits  # noqa: F401
@@ -140,6 +138,11 @@ def normalize_idempotent(c: Circuit) -> Circuit:
     it again gives the same gate list.
 
     Raises :class:`NotIdempotentError` (naming the failed condition) when the
-    semantics of ``c`` is not a restriction idempotent.
+    semantics of ``c`` is not a restriction idempotent, and ``RuntimeError``
+    when the circuit built has other semantics, so that none is printed.
     """
-    return clausal_to_circuit(idempotent_to_clausal(c.semantics()))
+    rel = c.semantics()
+    clausal = clausal_to_circuit(idempotent_to_clausal(rel))
+    if clausal.semantics() != rel:
+        raise RuntimeError("normalize built a circuit whose semantics differs from the idempotent")
+    return clausal

@@ -20,8 +20,6 @@ at bit n), and read back off the converse rows by its inverse ``map_rows``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
-
 from .gf2 import BitVec, null_basis, project_masks, rref_masks, set_bits
 from .record import Record
 

@@ -12,14 +12,10 @@ reads a body line, and stop at ``end``.
 from __future__ import annotations
 
 from itertools import takewhile
-from typing import TYPE_CHECKING
 
 from .gf2 import set_bits
 from .relation import AffineRelation
 from .lexing import FormatError, _arities, _column_of, _int, _logical_lines
-
-if TYPE_CHECKING:
-    from .normalize import ClausalForm
 
 
 # -- the readers shared by graph, system and affine files ---------------------

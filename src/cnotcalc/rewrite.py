@@ -22,7 +22,6 @@ the whole corpus that ``verify_all`` runs live in ``lawsuites``, which only
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Optional
 
 from .circuit import Circuit, swap_network
 from .gates import (

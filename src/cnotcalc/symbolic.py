@@ -6,8 +6,6 @@ by its kind and wires alone.  ``run`` is the loop over ``Gate``s, which
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .gates import CNOT, INIT1, SWAP, Gate
 from .relation import AffineRelation
 

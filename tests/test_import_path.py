@@ -4,8 +4,8 @@ pulls in is paid on every command: keep ``dataclasses`` (and through it
 path, let each command load only the layers it runs, and keep each module a
 small unit to compile.  The file formats sit below the layers that use them.
 Importing cnotcalc as a library leaves the host's garbage collector and exit
-alone.  And the package's public names all exist, each the very object its
-module defines."""
+alone.  The package binds its submodules and no other name, and no module
+imports ``typing``."""
 
 import ast
 import os
@@ -28,11 +28,13 @@ print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def _probe(code: str, *argv: str) -> list[str]:
-    """The lines a fresh interpreter running ``code`` prints."""
+def _probe(code: str, *argv: str, flags: tuple[str, ...] = ()) -> list[str]:
+    """The lines a fresh interpreter started with ``flags`` and running
+    ``code`` prints."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", code, *argv], env=env, capture_output=True, text=True,
+        check=True,
     ).stdout.splitlines()
 
 
@@ -130,27 +132,68 @@ def test_reading_the_command_line_imports_no_argparse(tmp_path, argv):
 SYNTH_ORDERS = {
     "submodule first": "import cnotcalc.synth\nfrom cnotcalc import synth\n",
     "package first": "from cnotcalc import synth\nimport cnotcalc.synth\n",
-    "attribute only": "import cnotcalc\nsynth = cnotcalc.synth\n",
 }
 
 SYNTH_PROBE = """
-import importlib
 import sys
 import cnotcalc
 module = sys.modules["cnotcalc.synth"]
 print(synth is module and cnotcalc.synth is module and callable(module.synth))
-print("synth" in cnotcalc.__all__)
-print(sorted(
-    name for name in cnotcalc.__all__
-    if getattr(importlib.import_module(getattr(cnotcalc, name).__module__), name)
-    is not getattr(cnotcalc, name)
-))
 """
 
 
 @pytest.mark.parametrize("order", sorted(SYNTH_ORDERS))
 def test_synth_is_the_submodule_whatever_the_import_order(order):
-    assert _probe(SYNTH_ORDERS[order] + SYNTH_PROBE) == ["True", "False", "[]"]
+    assert _probe(SYNTH_ORDERS[order] + SYNTH_PROBE) == ["True"]
+
+
+PACKAGE_PROBE = """
+import types
+import cnotcalc
+bound = {k: v for k, v in vars(cnotcalc).items() if not k.startswith("__")}
+print(sorted(k for k, v in bound.items() if isinstance(v, types.ModuleType)))
+print(sorted(k for k, v in bound.items() if not isinstance(v, types.ModuleType)))
+"""
+
+
+def test_the_package_binds_only_submodules():
+    # each name is imported from the module that defines it
+    assert _probe(PACKAGE_PROBE) == ["['circuit', 'gates', 'gf2', 'record', 'relation']", "[]"]
+
+
+# the commands and what each imports from the standard library under -S:
+# none imports ``typing``, and --help neither ``re`` nor ``enum``
+STDLIB_PROBE = """
+import sys
+import cnotcalc.cli
+code = cnotcalc.cli.run(sys.argv[1:])
+print(code)
+print([m for m in ("typing", "re", "enum") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, imported",
+    [
+        (("--help",), []),
+        (("equal", "circ", "idem"), ["re", "enum"]),
+        (("semantics", "circ"), ["re", "enum"]),
+        (("eval", "circ", "--input", "10"), ["re", "enum"]),
+        (("construct", "fanout", "3"), ["re", "enum"]),
+        (("synth", "graph"), ["re", "enum"]),
+        (("normalize", "idem"), ["re", "enum"]),
+        (("replay", "circ", "deriv"), ["re", "enum"]),
+        (("fuzz", "--trials", "1"), ["re", "enum"]),
+        (("verify",), []),
+    ],
+    ids=lambda value: value[0] if isinstance(value, tuple) else "-".join(value) or "none",
+)
+def test_no_command_imports_typing(tmp_path, argv, imported):
+    # under -S no ``site`` has imported them first; ``typing`` cost about
+    # 10 ms a process on top of ``re``
+    *_, code, found = _probe(STDLIB_PROBE, *_with_inputs(tmp_path, argv), flags=("-S",))
+    assert code in ("0", "1")
+    assert ast.literal_eval(found) == imported
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -399,12 +442,33 @@ def test_only_the_rewrite_code_builds_an_unchecked_circuit():
     assert sorted(uses) == ["derivation._circuits", "rewrite.apply_at"]
 
 
-def test_every_public_name_resolves():
-    missing = [name for name in cnotcalc.__all__ if not hasattr(cnotcalc, name)]
-    assert missing == []
-
-
 def test_deleted_wrappers_are_not_public():
     gone = {"rref", "solve_affine", "project_out", "swap_block"}
-    assert gone & set(cnotcalc.__all__) == set()
     assert [name for name in gone if hasattr(cnotcalc, name)] == []
+
+
+def test_annotations_are_postponed_and_typing_is_not_imported():
+    # under PEP 563 an annotation is never evaluated, so ``Optional[int]``
+    # needs no import; without the future import it would fail at import
+    unpostponed, typing_users = [], []
+    for path in sorted((SRC / "cnotcalc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        annotated = any(
+            isinstance(node, ast.AnnAssign)
+            or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                node.returns is not None
+                or any(a.annotation is not None for a in ast.walk(node.args) if isinstance(a, ast.arg))
+            )
+            for node in ast.walk(tree)
+        )
+        first = next((node for node in tree.body if not (
+            isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        )), None)
+        postponed = isinstance(first, ast.ImportFrom) and first.module == "__future__" and any(
+            alias.name == "annotations" for alias in first.names
+        )
+        if annotated and not postponed:
+            unpostponed.append(path.name)
+        if "typing" in _imported_modules(path):
+            typing_users.append(path.name)
+    assert (unpostponed, typing_users) == ([], [])

@@ -225,6 +225,21 @@ class TestNormalizeIdempotent:
         with pytest.raises(NotIdempotentError, match="arity"):
             normalize_idempotent(circuit(1, post1(0)))
 
+    def test_checks_the_circuit_it_builds(self, monkeypatch):
+        # a clausal circuit that drops its first cnot is refused, not returned
+        import cnotcalc.normalize as normalize_mod
+
+        real = normalize_mod.clausal_to_circuit
+
+        def dropped(cf):
+            c = real(cf)
+            first = next(i for i, g in enumerate(c.gates) if g.kind == "cnot")
+            return circuit(c.n_in, *c.gates[:first], *c.gates[first + 1:])
+
+        monkeypatch.setattr(normalize_mod, "clausal_to_circuit", dropped)
+        with pytest.raises(RuntimeError, match="semantics differs from the idempotent"):
+            normalize_idempotent(clause_circuit([0, 1], 1, 2))
+
 
 class TestRoundTrip:
     def test_clausal_roundtrip_on_random_subspaces(self):

@@ -411,6 +411,26 @@ def relations(draw, n_in=None, n_out=None):
     return AffineRelation(n, m, rows)
 
 
+@st.composite
+def composable(draw, first):
+    """(a, b) with b's inputs a's outputs, each drawn by ``first``."""
+    a = draw(first())
+    return a, draw(first(n_in=a.n_out))
+
+
+@st.composite
+def composable_partial_isos(draw):
+    """(a, b) with a a non-empty partial isomorphism and b its converse or
+    the semantics of a post-free random circuit on its outputs, so a ; b is
+    a non-empty partial isomorphism, which ``composable`` almost never
+    draws."""
+    a = draw(partial_isos())
+    if draw(st.booleans()):
+        return a, a.dagger()
+    rng = draw(st.randoms(use_true_random=False))
+    return a, random_circuit(rng, a.n_out, rng.randrange(1, 40), allow_post=False).semantics()
+
+
 class TestEmptyOperand:
     """``compose``, ``tensor`` and ``dagger`` return the empty relation at
     once when an operand is empty; the per-bit remap path is the oracle."""
@@ -463,10 +483,9 @@ class TestEmptyOperand:
 
 class TestBlockShiftsMatchRemap:
     @settings(deadline=None, max_examples=60)
-    @given(st.data())
-    def test_compose(self, data):
-        a = data.draw(relations())
-        b = data.draw(relations(n_in=a.n_out))
+    @given(st.one_of(composable(relations), composable_partial_isos()))
+    def test_compose(self, pair):
+        a, b = pair
         assert a.compose(b) == old_compose(a, b)
 
     @settings(deadline=None, max_examples=60)
@@ -605,10 +624,9 @@ class TestOneProjectionMatchesColumnScan:
     eliminated block lowest; the old path projected column by column."""
 
     @settings(deadline=None, max_examples=80)
-    @given(st.data())
-    def test_compose(self, data):
-        a = data.draw(maybe_empty())
-        b = data.draw(maybe_empty(n_in=a.n_out))
+    @given(st.one_of(composable(maybe_empty), composable_partial_isos()))
+    def test_compose(self, pair):
+        a, b = pair
         got = a.compose(b)
         assert got == old_compose(a, b)
         if a.is_empty() or b.is_empty():
