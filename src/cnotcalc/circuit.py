@@ -5,9 +5,10 @@ A circuit ``n_in -> n_out`` is an ordered list of the generators of
 ``gates``.  ``Circuit`` takes an ``int`` input arity, checks the widths along
 the whole trace when it is built and raises ``CircuitError`` at the first
 gate out of range, so every ``Circuit`` is a morphism ``n_in -> n_out``.
-Only ``rewrite.apply_at`` and ``derivation._circuits`` build one without
-that check, through the private ``Circuit._spliced``: a legal prefix and
-suffix around gates ``apply_at`` checked.
+Only code that has checked the gates itself builds one without that check,
+through the private ``Circuit._spliced``: ``rewrite.apply_at`` and
+``derivation._circuits`` on checked splices, and the circuit reader, which
+checks each gate as it reads it.
 
 ``semantics`` maps a circuit to its :class:`AffineRelation` by symbolic
 execution: every wire carries an affine expression in the inputs and each
@@ -64,8 +65,7 @@ class Circuit(Record):
     def _spliced(cls, n_in: int, gates: tuple, n_out: int) -> "Circuit":
         """The circuit of ``gates``, a tuple already known to be legal from
         ``n_in`` and to end at ``n_out``, built without checking its widths
-        again: ``rewrite.apply_at`` and ``derivation._circuits`` call it
-        on the splices ``apply_at`` has checked."""
+        again."""
         c = object.__new__(cls)
         c._init(n_in, gates, n_out)
         return c

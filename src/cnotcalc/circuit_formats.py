@@ -91,7 +91,7 @@ def parse_circuit(source) -> tuple[str, Circuit]:
             gates += built
         del part  # the next window is split without this one's lines
     _check_outputs(n_in, n_out, width, lineno)
-    return name, Circuit(n_in, gates)
+    return name, Circuit._spliced(n_in, tuple(gates), n_out)
 
 
 def _read_header(source):
@@ -153,13 +153,7 @@ def _build(body: str, line: int, wires: dict[str, int]):
         raise FormatError(f"unknown gate {kind!r}", line)
     if len(tokens) != 1 + arity:
         raise FormatError(f"gate {kind} takes {arity} argument(s)", line)
-    try:
-        args = list(map(int, tokens[1:]))
-    except ValueError:
-        args = None
-    # On ASCII text with no '+' or '_', int() reads exactly INTEGER.
-    if args is None or not body.isascii() or "+" in body or "_" in body:
-        args = [_int(t, line, body, i) for i, t in enumerate(tokens[1:], 1)]
+    args = [_int(t, line, body, i) for i, t in enumerate(tokens[1:], 1)]
     for t, k in zip(tokens[1:], args):
         if k >= 0 and str(k) == t:
             wires[t] = k

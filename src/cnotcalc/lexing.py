@@ -2,16 +2,15 @@
 comments, integers, and ``FormatError``, which places a fault by line and
 column.
 
-All formats are UTF-8, one item per line.  A comment runs from ``#`` to the
-end of its line, and lines end where ``str.splitlines`` splits them: at line
-feeds, carriage returns, form feeds, U+2028 and the like.  Every reader
-takes a file's text or the file open for reading, and takes its lines one
-window at a time from ``_bodies`` as the file is read.
+All formats are UTF-8, one item per line.  Lines end where
+``str.splitlines`` splits them: at line feeds, carriage returns, form feeds,
+U+2028 and the like.  A comment runs from ``#`` to the end of its line, and
+tokens are what ``str.split`` splits a line into.  Every reader takes a
+file's text or the file open for reading, and takes its lines one window at
+a time from ``_bodies`` as the file is read.
 """
 
 from __future__ import annotations
-
-import re
 
 
 class FormatError(ValueError):
@@ -19,13 +18,6 @@ class FormatError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
-
-
-# ``#`` up to the end of its line: the characters that ``str.splitlines``
-# ends a line at.  Left to ``re``'s cache rather than compiled at import:
-# the class of non-Latin-1 characters takes about 0.4 ms to compile, which
-# every command would pay, and only text with a ``#`` needs it.
-_COMMENT = "#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*"
 
 
 # A reader holds one window of a file's lines at a time: this many
@@ -60,11 +52,10 @@ def _bodies(source):
     window is cut and split only once this one's lines are let go."""
     first = 1
     for window in _windows(source):
-        if "#" in window:
-            # A comment becomes a space, not nothing: deleting the one in
-            # "\r#c\n" would join two line breaks into one "\r\n".
-            window = re.sub(_COMMENT, " ", window)
-        bodies = list(map(str.strip, window.splitlines()))
+        bodies = window.splitlines()
+        if "#" in window:  # cutting every line would double a window's cost
+            bodies = [line.partition("#")[0] for line in bodies]
+        bodies = list(map(str.strip, bodies))
         del window
         yield first, bodies
         first += len(bodies)
@@ -80,20 +71,18 @@ def _logical_lines(source):
                 yield i, body
 
 
-# A decimal integer as the formats write it.  ``int()`` alone would also
-# take a ``+`` sign, ``_`` separators and non-ASCII digits.
-INTEGER = re.compile(r"-?[0-9]+")
-
-
 def integer(token: str) -> int:
-    """``int(token)`` of a token that must match ``INTEGER``; otherwise a
+    """``int(token)`` of a decimal integer as the formats write it: an
+    optional ``-``, then ASCII digits only, where ``int()`` alone would also
+    take a ``+`` sign, ``_`` separators and non-ASCII digits.  Otherwise a
     ``ValueError`` that says what is wrong, without echoing a long token."""
-    if not INTEGER.fullmatch(token):
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"expected an integer, got {token!r}")
     try:
         return int(token)
     except ValueError:  # more digits than int() converts
-        raise ValueError(f"integer too long ({len(token.lstrip('-'))} digits)") from None
+        raise ValueError(f"integer too long ({len(digits)} digits)") from None
 
 
 def _int(token: str, line: int, body: str, index: int) -> int:
@@ -118,7 +107,7 @@ def _arities(tokens: list[str], positions, line: int, header: str) -> list[int]:
 
 
 def _column_of(body: str, token_index: int) -> int:
-    spans = [m.start() for m in re.finditer(r"\S+", body)]
-    if token_index < len(spans):
-        return spans[token_index] + 1
-    return len(body) + 1
+    at = 0
+    for token in body.split()[:token_index]:
+        at = body.index(token, at) + len(token)
+    return len(body) - len(body[at:].lstrip()) + 1

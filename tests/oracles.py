@@ -11,6 +11,9 @@ functions and ``old_semantics`` write the rows of a map's graph bit by bit,
 as each constructor did before ``AffineRelation.from_map`` wrote them all.
 ``old_parse_circuit`` is the circuit parser as it was before it read a file
 one window of lines at a time: every line at once, comments blanked.
+``_COMMENT``, ``INTEGER``, ``re_integer`` and ``re_column_of`` are the
+text layer's rules as ``re`` patterns, which ``lexing`` states with ``str``
+methods.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from cnotcalc.circuit import (
 )
 from cnotcalc.formats import _ONE_WIRE, _TWO_WIRES, FormatError, _arities, _int
 from cnotcalc.gf2 import BitVec, GF2Matrix, null_basis, project_masks, rref_masks, set_bits
-from cnotcalc.lexing import _COMMENT
 from cnotcalc.normalize import ClausalForm, clausal_to_circuit
 from cnotcalc.relation import ENUMERATION_LIMIT, AffineRelation, ArityError
 from cnotcalc.synth import AffineMapSpec, synth_total_graph
@@ -264,6 +266,33 @@ def old_semantics(c: Circuit) -> AffineRelation:
     for i, e in enumerate(wires):
         rows.append((e & (one - 1)) | (1 << (n + i)) | (rhs if e & one else 0))
     return AffineRelation(n, m, rows)
+
+
+# ``#`` up to the end of its line: the characters that ``str.splitlines``
+# ends a line at.
+_COMMENT = "#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*"
+
+# A decimal integer as the formats write it.  ``int()`` alone would also
+# take a ``+`` sign, ``_`` separators and non-ASCII digits.
+INTEGER = re.compile(r"-?[0-9]+")
+
+
+def re_integer(token: str) -> int:
+    """``lexing.integer``, by ``INTEGER``."""
+    if not INTEGER.fullmatch(token):
+        raise ValueError(f"expected an integer, got {token!r}")
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"integer too long ({len(token.lstrip('-'))} digits)") from None
+
+
+def re_column_of(body: str, token_index: int) -> int:
+    """``lexing._column_of``, by the spans of ``\\S+``."""
+    spans = [m.start() for m in re.finditer(r"\S+", body)]
+    if token_index < len(spans):
+        return spans[token_index] + 1
+    return len(body) + 1
 
 
 def _bodies(text: str) -> list[str]:

@@ -406,6 +406,74 @@ class TestStrictIntegers:
         assert parse_derivation("CNT2 -1 lr\n") == [("CNT2", -1, "lr")]
 
 
+# Every line break that ``str.splitlines`` knows, and spaces that
+# ``str.split`` splits at, ASCII and not.
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_SPACES = [" ", "\t", "\x1f", "\xa0", "\u2000", "\u2005", "\u200a", "\u202f", "\u3000"]
+# Tokens that are integers and tokens that only ``int()`` or nothing reads.
+_TOKENS = ["0", "7", "-3", "042", "+1", "1_0", "--1", "-", "-+1", "1-", "\u0663", "\xb2", "x", "#"]
+
+
+def tokens():
+    return st.one_of(
+        st.sampled_from(_TOKENS),
+        st.integers(-10**6, 10**6).map(str),
+        st.text(st.sampled_from("0123456789-+_\u0663\xb2\u0967a"), min_size=1, max_size=6),
+    )
+
+
+def lexed(f, *args):
+    """What ``f(*args)`` gives: its value, or the exception's type and text."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+class TestLexingMatchesRe:
+    """``lexing`` cuts comments, reads integers and places tokens with
+    ``str`` methods; each gives what the ``re`` forms in ``oracles`` give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(_BREAKS), st.sampled_from(_SPACES), tokens(),
+        st.sampled_from(["#", "# c", "#\r", "##"]),
+    ), max_size=40))
+    @example(["\r", "#c", "\n", "x"])
+    @example(["a", "#", "\r\n", "#", "\u2029", "b # c", "\x85"])
+    def test_bodies(self, pieces):
+        text = "".join(pieces)
+        expected = list(enumerate(oracles._bodies(text), 1))
+        for window in [1, 7, 64]:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lexing, "_WINDOW", window)
+                for source in (text, io.StringIO(text, newline="")):
+                    got = [
+                        (first + i, body)
+                        for first, bodies in lexing._bodies(source)
+                        for i, body in enumerate(bodies)
+                    ]
+                    assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(tokens(), st.text(max_size=4)))
+    @example("7" * 5000)
+    @example("-" + "7" * 5000)
+    @example("")
+    @example("5\n")
+    def test_integer(self, token):
+        assert lexed(lexing.integer, token) == lexed(oracles.re_integer, token)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(tokens(), st.sampled_from(_SPACES)), max_size=12),
+           st.integers(0, 8))
+    @example(["1", "\xa0", "1", " ", "1"], 2)
+    @example(["ab", "\u2000", "b"], 1)
+    def test_column_of(self, pieces, index):
+        body = "".join(pieces)
+        assert lexing._column_of(body, index) == oracles.re_column_of(body, index)
+
+
 class TestCircuitHeaderArity:
     @pytest.mark.parametrize(
         "text, where, arity",

@@ -5,7 +5,7 @@ path, let each command load only the layers it runs, and keep each module a
 small unit to compile.  The file formats sit below the layers that use them.
 Importing cnotcalc as a library leaves the host's garbage collector and exit
 alone.  The package binds its submodules and no other name, and no module
-imports ``typing``."""
+imports ``typing`` or ``re``."""
 
 import ast
 import os
@@ -162,7 +162,7 @@ def test_the_package_binds_only_submodules():
 
 
 # the commands and what each imports from the standard library under -S:
-# none imports ``typing``, and --help neither ``re`` nor ``enum``
+# none imports ``typing``, ``re`` or ``enum``
 STDLIB_PROBE = """
 import sys
 import cnotcalc.cli
@@ -176,24 +176,47 @@ print([m for m in ("typing", "re", "enum") if m in sys.modules])
     "argv, imported",
     [
         (("--help",), []),
-        (("equal", "circ", "idem"), ["re", "enum"]),
-        (("semantics", "circ"), ["re", "enum"]),
-        (("eval", "circ", "--input", "10"), ["re", "enum"]),
-        (("construct", "fanout", "3"), ["re", "enum"]),
-        (("synth", "graph"), ["re", "enum"]),
-        (("normalize", "idem"), ["re", "enum"]),
-        (("replay", "circ", "deriv"), ["re", "enum"]),
-        (("fuzz", "--trials", "1"), ["re", "enum"]),
+        (("equal", "circ", "idem"), []),
+        (("semantics", "circ"), []),
+        (("eval", "circ", "--input", "10"), []),
+        (("construct", "fanout", "3"), []),
+        (("synth", "graph"), []),
+        (("normalize", "idem"), []),
+        (("replay", "circ", "deriv"), []),
+        (("fuzz", "--trials", "1"), []),
         (("verify",), []),
     ],
     ids=lambda value: value[0] if isinstance(value, tuple) else "-".join(value) or "none",
 )
 def test_no_command_imports_typing(tmp_path, argv, imported):
     # under -S no ``site`` has imported them first; ``typing`` cost about
-    # 10 ms a process on top of ``re``
+    # 10 ms a process on top of ``re``, and ``re`` about 10 ms on its own
     *_, code, found = _probe(STDLIB_PROBE, *_with_inputs(tmp_path, argv), flags=("-S",))
     assert code in ("0", "1")
     assert ast.literal_eval(found) == imported
+
+
+# the module whose import statement loads ``re`` first, then the exit code
+RE_IMPORTER_PROBE = """
+import sys
+class Importer:
+    def find_spec(self, name, path=None, target=None):
+        if name == "re":
+            frame = sys._getframe(1)
+            while "importlib" in frame.f_globals["__name__"]:
+                frame = frame.f_back
+            print(frame.f_globals["__name__"])
+sys.meta_path.insert(0, Importer())
+import cnotcalc.cli
+print(cnotcalc.cli.run(sys.argv[1:]))
+"""
+
+
+def test_only_json_imports_re():
+    # ``--json`` prints through ``json``, whose decoder imports ``re``
+    importer, *_, code = _probe(RE_IMPORTER_PROBE, "construct", "fanout", "3", "--json",
+                                flags=("-S",))
+    assert (importer, code) == ("json.decoder", "0")
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -426,7 +449,8 @@ def test_only_the_process_entry_point_touches_the_collector():
 def test_only_the_rewrite_code_builds_an_unchecked_circuit():
     # ``Circuit._spliced`` builds a circuit without checking its widths:
     # ``apply_at`` checks the gates it puts between a legal prefix and
-    # suffix, and ``derivation`` rebuilds the circuits ``apply_at`` built.
+    # suffix, ``derivation`` rebuilds the circuits ``apply_at`` built, and
+    # ``parse_circuit`` checks each gate against the width as it reads it.
     # Every other ``Circuit`` is checked as it is built.
     uses = []
     for path in sorted((SRC / "cnotcalc").rglob("*.py")):
@@ -439,7 +463,9 @@ def test_only_the_rewrite_code_builds_an_unchecked_circuit():
                 or isinstance(node, ast.Name) and node.id == "_spliced"
                 or isinstance(node, ast.Constant) and node.value == "_spliced"
             ]
-    assert sorted(uses) == ["derivation._circuits", "rewrite.apply_at"]
+    assert sorted(uses) == [
+        "circuit_formats.parse_circuit", "derivation._circuits", "rewrite.apply_at",
+    ]
 
 
 def test_deleted_wrappers_are_not_public():
@@ -449,8 +475,9 @@ def test_deleted_wrappers_are_not_public():
 
 def test_annotations_are_postponed_and_typing_is_not_imported():
     # under PEP 563 an annotation is never evaluated, so ``Optional[int]``
-    # needs no import; without the future import it would fail at import
-    unpostponed, typing_users = [], []
+    # needs no import; without the future import it would fail at import.
+    # The text layer reads with ``str`` methods, so no module imports ``re``.
+    unpostponed, typing_users, re_users = [], [], []
     for path in sorted((SRC / "cnotcalc").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         annotated = any(
@@ -469,6 +496,9 @@ def test_annotations_are_postponed_and_typing_is_not_imported():
         )
         if annotated and not postponed:
             unpostponed.append(path.name)
-        if "typing" in _imported_modules(path):
+        imported = _imported_modules(path)
+        if "typing" in imported:
             typing_users.append(path.name)
-    assert (unpostponed, typing_users) == ([], [])
+        if "re" in imported:
+            re_users.append(path.name)
+    assert (unpostponed, typing_users, re_users) == ([], [], [])

@@ -442,8 +442,7 @@ class TestEmptyOperand:
     @settings(deadline=None, max_examples=60)
     @given(st.data())
     def test_compose(self, data):
-        a = data.draw(relations())
-        b = data.draw(relations(n_in=a.n_out))
+        a, b = data.draw(st.one_of(composable(relations), composable_partial_isos()))
         for x, y in [(AffineRelation.empty(a.n_in, a.n_out), b),
                      (a, AffineRelation.empty(b.n_in, b.n_out)),
                      (self.emptied(a, data), self.emptied(b, data))]:
@@ -452,7 +451,8 @@ class TestEmptyOperand:
     @settings(deadline=None, max_examples=60)
     @given(st.data())
     def test_tensor(self, data):
-        a, b = data.draw(relations()), data.draw(relations())
+        operands = st.one_of(relations(), partial_isos())
+        a, b = data.draw(operands), data.draw(operands)
         for x, y in [(AffineRelation.empty(a.n_in, a.n_out), b),
                      (a, AffineRelation.empty(b.n_in, b.n_out)),
                      (self.emptied(a, data), self.emptied(b, data))]:
