@@ -13,22 +13,23 @@ checks each gate as it reads it.
 ``semantics`` maps a circuit to its :class:`AffineRelation` by symbolic
 execution: every wire carries an affine expression in the inputs and each
 post-selection contributes one domain constraint.  Canonical relations make
-``equal_circ`` a decision procedure for circuit equality.
+equal semantics a decision procedure for circuit equality, which the
+``equal`` command runs.
 
 The derived maps are built in closed form: the copy map ``fanout`` and its
 converse ``fanin``, the degenerate circuits ``omega`` and ``omega_nm``, the
 parity accumulator ``plus_map``, the basis-state preparations ``hat``,
 literals and parity clauses, and the latchability test.  The generators
-are bound here too, as ``from cnotcalc.circuit import cnot`` reads them.
+these constructions use are bound here too, as ``from cnotcalc.circuit
+import cnot`` reads them; ``GATES`` and ``notg`` are read from ``gates``.
 """
 
 from __future__ import annotations
 
 import sys
 
-from .gates import (  # noqa: F401  (GATES and notg: the generators, bound here too)
+from .gates import (
     CNOT,
-    GATES,
     INIT1,
     POST1,
     SWAP,
@@ -37,7 +38,6 @@ from .gates import (  # noqa: F401  (GATES and notg: the generators, bound here 
     cnot,
     init0,
     init1,
-    notg,
     post0,
     post1,
     swap,
@@ -166,17 +166,6 @@ def _gates_of(items: Iterable) -> Iterator[Gate]:
             yield from _gates_of(item)
 
 
-def identity_circuit(n: int) -> Circuit:
-    return Circuit(n)
-
-
-def equal_circ(c: Circuit, d: Circuit) -> bool:
-    """Decide derivability-equality via the canonical semantics."""
-    if c.n_in != d.n_in or c.n_out != d.n_out:
-        raise ArityError("equality requires equal arities")
-    return c.semantics() == d.semantics()
-
-
 def swap_network(layout: Sequence, target: Sequence) -> list[Gate]:
     """The swaps that rearrange ``layout`` into ``target``, a reordering of
     its entries: for each position in turn, the swap that brings the entry
@@ -299,5 +288,5 @@ def is_latchable(c: Circuit) -> bool:
     n = c.n_in
     if c.n_out != n:
         raise ArityError("latchability is defined for endo-circuits")
-    latched = fanout(n).compose(c.tensor(identity_circuit(n))).compose(fanin(n))
+    latched = fanout(n).compose(c.tensor(Circuit(n))).compose(fanin(n))
     return c.semantics() == latched.semantics()

@@ -66,7 +66,7 @@ from .circuit import (
     plus_map,
 )
 from .commandio import _emit, _load_circuit, _parse, _parse_bits, _write
-from .commandline import COMMANDS, CliInputError, _read_argv  # noqa: F401  (COMMANDS: bound here too)
+from .commandline import CliInputError, _read_argv
 from .relation import ENUMERATION_LIMIT
 
 OK, FAIL, USAGE, INTERNAL, BROKEN_PIPE = 0, 1, 2, 3, 141

@@ -133,10 +133,7 @@ def file_trial(c: Circuit, rel: AffineRelation) -> Optional[str]:
 
 
 def fuzz(
-    wires: int = 5,
-    depth: int = 30,
-    seed: int = 0,
-    trials: int = 1000,
+    wires: int, depth: int, seed: int, trials: int
 ) -> tuple[int, Optional[tuple[int, Circuit, str]]]:
     """Run the oracle, round-trip and file checks; returns (trials run,
     first failure)."""

@@ -46,10 +46,6 @@ class BitVec(Record):
         set_mask(v, mask & ((1 << n) - 1))
         return v
 
-    @classmethod
-    def zeros(cls, n: int) -> "BitVec":
-        return cls.from_mask(n, 0)
-
     @property
     def mask(self) -> int:
         return self._mask
@@ -109,14 +105,6 @@ class GF2Matrix(Record):
         m = object.__new__(cls)
         m._init(len(data), cols, data)
         return m
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "GF2Matrix":
-        return cls.from_masks([0] * rows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "GF2Matrix":
-        return cls.from_masks([1 << i for i in range(n)], n)
 
     @property
     def row_masks(self) -> tuple:

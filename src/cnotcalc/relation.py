@@ -63,10 +63,6 @@ class AffineRelation(Record, fields=("n_in", "n_out", "_rows")):
         return cls(n, m, rows)
 
     @classmethod
-    def identity(cls, n: int) -> "AffineRelation":
-        return cls.from_map(n, [1 << j for j in range(n)])
-
-    @classmethod
     def empty(cls, n_in: int, n_out: int) -> "AffineRelation":
         """The nowhere-defined relation: one row ``0 = 1``, its own converse."""
         if n_in < 0 or n_out < 0:
@@ -81,13 +77,6 @@ class AffineRelation(Record, fields=("n_in", "n_out", "_rows")):
         rel._init(n_in, n_out, rows)
         object.__setattr__(rel, "_converse", converse)
         return rel
-
-    @classmethod
-    def permutation(cls, perm: list[int]) -> "AffineRelation":
-        """Graph {(x, x permuted)}: output i carries input perm[i]."""
-        if sorted(perm) != list(range(len(perm))):
-            raise ArityError(f"{perm!r} is not a permutation")
-        return cls.from_map(len(perm), [1 << j for j in perm])
 
     @classmethod
     def restriction_on(cls, n: int, domain_rows: Iterable[int]) -> "AffineRelation":
@@ -265,6 +254,3 @@ def all_columns(n: int) -> list[int]:
         columns = [c | c << lanes for c in columns] + [((1 << lanes) - 1) << lanes]
         lanes *= 2
     return columns
-
-
-__all__ = ["AffineRelation", "ArityError", "all_bitvecs", "all_columns", "ENUMERATION_LIMIT"]

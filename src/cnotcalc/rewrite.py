@@ -14,9 +14,9 @@ rewrite is a splice: it checks that the gates it emits denote the relation
 of the segment they replace, and nothing else of the circuit, which it
 keeps as it was.  The engine demonstrates derivations (``derivation``
 replays them); it does not search modulo monoidal interchange and claims
-no normal forms - ``equal_circ`` is the decision procedure.  The checks of
-the whole corpus that ``verify_all`` runs live in ``lawsuites``, which only
-``verify`` loads.
+no normal forms - the ``equal`` command is the decision procedure.  The
+checks of the whole corpus that ``verify_all`` runs live in ``lawsuites``,
+which only ``verify`` loads.
 """
 
 from __future__ import annotations

@@ -21,10 +21,9 @@ from __future__ import annotations
 import re
 from typing import Iterable, Optional
 
-from cnotcalc.circuit import (
-    GATES, Circuit, CircuitError, Gate, circuit, cnot, notg, omega_nm, post0,
-)
+from cnotcalc.circuit import Circuit, CircuitError, Gate, circuit, cnot, omega_nm, post0
 from cnotcalc.formats import _ONE_WIRE, _TWO_WIRES, FormatError, _arities, _int
+from cnotcalc.gates import GATES, notg
 from cnotcalc.gf2 import BitVec, GF2Matrix, null_basis, project_masks, rref_masks, set_bits
 from cnotcalc.normalize import ClausalForm, clausal_to_circuit
 from cnotcalc.relation import ENUMERATION_LIMIT, AffineRelation, ArityError

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import cnotcalc
-from cnotcalc.cli import COMMANDS, FAIL, OK, USAGE, run
+from cnotcalc.cli import FAIL, OK, USAGE, run
+from cnotcalc.commandline import COMMANDS
 from cnotcalc.circuit import circuit, cnot, init0, swap
 from cnotcalc.formats import format_circuit
 
@@ -111,6 +112,14 @@ class TestEqual:
         b.write_text(format_circuit(circuit(2, cnot(1, 0)), "b"))
         code, out, _ = run_cli("equal", str(a), str(b))
         assert code == 1 and out.strip() == "unequal"
+
+    def test_arity_mismatch_is_an_input_error(self, run_cli, tmp_path):
+        a = tmp_path / "a.cnot"
+        b = tmp_path / "b.cnot"
+        a.write_text("circuit a : 1 -> 1\nend\n")
+        b.write_text("circuit b : 2 -> 2\nend\n")
+        code, out, err = run_cli("equal", str(a), str(b))
+        assert (code, out, err) == (2, "", "error: arity mismatch: 1->1 vs 2->2\n")
 
     def test_negative_header_arity_has_a_location(self, run_cli, tmp_path):
         p = tmp_path / "neg.cnot"
@@ -513,7 +522,8 @@ class TestFuzzCommand:
 
     def test_counterexample_printed(self, run_cli, monkeypatch):
         import cnotcalc.fuzzing as fuzzing_mod
-        from cnotcalc.circuit import circuit, notg
+        from cnotcalc.circuit import circuit
+        from cnotcalc.gates import notg
 
         def fake_fuzz(wires, depth, seed, trials):
             return 1, (0, circuit(1, notg(0)), "synthetic failure")

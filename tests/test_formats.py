@@ -9,8 +9,9 @@ import oracles
 from cnotcalc import lexing
 
 from cnotcalc.circuit import (
-    GATES, Circuit, CircuitError, Gate, circuit, cnot, init0, init1, notg, post0, post1, swap,
+    Circuit, CircuitError, Gate, circuit, cnot, init0, init1, post0, post1, swap,
 )
+from cnotcalc.gates import GATES, notg
 from cnotcalc.normalize import Clause, ClausalForm
 from cnotcalc.relation import ENUMERATION_LIMIT, AffineRelation
 from cnotcalc.formats import (
@@ -210,7 +211,7 @@ class TestRelationFormat:
         assert format_relation(rel) == old_format_relation(rel)
 
     def test_set_bits_on_the_widest_identity(self):
-        rel = AffineRelation.identity(300)
+        rel = AffineRelation.restriction_on(300, ())
         assert format_relation(rel) == old_format_relation(rel)
 
     def test_out_of_range_variable(self):

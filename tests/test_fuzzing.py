@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from cnotcalc.circuit import GATES, circuit, cnot, init0, init1, notg, post0, post1, swap
+from cnotcalc.circuit import circuit, cnot, init0, init1, post0, post1, swap
 from cnotcalc import fuzzing, semantics_reader
 from cnotcalc import synth as synth_module
 from cnotcalc.formats import FormatError, format_circuit, parse_circuit
+from cnotcalc.gates import GATES, notg
 from cnotcalc.fuzzing import fuzz, oracle_trial, random_circuit, trial_rng
 from cnotcalc.relation import AffineRelation, all_bitvecs
 

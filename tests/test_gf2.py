@@ -50,7 +50,7 @@ class TestRref:
         assert pivots == [0, 1]
 
     def test_identity_already_reduced(self):
-        m = GF2Matrix.identity(2)
+        m = GF2Matrix.from_masks([0b01, 0b10], 2)
         assert rref_masks(m.row_masks, m.cols) == (list(m.row_masks), [0, 1])
 
     def test_dependent_rows(self):
@@ -211,7 +211,7 @@ class TestSolveAffine:
         assert got == (0b00, [0b11])
 
     def test_identity_system(self):
-        got = solve(GF2Matrix.identity(2), BitVec([1, 0]))
+        got = solve(GF2Matrix.from_masks([0b01, 0b10], 2), BitVec([1, 0]))
         assert got == (0b01, [])
 
     def test_inconsistent(self):
@@ -229,7 +229,7 @@ class TestSolveAffine:
         particular, basis = got
         assert a.mul_vec(BitVec.from_mask(a.cols, particular)) == b
         for v in basis:
-            assert a.mul_vec(BitVec.from_mask(a.cols, v)) == BitVec.zeros(a.rows)
+            assert a.mul_vec(BitVec.from_mask(a.cols, v)) == BitVec.from_mask(a.rows, 0)
         span = set()
         for coeffs in product((0, 1), repeat=len(basis)):
             x = particular
@@ -339,7 +339,7 @@ class TestProjectOut:
 class TestBitVec:
     def test_xor_self_inverse(self):
         v = BitVec([1, 0, 1])
-        assert v ^ v == BitVec.zeros(3)
+        assert v ^ v == BitVec.from_mask(3, 0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

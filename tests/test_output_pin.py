@@ -18,7 +18,6 @@ from cnotcalc.circuit import (
     cnot,
     fanout,
     hat,
-    identity_circuit,
     omega_nm,
     plus_map,
     swap_network,
@@ -149,7 +148,7 @@ def rewrite_hosts():
                 )
                 below = rng.randrange(prefix.n_out - side.n_in + 1)
                 above = prefix.n_out - side.n_in - below
-                middle = identity_circuit(below).tensor(side).tensor(identity_circuit(above))
+                middle = Circuit(below).tensor(side).tensor(Circuit(above))
                 suffix = random_circuit(rng, middle.n_out, rng.randrange(8))
                 yield rule, direction, prefix.compose(middle).compose(suffix)
 

@@ -44,14 +44,14 @@ def seeded(count, salt):
 
 class TestConstructorsAndExamples:
     def test_identity_zero(self):
-        r = AffineRelation.identity(0)
+        r = AffineRelation.restriction_on(0, ())
         assert pts(r) == {((), ())} and r.is_total()
 
     def test_identity_one(self):
-        assert pts(AffineRelation.identity(1)) == {((0,), (0,)), ((1,), (1,))}
+        assert pts(AffineRelation.restriction_on(1, ())) == {((0,), (0,)), ((1,), (1,))}
 
     def test_identity_two(self):
-        r = AffineRelation.identity(2)
+        r = AffineRelation.restriction_on(2, ())
         assert pts(r) == {((a, b), (a, b)) for a in (0, 1) for b in (0, 1)}
 
     def test_empty_has_no_points(self):
@@ -68,17 +68,17 @@ class TestConstructorsAndExamples:
 
 class TestCompose:
     def test_cnot_self_inverse(self):
-        assert CNOT_GRAPH.compose(CNOT_GRAPH) == AffineRelation.identity(2)
+        assert CNOT_GRAPH.compose(CNOT_GRAPH) == AffineRelation.restriction_on(2, ())
 
     def test_identity_is_neutral(self):
         for rng in seeded(10, salt=21):
             r = random_relation(rng)
-            assert r.compose(AffineRelation.identity(r.n_out)) == r
-            assert AffineRelation.identity(r.n_in).compose(r) == r
+            assert r.compose(AffineRelation.restriction_on(r.n_out, ())) == r
+            assert AffineRelation.restriction_on(r.n_in, ()).compose(r) == r
 
     def test_ket_bra_composites(self):
         # |1> then <1| is the identity on no wires; <1| then |1> keeps x = 1
-        assert KET1.compose(BRA1) == AffineRelation.identity(0)
+        assert KET1.compose(BRA1) == AffineRelation.restriction_on(0, ())
         assert pts(BRA1.compose(KET1)) == {((1,), (1,))}
 
     def test_arity_mismatch(self):
@@ -101,8 +101,8 @@ class TestCompose:
 
 class TestTensor:
     def test_identity_blocks(self):
-        one = AffineRelation.identity(1)
-        assert one.tensor(one) == AffineRelation.identity(2)
+        one = AffineRelation.restriction_on(1, ())
+        assert one.tensor(one) == AffineRelation.restriction_on(2, ())
 
     def test_empty_absorbs(self):
         for rng in seeded(5, salt=23):
@@ -127,7 +127,8 @@ class TestTensor:
 class TestDagger:
     def test_identity_symmetric(self):
         for n in range(4):
-            assert AffineRelation.identity(n).dagger() == AffineRelation.identity(n)
+            ident = AffineRelation.restriction_on(n, ())
+            assert ident.dagger() == ident
 
     def test_ket_bra(self):
         assert KET1.dagger() == BRA1
@@ -145,7 +146,7 @@ class TestDagger:
 class TestRestrictionAndMeet:
     def test_total_restriction(self):
         for n in range(4):
-            ident = AffineRelation.identity(n)
+            ident = AffineRelation.restriction_on(n, ())
             assert ident.restriction() == ident
 
     def test_bra_restriction(self):
@@ -168,13 +169,13 @@ class TestRestrictionAndMeet:
             assert r.meet(r) == r
 
     def test_meet_of_disjoint_lines(self):
-        ident = AffineRelation.identity(1)
+        ident = AffineRelation.restriction_on(1, ())
         notrel = rel_from_pairs(1, 1, [((0,), (1,)), ((1,), (0,))])
         assert ident.meet(notrel) == AffineRelation.empty(1, 1)
 
     def test_meet_with_point(self):
         point = rel_from_pairs(1, 1, [((1,), (1,))])
-        assert AffineRelation.identity(1).meet(point) == point
+        assert AffineRelation.restriction_on(1, ()).meet(point) == point
 
     def test_meet_is_intersection_and_below(self):
         for rng in seeded(20, salt=28):
@@ -190,7 +191,7 @@ class TestRestrictionAndMeet:
 
 class TestPartialIso:
     def test_identity(self):
-        assert AffineRelation.identity(3).is_partial_iso()
+        assert AffineRelation.restriction_on(3, ()).is_partial_iso()
 
     def test_diagonal(self):
         assert DELTA.is_partial_iso()
@@ -251,7 +252,7 @@ class TestApplyAndEnumerate:
 
     def test_enumerate_guard(self):
         with pytest.raises(ValueError):
-            enumerate_graph(AffineRelation.identity(11))
+            enumerate_graph(AffineRelation.restriction_on(11, ()))
 
 
 class TestInverseCategoryLaws:
@@ -475,8 +476,8 @@ class TestEmptyOperand:
                 AffineRelation.empty(n, m)
 
     def test_compose_arity_checked_first(self):
-        e, idn = AffineRelation.empty, AffineRelation.identity
-        for a, b in [(e(2, 3), e(2, 2)), (e(2, 3), idn(2)), (idn(2), e(3, 1)), (e(0, 1), e(0, 0))]:
+        e, idn = AffineRelation.empty, AffineRelation.restriction_on(2, ())
+        for a, b in [(e(2, 3), e(2, 2)), (e(2, 3), idn), (idn, e(3, 1)), (e(0, 1), e(0, 0))]:
             with pytest.raises(ArityError):
                 a.compose(b)
 
@@ -520,18 +521,11 @@ class TestFromMap:
     def test_identity_and_permutation(self, data):
         n = data.draw(widths)
         perm = data.draw(st.permutations(range(n)))
-        assert AffineRelation.identity(n) == layout_identity(n)
-        assert AffineRelation.permutation(perm) == layout_permutation(perm)
+        assert AffineRelation.restriction_on(n, ()) == layout_identity(n)
         assert AffineRelation.from_map(n, [1 << j for j in perm]) == layout_permutation(perm)
 
-    @pytest.mark.parametrize("perm", [[0, 0], [1], [0, 2], [1, 1, 0], [-1, 0]])
-    def test_permutation_refuses_a_non_permutation(self, perm):
-        # [0, 0] would be a 2 -> 2 relation that is no partial isomorphism
-        with pytest.raises(ArityError, match="is not a permutation"):
-            AffineRelation.permutation(perm)
-
     def test_negative_arity(self):
-        for build in (lambda: AffineRelation.from_map(-1, []), lambda: AffineRelation.identity(-1),
+        for build in (lambda: AffineRelation.from_map(-1, []),
                       lambda: AffineRelation.restriction_on(-1, [1])):
             with pytest.raises(ArityError, match="arities must be nonnegative"):
                 build()

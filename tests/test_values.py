@@ -63,7 +63,7 @@ CASES = [
     ),
     (C, Circuit(n_in=2, gates=[cnot(0, 1)]), D, "Circuit(2->2, [cnot(0, 1)])"),
     (
-        AffineRelation.identity(1),
+        AffineRelation.restriction_on(1, ()),
         AffineRelation(n_in=1, n_out=1, constraint_masks=[0b11, 0b11]),
         AffineRelation.empty(1, 1),
         "AffineRelation(1->1, 1 constraints)",
@@ -144,11 +144,11 @@ def test_circuit_refuses_assignment_and_deletion():
 
 
 def test_a_relation_in_a_set_stays_found():
-    held = {AffineRelation.identity(1)}
+    held = {AffineRelation.restriction_on(1, ())}
     for name, junk in (("_rows", ()), ("n_in", 5)):
         with pytest.raises(AttributeError):
             setattr(next(iter(held)), name, junk)
-    assert AffineRelation.identity(1) in held
+    assert AffineRelation.restriction_on(1, ()) in held
     m = GF2Matrix([[1]])
     with pytest.raises(AttributeError):
         m.rows = 9
